@@ -1,0 +1,7 @@
+"""Lets ``python3 -m pytest perfbench`` import the program and the checks."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
