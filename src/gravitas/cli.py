@@ -1,10 +1,20 @@
 """Command-line entry point: deterministic runs, CSV/JSON outputs, manifests.
 
-Every subcommand resolves its configuration as CLI flags over config-file
-values over built-in defaults, echoes the resolved configuration in a
-manifest next to the data file, and exits 0 on success, 1 when an internal
-tolerance check fails, 2 on configuration errors. Stochastic subcommands
-require a seed (flag, config file, or GRAVITAS_SEED).
+Each subcommand is one ``Command`` row of the ``COMMANDS`` table: name,
+help, default configuration and ``run(cfg) -> (data, checks, message)``,
+which calls the library directly. A row's default keys are exactly the
+settings it reads; each key has one ``FLAGS`` entry (flag, type, help with
+units, lower bound), and one loop builds the parser from the table, so a
+subcommand accepts only the flags it reads. One harness, ``_execute``,
+resolves every setting as flag over config file over default, checks the
+bounds, takes the seed of a stochastic subcommand (``--seed``, config file
+or GRAVITAS_SEED), runs, and writes the data file (JSON for a dict, CSV
+for a header and rows) and a manifest next to it with the resolved
+configuration, the checks and the wall time.
+
+Exit codes: 0 when every check passes; 1 when a check fails (data and
+manifest are still written); 2 on a configuration error (bad flag, value,
+config file or seed), before any file is written.
 """
 
 from __future__ import annotations
@@ -17,20 +27,20 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from statistics import NormalDist
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .entanglement import (FIG1_DEFAULTS, GaussianState, duan_witness,
-                           evolve_gaussian, fig1_default_initial,
-                           fig1_default_params, log_negativity,
-                           quadratize_newton)
+from .entanglement import (FIG1_DEFAULTS, duan_witness, evolve_gaussian,
+                           fig1_default_initial, fig1_default_params,
+                           log_negativity, product_state, quadratize_newton)
 from .errors import GravitasError
 from .estimators import BendingConfig, estimate_record
-from .kinematics import (FourVector, check_invariant_measure_identity, stream,
-                         two_body_batch)
+from .kinematics import check_invariant_measure_identity, stream
 from .params import ModelParams
 from .semiclassical import FeedbackConfig, compare_channels, run_ensemble
 from .unitarity import (TreePoleFamily, optical_tree_check,
@@ -42,302 +52,244 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 
-
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)  # RFC-4180 quoting
-        w.writerow(header)
-        w.writerows(rows)
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True,
-                               default=_json_default) + "\n",
-                    encoding="utf-8")
-
-
-def _manifest(path: Path, command: str, config: dict, outputs: list[Path],
-              checks: dict[str, bool], wall_time: float,
-              provenance: dict | None = None) -> None:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "toolkit_version": __version__,
-        "command": command,
-        "resolved_config": config,
-        "wall_time_s": wall_time,
-        "outputs": [p.name for p in outputs],
-        "checks": checks,
-        "provenance": provenance or {},
-    }
-    _write_json(path, doc)
-
-
-def _resolve(args: argparse.Namespace, file_cfg: dict, defaults: dict) -> dict:
-    """flag > config file > default, flag considered set when not None."""
-    out = dict(defaults)
-    for key in defaults:
-        if key in file_cfg:
-            out[key] = file_cfg[key]
-        flag = getattr(args, key, None)
-        if flag is not None:
-            out[key] = flag
-    return out
-
-
-def _load_config_file(args: argparse.Namespace) -> dict:
-    if getattr(args, "config", None) is None:
-        return {}
-    p = Path(args.config)
-    if not p.exists():
-        raise ConfigError(f"config file {p} not found")
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
-    section = getattr(args, "command", None)
-    if isinstance(doc, dict) and section in doc and isinstance(doc[section], dict):
-        return doc[section]
-    return doc if isinstance(doc, dict) else {}
+# Family-wise false-failure rate of each statistical gate on a correct run.
+GATE_ALPHA = 1e-3
 
 
 class ConfigError(GravitasError):
     pass
 
 
-def _need_seed(cfg: dict) -> int:
-    seed = cfg.get("seed")
-    if seed is None:
-        env = os.environ.get("GRAVITAS_SEED")
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"GRAVITAS_SEED={env!r} is not an integer") from exc
-    if seed is None:
+@dataclass(frozen=True)
+class Flag:
+    """How one configuration key is set from the command line."""
+
+    help: str
+    type: Callable = float
+    gt: float | None = None       # every value must be greater than this
+    nargs: str | None = None
+    choices: tuple[str, ...] | None = None
+    flag: str | None = None       # default: --key-with-dashes
+
+
+FLAGS = {
+    "g_newton": Flag("gravitational coupling G_N (natural units, mass^-2)", gt=0),
+    "m": Flag("matter mass m, in entangle/semiclassical/compare the mass of "
+              "each body (mass units)", gt=0),
+    "mu": Flag("mediator regulator mass mu; in phase-space-check the on-shell "
+               "mass (mass units)", gt=0),
+    "lambda_probe": Flag("photon-matter coupling lambda (mass units)",
+                         flag="--lambda"),
+    "alpha_tilde": Flag("particle-antiparticle box coupling alpha~ (dimensionless)"),
+    "eps_ladder": Flag("relative epsilon ladder, units of max(m^2, mu^2)",
+                       gt=0, nargs="+"),
+    "tolerance": Flag("slack on |ratio - 1|: the pass/fail bound of optical-tree, "
+                      "a floor under the z-sigma bound of box-cut (dimensionless)"),
+    "s_grid": Flag("s values in units of m^2", nargs="+"),
+    "n_samples": Flag("Monte Carlo samples per estimator (per side in "
+                      "phase-space-check)", type=int, gt=0),
+    "threads": Flag("worker threads; results must not depend on them "
+                    "(self-test compares this count with 1)", type=int, gt=0),
+    "d": Flag("mean separation (length units)", gt=0),
+    "var_x": Flag("initial per-mass position variance (length^2)", gt=0),
+    "delta_t": Flag("interaction time horizon (time units)"),
+    "n_grid": Flag("time grid intervals", type=int, gt=0),
+    "axis": Flag("displacement axis of the quadratized coupling", type=str,
+                 choices=("separation", "transverse")),
+    "gamma": Flag("measurement rate (1/time)", gt=0),
+    "horizon": Flag("total evolution time (time units)", gt=0),
+    "n_steps": Flag("time steps", type=int, gt=0),
+    "n_traj": Flag("trajectories, rounded up to an even count (antithetic "
+                   "pairs)", type=int, gt=0),
+    "mass_g": Flag("source mass (grams)", gt=0),
+    "impact_um": Flag("impact parameter (micrometers)", gt=0),
+    "separation_um": Flag("superposition separation (micrometers)", gt=0),
+    "wavelength_nm": Flag("laser wavelength (nanometers)", gt=0),
+    "cavity_m": Flag("cavity length (meters)", gt=0),
+    "target_time_s": Flag("target integration time (seconds)", gt=0),
+    "t_integration_s": Flag("override the derived single-photon integration "
+                            "time (seconds)", gt=0),
+    "kmax": Flag("sampling radius, units of mu", gt=0),
+    "out": Flag("output data file path", type=str),
+    "seed": Flag("64-bit master seed (fallback: GRAVITAS_SEED)", type=int),
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    name: str
+    help: str
+    defaults: dict
+    run: Callable[[dict], tuple]
+
+
+def _load_config_file(path: str | None, section: str) -> dict:
+    if path is None:
+        return {}
+    p = Path(path)
+    if not p.exists():
+        raise ConfigError(f"config file {p} not found")
+    try:
+        doc = json.loads(p.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
+    if isinstance(doc, dict) and isinstance(doc.get(section), dict):
+        return doc[section]
+    return doc if isinstance(doc, dict) else {}
+
+
+def _from_file(key: str, value):
+    """A config-file value converted to the type its flag would give."""
+    f = FLAGS[key]
+    try:
+        return [f.type(v) for v in value] if f.nargs else f.type(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config value {key}={value!r}: {exc}") from exc
+
+
+def _resolve(cmd: Command, args: argparse.Namespace) -> dict:
+    """flag > config file > default; a flag or file value is set when not None."""
+    file_cfg = _load_config_file(args.config, cmd.name)
+    cfg = dict(cmd.defaults)
+    for key in cfg:
+        if file_cfg.get(key) is not None:
+            cfg[key] = _from_file(key, file_cfg[key])
+        if getattr(args, key) is not None:
+            cfg[key] = getattr(args, key)
+        bound, value = FLAGS[key].gt, cfg[key]
+        values = value if isinstance(value, list) else [value]
+        if bound is not None and value is not None and any(v <= bound for v in values):
+            raise ConfigError(f"{key} must be > {bound}, got {value}")
+    return cfg
+
+
+def _need_seed(seed: int | None) -> int:
+    if seed is not None:
+        return seed
+    env = os.environ.get("GRAVITAS_SEED")
+    if env is None:
         raise ConfigError("a seed is required (flag --seed, config file, or GRAVITAS_SEED)")
-    return int(seed)
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ConfigError(f"GRAVITAS_SEED={env!r} is not an integer") from exc
 
 
-def _model_params(cfg: dict) -> ModelParams:
-    return ModelParams(g_newton=cfg["g_newton"], m=cfg["m"], mu=cfg["mu"],
-                       lambda_probe=cfg.get("lambda_probe", 1.0),
-                       alpha_tilde=cfg.get("alpha_tilde", 1.0))
+def _params(cfg: dict) -> ModelParams:
+    """The model couplings a subcommand reads; the rest keep their defaults."""
+    keys = ("g_newton", "m", "mu", "lambda_probe", "alpha_tilde")
+    return ModelParams(**{k: cfg[k] for k in keys if k in cfg})
+
+
+def _sidak_z(n: int, alpha: float = GATE_ALPHA) -> float:
+    """Two-sided z bound so that n independent gates fail together at rate alpha."""
+    per_test = -math.expm1(math.log1p(-alpha) / n)
+    return NormalDist().inv_cdf(1.0 - per_test / 2.0)
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: run(cfg) -> (data, checks, message)
 # ---------------------------------------------------------------------------
 
-def cmd_optical_tree(args: argparse.Namespace) -> int:
-    defaults = dict(g_newton=1.0, m=1.0, mu=0.05, lambda_probe=1.0,
-                    alpha_tilde=1.0, eps_ladder=[1e-2, 1e-3, 1e-4],
-                    tolerance=0.01, out="optical_tree.json", seed=None)
-    cfg = _resolve(args, _load_config_file(args), defaults)
-    t0 = time.perf_counter()
-    params = _model_params(cfg)
-    family = TreePoleFamily(params)
-    report = optical_tree_check(family, None, params,
+def _optical_tree(cfg: dict):
+    params = _params(cfg)
+    report = optical_tree_check(TreePoleFamily(params), None, params,
                                 eps_ladder=cfg["eps_ladder"])
     ok = abs(report.ratio_restored - 1.0) <= cfg["tolerance"]
-    out = Path(cfg["out"])
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "lhs": report.lhs,
-        "extrapolated_lhs": report.extrapolated_lhs,
-        "rhs_with_gravitons": report.rhs_with_gravitons,
-        "rhs_elastic": report.rhs_elastic,
-        "mc_error_rhs": report.mc_error_rhs,
-        "eps_ladder": [list(pair) for pair in report.eps_ladder],
-        "ratio_restored": report.ratio_restored,
-        "ratio_elastic_only": "undefined (no final state at this order)",
-        "lhs_provenance": report.lhs_provenance,
-        "rhs_provenance": report.rhs_provenance,
-    }
-    _write_json(out, doc)
-    _manifest(out.with_suffix(out.suffix + ".manifest.json"), "optical-tree",
-              cfg, [out], {"ratio_restored_within_tolerance": ok},
-              time.perf_counter() - t0,
-              {"lhs": report.lhs_provenance, "rhs": report.rhs_provenance})
-    if not ok:
-        print(f"optical-tree: ratio_restored = {report.ratio_restored} "
-              f"outside 1 +/- {cfg['tolerance']} "
-              "(tolerance unachievable at these settings?)", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    print(f"optical-tree: ratio_restored = {report.ratio_restored:.6f}, "
-          f"elastic-only ratio undefined/divergent as expected -> {out}")
-    return EXIT_OK
+    doc = dict(asdict(report),
+               ratio_elastic_only="undefined (no final state at this order)")
+    where = "within" if ok else "outside (tolerance unachievable at these settings?)"
+    return (doc, {"ratio_restored_within_tolerance": ok},
+            f"ratio_restored = {report.ratio_restored:.6f}, {where} "
+            f"1 +/- {cfg['tolerance']}; elastic-only ratio undefined as expected")
 
 
-def cmd_box_cut(args: argparse.Namespace) -> int:
-    defaults = dict(g_newton=1.0, m=1.0, mu=1e-3, lambda_probe=1.0,
-                    alpha_tilde=1.0, s_grid=[4.1, 5.575, 7.05, 8.525, 10.0],
-                    n_samples=10**6, tolerance=0.0, threads=1,
-                    out="box_cut.csv", seed=None)
-    cfg = _resolve(args, _load_config_file(args), defaults)
-    seed = _need_seed(cfg)
-    t0 = time.perf_counter()
-    params = _model_params(cfg)
-    rows = unitarity_violation_scan(params, cfg["s_grid"], int(cfg["n_samples"]),
-                                    seed, n_threads=int(cfg["threads"]))
-    out = Path(cfg["out"])
+def _box_cut(cfg: dict):
+    rows = unitarity_violation_scan(_params(cfg), cfg["s_grid"], cfg["n_samples"],
+                                    cfg["seed"], n_threads=cfg["threads"])
+    gated = [r for r in rows if r.ratio_restored is not None]
+    z = _sidak_z(max(len(gated), 1))
+    ok = all(abs(r.ratio_restored - 1.0)
+             <= max(z * (r.ratio_restored_err or 0.0), cfg["tolerance"])
+             for r in gated)
+    table = [[r.s, r.lhs, r.lhs_err, r.rhs_restored, r.rhs_err, r.rhs_elastic,
+              r.ratio_restored, r.ratio_elastic, r.flag] for r in rows]
     header = ["s", "im_box", "mc_err", "rhs_annih", "mc_err_annih",
               "rhs_elastic", "ratio_restored", "ratio_elastic", "flag"]
-    table = []
-    ok = True
-    warned = False
-    for r in rows:
-        if r.flag == "below-threshold":
-            warned = True
-        elif r.ratio_restored is not None:
-            slack = max(2.0 * (r.ratio_restored_err or 0.0), cfg["tolerance"])
-            ok = ok and abs(r.ratio_restored - 1.0) <= slack
-        table.append([r.s, r.lhs, r.lhs_err, r.rhs_restored, r.rhs_err,
-                      r.rhs_elastic, r.ratio_restored, r.ratio_elastic, r.flag])
-    _write_csv(out, header, table)
-    _manifest(out.with_suffix(out.suffix + ".manifest.json"), "box-cut", cfg,
-              [out], {"restored_ratios_within_2sigma": ok},
-              time.perf_counter() - t0)
-    if warned:
-        print("box-cut: some grid points below threshold were flagged",
-              file=sys.stderr)
-    if not ok:
-        print("box-cut: a restored ratio fell outside 2 sigma of 1", file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    print(f"box-cut: {len(rows)} grid points -> {out}")
-    return EXIT_OK
+    below = sum(r.flag == "below-threshold" for r in rows)
+    return ((header, table), {"restored_ratios_within_sidak_z": ok},
+            f"{len(rows)} grid points ({below} below threshold), restored ratios "
+            f"{'within' if ok else 'outside'} max({z:.2f} sigma, tolerance) of 1")
 
 
-def cmd_entangle(args: argparse.Namespace) -> int:
-    defaults = dict(g_newton=10.0, m=1.0, mu=1e-6, d=FIG1_DEFAULTS["d"],
-                    mass_1=1.0, mass_2=1.0, var_x=FIG1_DEFAULTS["var_x"],
-                    delta_t=30.0, n_grid=300, axis="transverse",
-                    out="entangle.csv", seed=None)
-    cfg = _resolve(args, _load_config_file(args), defaults)
-    t0 = time.perf_counter()
-    params = _model_params(cfg)
+def _initial(cfg: dict):
     vx = cfg["var_x"]
-    initial = GaussianState(
-        np.zeros(4),
-        np.diag([vx, 1.0 / (4.0 * vx), vx, 1.0 / (4.0 * vx)]))
-    h = quadratize_newton(cfg["d"], params, (cfg["mass_1"], cfg["mass_2"]),
+    return product_state((vx, vx), (1.0 / (4.0 * vx), 1.0 / (4.0 * vx)))
+
+
+def _entangle(cfg: dict):
+    initial = _initial(cfg)
+    h = quadratize_newton(cfg["d"], _params(cfg), (cfg["m"], cfg["m"]),
                           axis=cfg["axis"])
     xm = np.array([1.0, 0.0, -1.0, 0.0])
     pp = np.array([0.0, 1.0, 0.0, 1.0])
     rows = []
-    duan_min = math.inf
-    for t in np.linspace(0.0, cfg["delta_t"], int(cfg["n_grid"]) + 1):
+    for t in np.linspace(0.0, cfg["delta_t"], cfg["n_grid"] + 1):
         st = evolve_gaussian(initial, h, float(t))
-        dv = duan_witness(st)
-        duan_min = min(duan_min, dv)
-        rows.append([float(t), dv, log_negativity(st),
+        rows.append([float(t), duan_witness(st), log_negativity(st),
                      float(xm @ st.cov @ xm), float(pp @ st.cov @ pp)])
-    out = Path(cfg["out"])
-    _write_csv(out, ["t", "duan", "E_N", "var_xminus", "var_pplus"], rows)
-    checks = {"final_state_valid": evolve_gaussian(initial, h, cfg["delta_t"]).is_valid()}
-    _manifest(out.with_suffix(out.suffix + ".manifest.json"), "entangle", cfg,
-              [out], checks, time.perf_counter() - t0)
-    print(f"entangle: min duan = {duan_min:.6f} over [0, {cfg['delta_t']}] -> {out}")
-    return EXIT_OK if checks["final_state_valid"] else EXIT_CHECK_FAILED
+    valid = evolve_gaussian(initial, h, cfg["delta_t"]).is_valid()
+    return ((["t", "duan", "E_N", "var_xminus", "var_pplus"], rows),
+            {"final_state_valid": valid},
+            f"min duan = {min(r[1] for r in rows):.6f} over [0, {cfg['delta_t']}]")
 
 
-def cmd_semiclassical(args: argparse.Namespace) -> int:
-    defaults = dict(g_newton=10.0, m=1.0, mu=1e-6, d=FIG1_DEFAULTS["d"],
-                    mass_1=1.0, mass_2=1.0, var_x=FIG1_DEFAULTS["var_x"],
-                    gamma=1.0, axis="separation", horizon=20.0, n_steps=2000,
-                    n_traj=500, out="semiclassical.csv", seed=None)
-    cfg = _resolve(args, _load_config_file(args), defaults)
-    seed = _need_seed(cfg)
-    t0 = time.perf_counter()
-    params = _model_params(cfg)
-    vx = cfg["var_x"]
-    initial = GaussianState(
-        np.zeros(4),
-        np.diag([vx, 1.0 / (4.0 * vx), vx, 1.0 / (4.0 * vx)]))
-    fb = FeedbackConfig(cfg["gamma"], cfg["d"], (cfg["mass_1"], cfg["mass_2"]),
-                        params, axis=cfg["axis"], meas_length=math.sqrt(vx))
-    n_traj = int(cfg["n_traj"])
-    if n_traj % 2:
-        n_traj += 1
-    res = run_ensemble(fb, initial, n_traj, int(cfg["n_steps"]),
-                       cfg["horizon"] / int(cfg["n_steps"]), seed)
+def _feedback(cfg: dict, axis: str = "separation") -> FeedbackConfig:
+    """Feedback model of both ensemble subcommands; rounds n_traj up to even."""
+    cfg["n_traj"] += cfg["n_traj"] % 2
+    return FeedbackConfig(cfg["gamma"], cfg["d"], (cfg["m"], cfg["m"]),
+                          _params(cfg), axis=axis,
+                          meas_length=math.sqrt(cfg["var_x"]))
+
+
+def _semiclassical(cfg: dict):
+    fb = _feedback(cfg, cfg["axis"])
+    res = run_ensemble(fb, _initial(cfg), cfg["n_traj"], cfg["n_steps"],
+                       cfg["horizon"] / cfg["n_steps"], cfg["seed"])
     rows = [[float(t), float(en), float(dv), float(vp), res.n_traj]
             for t, en, dv, vp in zip(res.times, res.log_neg, res.duan,
                                      res.var_p_mean)]
-    out = Path(cfg["out"])
-    _write_csv(out, ["t", "E_N_unconditional", "duan", "var_p_mean", "n_traj"], rows)
     checks = {
         "no_entanglement": bool(np.all(res.log_neg < 1e-10)),
         "duan_never_below_1": bool(np.all(res.duan >= 1.0 - 1e-9)),
     }
-    _manifest(out.with_suffix(out.suffix + ".manifest.json"), "semiclassical",
-              cfg, [out], checks, time.perf_counter() - t0)
-    print(f"semiclassical: max E_N = {float(np.max(res.log_neg)):.2e}, "
-          f"min duan = {float(np.min(res.duan)):.6f} -> {out}")
-    return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
+    return ((["t", "E_N_unconditional", "duan", "var_p_mean", "n_traj"], rows),
+            checks, f"max E_N = {float(np.max(res.log_neg)):.2e}, "
+                    f"min duan = {float(np.min(res.duan)):.6f}")
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    defaults = dict(g_newton=10.0, m=1.0, mu=1e-6, d=FIG1_DEFAULTS["d"],
-                    mass_1=1.0, mass_2=1.0, var_x=FIG1_DEFAULTS["var_x"],
-                    gamma=1.0, horizon=20.0, n_steps=2000, n_traj=500,
-                    out="compare.csv", seed=None)
-    cfg = _resolve(args, _load_config_file(args), defaults)
-    seed = _need_seed(cfg)
-    t0 = time.perf_counter()
-    params = _model_params(cfg)
-    vx = cfg["var_x"]
-    initial = GaussianState(
-        np.zeros(4),
-        np.diag([vx, 1.0 / (4.0 * vx), vx, 1.0 / (4.0 * vx)]))
-    fb = FeedbackConfig(cfg["gamma"], cfg["d"], (cfg["mass_1"], cfg["mass_2"]),
-                        params, meas_length=math.sqrt(vx))
-    n_traj = int(cfg["n_traj"])
-    if n_traj % 2:
-        n_traj += 1
-    comp = compare_channels(fb, initial, cfg["horizon"], int(cfg["n_steps"]),
-                            n_traj, seed)
-    rows = [[float(t), float(du), float(eu), float(ds), float(es),
-             float(su), float(ss)]
-            for t, du, eu, ds, es, su, ss in zip(
-                comp.times, comp.duan_unitary, comp.log_neg_unitary,
-                comp.duan_semiclassical, comp.log_neg_semiclassical,
-                comp.mean_sep_unitary, comp.mean_sep_semiclassical)]
-    out = Path(cfg["out"])
-    _write_csv(out, ["t", "duan_unitary", "E_N_unitary", "duan_semiclassical",
-                     "E_N_semiclassical", "mean_sep_unitary",
-                     "mean_sep_semiclassical"], rows)
+def _compare(cfg: dict):
+    fb = _feedback(cfg)
+    comp = compare_channels(fb, _initial(cfg), cfg["horizon"], cfg["n_steps"],
+                            cfg["n_traj"], cfg["seed"])
+    columns = (comp.times, comp.duan_unitary, comp.log_neg_unitary,
+               comp.duan_semiclassical, comp.log_neg_semiclassical,
+               comp.mean_sep_unitary, comp.mean_sep_semiclassical)
+    rows = [[float(v) for v in row] for row in zip(*columns)]
+    header = ["t", "duan_unitary", "E_N_unitary", "duan_semiclassical",
+              "E_N_semiclassical", "mean_sep_unitary", "mean_sep_semiclassical"]
     checks = {
         "unitary_entangles": bool(np.max(comp.log_neg_unitary) > 0.0
                                   and np.min(comp.duan_unitary) < 1.0),
         "semiclassical_does_not": bool(np.all(comp.log_neg_semiclassical < 1e-10)
                                        and np.all(comp.duan_semiclassical >= 1.0 - 1e-9)),
     }
-    _manifest(out.with_suffix(out.suffix + ".manifest.json"), "compare", cfg,
-              [out], checks, time.perf_counter() - t0)
-    print("compare: unitary entangles={unitary_entangles}, "
-          "semiclassical does not={semiclassical_does_not} -> {out}".format(
-              out=out, **checks))
-    return EXIT_OK if all(checks.values()) else EXIT_CHECK_FAILED
+    return ((header, rows), checks,
+            "unitary entangles={unitary_entangles}, "
+            "semiclassical does not={semiclassical_does_not}".format(**checks))
 
 
-def cmd_deflection(args: argparse.Namespace) -> int:
-    defaults = dict(mass_g=1.0, impact_um=100.0, separation_um=10.0,
-                    wavelength_nm=1000.0, cavity_m=0.1, target_time_s=1.0,
-                    t_integration_s=None, out="deflection.json")
-    cfg = _resolve(args, _load_config_file(args), defaults)
-    t0 = time.perf_counter()
+def _deflection(cfg: dict):
     bc = BendingConfig(
         mass_kg=cfg["mass_g"] * 1e-3,
         impact_parameter_m=cfg["impact_um"] * 1e-6,
@@ -347,118 +299,142 @@ def cmd_deflection(args: argparse.Namespace) -> int:
         t_integration_s=cfg["t_integration_s"],
     )
     record = estimate_record(bc, target_time=cfg["target_time_s"])
-    record["schema_version"] = SCHEMA_VERSION
-    out = Path(cfg["out"])
-    _write_json(out, record)
-    _manifest(out.with_suffix(out.suffix + ".manifest.json"), "deflection",
-              cfg, [out], {"computed": True}, time.perf_counter() - t0)
-    print(f"deflection: dtheta = {record['deflection_diff_rad']:.3e} rad -> {out}")
-    return EXIT_OK
+    return (record, {"computed": True},
+            f"dtheta = {record['deflection_diff_rad']:.3e} rad")
 
 
-def cmd_phase_space_check(args: argparse.Namespace) -> int:
-    defaults = dict(mu=1.0, n_samples=200000, kmax=6.0, out="phase_space.json",
-                    seed=None, sigma_tolerance=3.0)
-    cfg = _resolve(args, _load_config_file(args), defaults)
-    seed = _need_seed(cfg)
-    t0 = time.perf_counter()
+def _phase_space_check(cfg: dict):
     mu = cfg["mu"]
 
-    def gaussian(k4: np.ndarray) -> np.ndarray:
-        k2 = np.sum(k4[:, 1:] ** 2, axis=1)
-        return np.exp(-k2 / (2.0 * mu * mu))
+    def k2(k4: np.ndarray) -> np.ndarray:
+        return np.sum(k4[:, 1:] ** 2, axis=1)
 
-    def shell(k4: np.ndarray) -> np.ndarray:
-        return (np.sum(k4[:, 1:] ** 2, axis=1) < (2.0 * mu) ** 2).astype(float)
-
-    def soft(k4: np.ndarray) -> np.ndarray:
-        return 1.0 / (1.0 + np.sum(k4[:, 1:] ** 2, axis=1) / mu**2) ** 3
-
+    test_fns = {
+        "gaussian": lambda k4: np.exp(-k2(k4) / (2.0 * mu * mu)),
+        "shell-indicator": lambda k4: (k2(k4) < (2.0 * mu) ** 2).astype(float),
+        "rational": lambda k4: 1.0 / (1.0 + k2(k4) / mu**2) ** 3,
+    }
+    z = _sidak_z(len(test_fns))
     results = {}
-    ok = True
-    for idx, (name, fn) in enumerate((("gaussian", gaussian),
-                                      ("shell-indicator", shell),
-                                      ("rational", soft))):
+    for idx, (name, fn) in enumerate(test_fns.items()):
         rep = check_invariant_measure_identity(
-            fn, mu, stream(seed, idx), int(cfg["n_samples"]),
+            fn, mu, stream(cfg["seed"], idx), cfg["n_samples"],
             kmax=cfg["kmax"] * mu)
-        results[name] = {
-            "lhs": rep.lhs, "lhs_error": rep.lhs_error,
-            "rhs": rep.rhs, "rhs_error": rep.rhs_error,
-            "discrepancy_sigmas": rep.discrepancy_sigmas,
-            "rhs_per_width": [list(t) for t in rep.rhs_per_width],
-        }
-        ok = ok and rep.discrepancy_sigmas <= cfg["sigma_tolerance"]
-    out = Path(cfg["out"])
-    _write_json(out, {"schema_version": SCHEMA_VERSION, "mu": mu,
-                      "results": results})
-    _manifest(out.with_suffix(out.suffix + ".manifest.json"),
-              "phase-space-check", cfg, [out],
-              {"within_sigma_tolerance": ok}, time.perf_counter() - t0)
-    if not ok:
-        print("phase-space-check: a test function disagreed beyond tolerance",
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    print(f"phase-space-check: all test functions within "
-          f"{cfg['sigma_tolerance']} sigma -> {out}")
-    return EXIT_OK
+        results[name] = dict(asdict(rep), discrepancy_sigmas=rep.discrepancy_sigmas)
+    worst = max(r["discrepancy_sigmas"] for r in results.values())
+    return ({"mu": mu, "results": results},
+            {"discrepancies_within_sidak_z": worst <= z},
+            f"worst discrepancy {worst:.2f} sigma against a bound of {z:.2f}")
 
 
-def cmd_self_test(args: argparse.Namespace) -> int:
+def _self_test(cfg: dict):
     """Determinism check: identical seeds must give bit-identical outputs."""
-    defaults = dict(n_samples=20000, out="self_test.json", seed=None, threads=1)
-    cfg = _resolve(args, _load_config_file(args), defaults)
-    seed = _need_seed(cfg)
-    t0 = time.perf_counter()
     params = ModelParams(mu=1e-3)
 
     def digest(threads: int) -> str:
-        rows = unitarity_violation_scan(params, [4.1, 6.0], int(cfg["n_samples"]),
-                                        seed, n_threads=threads)
+        rows = unitarity_violation_scan(params, [4.1, 6.0], cfg["n_samples"],
+                                        cfg["seed"], n_threads=threads)
         fb = FeedbackConfig(1.0, 10.0, (1.0, 1.0), fig1_default_params(),
                             meas_length=3.0)
-        ens = run_ensemble(fb, fig1_default_initial(), 16, 50, 0.01, seed)
+        ens = run_ensemble(fb, fig1_default_initial(), 16, 50, 0.01, cfg["seed"])
         blob = json.dumps([[r.s, r.lhs, r.rhs_restored] for r in rows]).encode()
         blob += ens.mean_means.tobytes() + ens.cov_unconditional.tobytes()
         return hashlib.sha256(blob).hexdigest()
 
     base = digest(1)
-    rerun = digest(1)
-    threaded = digest(int(cfg["threads"]))
-    ok = base == rerun == threaded
+    rerun = base == digest(1)
+    threaded = base == digest(cfg["threads"])
+    return ({"digest": base, "rerun_identical": rerun,
+             "thread_count_invariant": threaded},
+            {"deterministic": rerun and threaded},
+            f"deterministic={rerun and threaded}")
+
+
+FIG1_MODEL = dict(g_newton=10.0, m=1.0, mu=1e-6, d=FIG1_DEFAULTS["d"],
+                  var_x=FIG1_DEFAULTS["var_x"])
+ENSEMBLE = dict(FIG1_MODEL, gamma=1.0, horizon=20.0, n_steps=2000, n_traj=500)
+
+COMMANDS = (
+    Command("optical-tree", "tree-level optical theorem at the mediator pole",
+            dict(g_newton=1.0, m=1.0, mu=0.05, lambda_probe=1.0,
+                 eps_ladder=[1e-2, 1e-3, 1e-4], tolerance=0.01,
+                 out="optical_tree.json"), _optical_tree),
+    Command("box-cut", "Cutkosky cut of the crossed box vs annihilation sum",
+            dict(m=1.0, mu=1e-3, alpha_tilde=1.0,
+                 s_grid=[4.1, 5.575, 7.05, 8.525, 10.0], n_samples=10**6,
+                 tolerance=0.0, threads=1, out="box_cut.csv", seed=None),
+            _box_cut),
+    Command("entangle", "unitary Fig.-1 circuit time series",
+            dict(FIG1_MODEL, delta_t=30.0, n_grid=300, axis="transverse",
+                 out="entangle.csv"), _entangle),
+    Command("semiclassical", "measurement-feedback ensemble time series",
+            dict(ENSEMBLE, axis="separation", out="semiclassical.csv", seed=None),
+            _semiclassical),
+    Command("compare", "unitary vs semiclassical channel comparison",
+            dict(ENSEMBLE, out="compare.csv", seed=None), _compare),
+    Command("deflection", "SI light-bending design estimates",
+            dict(mass_g=1.0, impact_um=100.0, separation_um=10.0,
+                 wavelength_nm=1000.0, cavity_m=0.1, target_time_s=1.0,
+                 t_integration_s=None, out="deflection.json"), _deflection),
+    Command("phase-space-check", "Lorentz-invariant measure identity check",
+            dict(mu=1.0, n_samples=200000, kmax=6.0, out="phase_space.json",
+                 seed=None), _phase_space_check),
+    Command("self-test", "bit-identical rerun and thread-invariance check",
+            dict(n_samples=20000, threads=2, out="self_test.json", seed=None),
+            _self_test),
+)
+
+
+# ---------------------------------------------------------------------------
+# harness
+# ---------------------------------------------------------------------------
+
+def _json_default(obj):
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()  # numpy scalars become the matching Python scalar
+    raise TypeError(f"not JSON serializable: {type(obj)}")
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True,
+                               default=_json_default) + "\n",
+                    encoding="utf-8")
+
+
+def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    with path.open("w", newline="", encoding="utf-8") as f:
+        w = csv.writer(f)  # RFC-4180 quoting
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def _execute(cmd: Command, args: argparse.Namespace) -> int:
+    cfg = _resolve(cmd, args)
+    if "seed" in cfg:
+        cfg["seed"] = _need_seed(cfg["seed"])
+    t0 = time.perf_counter()
+    data, checks, message = cmd.run(cfg)
     out = Path(cfg["out"])
-    _write_json(out, {"schema_version": SCHEMA_VERSION, "digest": base,
-                      "rerun_identical": base == rerun,
-                      "thread_count_invariant": base == threaded})
-    _manifest(out.with_suffix(out.suffix + ".manifest.json"), "self-test", cfg,
-              [out], {"deterministic": ok}, time.perf_counter() - t0)
-    print(f"self-test: deterministic={ok} -> {out}")
+    provenance = {}
+    if isinstance(data, dict):
+        _write_json(out, {"schema_version": SCHEMA_VERSION, **data})
+        provenance = {k.removesuffix("_provenance"): v for k, v in data.items()
+                      if k.endswith("_provenance")}
+    else:
+        _write_csv(out, *data)
+    _write_json(out.with_suffix(out.suffix + ".manifest.json"), {
+        "schema_version": SCHEMA_VERSION,
+        "toolkit_version": __version__,
+        "command": cmd.name,
+        "resolved_config": cfg,
+        "wall_time_s": time.perf_counter() - t0,
+        "outputs": [out.name],
+        "checks": checks,
+        "provenance": provenance,
+    })
+    ok = all(checks.values())
+    print(f"{cmd.name}: {message} -> {out}", file=sys.stdout if ok else sys.stderr)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
-# ---------------------------------------------------------------------------
-# parser
-# ---------------------------------------------------------------------------
-
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--g-newton", dest="g_newton", type=float,
-                   help="gravitational coupling G_N (natural units, mass^-2)")
-    p.add_argument("--m", dest="m", type=float, help="probe mass m (mass units)")
-    p.add_argument("--mu", dest="mu", type=float,
-                   help="mediator regulator mass mu (mass units)")
-    p.add_argument("--lambda", dest="lambda_probe", type=float,
-                   help="photon-matter coupling lambda (mass units)")
-    p.add_argument("--alpha-tilde", dest="alpha_tilde", type=float,
-                   help="particle-antiparticle box coupling alpha~ (dimensionless)")
-
-
-def _add_common(p: argparse.ArgumentParser, stochastic: bool) -> None:
-    p.add_argument("--config", help="JSON config file (values under the "
-                   "subcommand key or at top level)")
-    p.add_argument("--out", help="output data file path")
-    if stochastic:
-        p.add_argument("--seed", type=int,
-                       help="64-bit master seed (fallback: GRAVITAS_SEED)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,121 +443,23 @@ def build_parser() -> argparse.ArgumentParser:
         description="Numerical unitarity and entanglement checks for "
                     "Lorentz-invariant Newtonian scattering models")
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("optical-tree",
-                       help="tree-level optical theorem at the mediator pole")
-    _add_model_flags(p)
-    _add_common(p, stochastic=False)
-    p.add_argument("--eps-ladder", dest="eps_ladder", type=float, nargs="+",
-                   help="relative epsilon ladder, units of max(m^2, mu^2)")
-    p.add_argument("--tolerance", type=float,
-                   help="pass/fail tolerance on |ratio_restored - 1|")
-    p.set_defaults(func=cmd_optical_tree)
-
-    p = sub.add_parser("box-cut",
-                       help="Cutkosky cut of the crossed box vs annihilation sum")
-    _add_model_flags(p)
-    _add_common(p, stochastic=True)
-    p.add_argument("--s-grid", dest="s_grid", type=float, nargs="+",
-                   help="s values in units of m^2")
-    p.add_argument("--n-samples", dest="n_samples", type=int,
-                   help="Monte Carlo samples per estimator")
-    p.add_argument("--threads", type=int, help="worker threads (scheduling only)")
-    p.add_argument("--tolerance", type=float,
-                   help="extra absolute slack on |ratio-1| beyond 2 sigma")
-    p.set_defaults(func=cmd_box_cut)
-
-    p = sub.add_parser("entangle", help="unitary Fig.-1 circuit time series")
-    _add_model_flags(p)
-    _add_common(p, stochastic=False)
-    p.add_argument("--d", type=float, help="mean separation (length units)")
-    p.add_argument("--delta-t", dest="delta_t", type=float,
-                   help="interaction time horizon")
-    p.add_argument("--n-grid", dest="n_grid", type=int, help="time grid points")
-    p.add_argument("--var-x", dest="var_x", type=float,
-                   help="initial per-mass position variance")
-    p.add_argument("--axis", choices=["separation", "transverse"],
-                   help="displacement axis of the quadratized coupling")
-    p.set_defaults(func=cmd_entangle)
-
-    p = sub.add_parser("semiclassical",
-                       help="measurement-feedback ensemble time series")
-    _add_model_flags(p)
-    _add_common(p, stochastic=True)
-    p.add_argument("--d", type=float, help="mean separation (length units)")
-    p.add_argument("--gamma", type=float, help="measurement rate (1/time)")
-    p.add_argument("--horizon", type=float, help="total evolution time")
-    p.add_argument("--n-steps", dest="n_steps", type=int, help="time steps")
-    p.add_argument("--n-traj", dest="n_traj", type=int, help="trajectories")
-    p.add_argument("--var-x", dest="var_x", type=float,
-                   help="initial per-mass position variance")
-    p.add_argument("--axis", choices=["separation", "transverse"],
-                   help="displacement axis of the feedback linearization")
-    p.set_defaults(func=cmd_semiclassical)
-
-    p = sub.add_parser("compare",
-                       help="unitary vs semiclassical channel comparison")
-    _add_model_flags(p)
-    _add_common(p, stochastic=True)
-    p.add_argument("--d", type=float, help="mean separation (length units)")
-    p.add_argument("--gamma", type=float, help="measurement rate (1/time)")
-    p.add_argument("--horizon", type=float, help="total evolution time")
-    p.add_argument("--n-steps", dest="n_steps", type=int, help="time steps")
-    p.add_argument("--n-traj", dest="n_traj", type=int, help="trajectories")
-    p.add_argument("--var-x", dest="var_x", type=float,
-                   help="initial per-mass position variance")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("deflection", help="SI light-bending design estimates")
-    _add_common(p, stochastic=False)
-    p.add_argument("--mass-g", dest="mass_g", type=float, help="source mass (grams)")
-    p.add_argument("--impact-um", dest="impact_um", type=float,
-                   help="impact parameter (micrometers)")
-    p.add_argument("--separation-um", dest="separation_um", type=float,
-                   help="superposition separation (micrometers)")
-    p.add_argument("--wavelength-nm", dest="wavelength_nm", type=float,
-                   help="laser wavelength (nanometers)")
-    p.add_argument("--cavity-m", dest="cavity_m", type=float,
-                   help="cavity length (meters)")
-    p.add_argument("--target-time-s", dest="target_time_s", type=float,
-                   help="target integration time (seconds)")
-    p.add_argument("--t-integration-s", dest="t_integration_s", type=float,
-                   help="override the derived single-photon integration time (seconds)")
-    p.set_defaults(func=cmd_deflection)
-
-    p = sub.add_parser("phase-space-check",
-                       help="Lorentz-invariant measure identity check")
-    _add_common(p, stochastic=True)
-    p.add_argument("--mu", type=float, help="on-shell mass (mass units)")
-    p.add_argument("--n-samples", dest="n_samples", type=int,
-                   help="Monte Carlo samples per side")
-    p.add_argument("--kmax", type=float, help="sampling radius, units of mu")
-    p.add_argument("--sigma-tolerance", dest="sigma_tolerance", type=float,
-                   help="allowed discrepancy in combined sigmas")
-    p.set_defaults(func=cmd_phase_space_check)
-
-    p = sub.add_parser("self-test",
-                       help="bit-identical rerun and thread-invariance check")
-    _add_common(p, stochastic=True)
-    p.add_argument("--n-samples", dest="n_samples", type=int)
-    p.add_argument("--threads", type=int)
-    p.set_defaults(func=cmd_self_test)
-
+    for cmd in COMMANDS:
+        p = sub.add_parser(cmd.name, help=cmd.help, description=cmd.help)
+        p.add_argument("--config", help="JSON config file (values under the "
+                       "subcommand key or at top level)")
+        for key in cmd.defaults:
+            f = FLAGS[key]
+            p.add_argument(f.flag or "--" + key.replace("_", "-"), dest=key,
+                           type=f.type, nargs=f.nargs, choices=f.choices,
+                           help=f.help)
+        p.set_defaults(cmd=cmd)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    args = build_parser().parse_args(argv)
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses 2 for usage errors already; normalize help exits to 0
-        raise
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _execute(args.cmd, args)
     except (GravitasError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -5,7 +6,8 @@ import os
 
 import pytest
 
-from gravitas.cli import main
+from gravitas import unitarity
+from gravitas.cli import build_parser, main
 
 SEED = ["--seed", "20260810"]
 
@@ -163,3 +165,114 @@ def test_help_lists_units():
     with pytest.raises(SystemExit) as exc:
         main(["box-cut", "--help"])
     assert exc.value.code == 0
+
+
+# flags that a subcommand used to accept without reading them
+UNREAD_FLAGS = [
+    ("optical-tree", "--alpha-tilde"),
+    ("box-cut", "--g-newton"),
+    ("box-cut", "--lambda"),
+    *[(cmd, flag) for cmd in ("entangle", "semiclassical", "compare")
+      for flag in ("--lambda", "--alpha-tilde")],
+    ("phase-space-check", "--sigma-tolerance"),
+]
+
+
+@pytest.mark.parametrize("command,flag", UNREAD_FLAGS)
+def test_unread_flag_rejected(tmp_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, flag, "2", "--out", str(tmp_path / "x.out")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_entangle_m_is_the_mass_of_both_bodies(tmp_path):
+    var_xminus = {}
+    for m in ("1", "2"):
+        out = tmp_path / f"m{m}.csv"
+        assert main(["entangle", "--n-grid", "10", "--m", m, "--out", str(out)]) == 0
+        with out.open() as fh:
+            var_xminus[m] = [float(r["var_xminus"]) for r in csv.DictReader(fh)]
+        assert _read_manifest(out)["resolved_config"]["m"] == float(m)
+    assert var_xminus["1"][0] == var_xminus["2"][0]  # same initial state
+    assert var_xminus["1"][1:] != var_xminus["2"][1:]
+
+
+BAD_VALUES = {
+    "box-cut-zero-samples": ["box-cut", "--n-samples", "0", *SEED],
+    "semiclassical-zero-steps": ["semiclassical", "--n-steps", "0", *SEED],
+    "entangle-negative-variance": ["entangle", "--var-x", "-1"],
+    "phase-space-zero-samples": ["phase-space-check", "--n-samples", "0", *SEED],
+    "semiclassical-zero-trajectories": ["semiclassical", "--n-traj", "0", *SEED],
+    "box-cut-negative-threads": ["box-cut", "--threads", "-3", *SEED],
+    "self-test-zero-threads": ["self-test", "--threads", "0", *SEED],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_bad_value_exits_2_without_output(tmp_path, case):
+    assert main([*BAD_VALUES[case], "--out", str(tmp_path / "x.out")]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [0, "many"])
+def test_bad_config_file_value_exits_2(tmp_path, value):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"box-cut": {"n_samples": value}}),
+                       encoding="utf-8")
+    out = tmp_path / "bc.csv"
+    assert main(["box-cut", "--config", str(cfgfile), "--out", str(out), *SEED]) == 2
+    assert not out.exists()
+
+
+def test_odd_n_traj_recorded_as_run(tmp_path):
+    out = tmp_path / "sc.csv"
+    assert main(["semiclassical", "--n-traj", "7", "--n-steps", "20",
+                 "--horizon", "2", "--out", str(out), *SEED]) == 0
+    assert _read_manifest(out)["resolved_config"]["n_traj"] == 8
+    with out.open() as fh:
+        assert {r["n_traj"] for r in csv.DictReader(fh)} == {"8"}
+
+
+@pytest.mark.parametrize("seed", [1, 13, 16, 17, 21])
+def test_box_cut_gate_passes_correct_runs(tmp_path, seed):
+    # each of these seeds has a restored ratio 2.07-2.18 sigma from 1
+    out = tmp_path / "bc.csv"
+    assert main(["box-cut", "--seed", str(seed), "--n-samples", "100000",
+                 "--out", str(out)]) == 0
+    assert _read_manifest(out)["checks"] == {"restored_ratios_within_sidak_z": True}
+
+
+def test_box_cut_gate_rejects_rhs_off_by_one_percent(tmp_path, monkeypatch):
+    real = unitarity.annihilation_rhs
+
+    def scaled(*args, **kwargs):
+        value, err = real(*args, **kwargs)
+        return 1.01 * value, 1.01 * err
+
+    monkeypatch.setattr(unitarity, "annihilation_rhs", scaled)
+    out = tmp_path / "bc.csv"
+    assert main(["box-cut", "--s-grid", "4.1", "--out", str(out), *SEED]) == 1
+    assert _read_manifest(out)["checks"] == {"restored_ratios_within_sidak_z": False}
+
+
+def test_phase_space_gate_passes_correct_run(tmp_path):
+    # seed 38 has a worst discrepancy of 3.39 sigma, below z(3) = 3.59
+    out = tmp_path / "ps.json"
+    assert main(["phase-space-check", "--seed", "38", "--out", str(out)]) == 0
+
+
+def test_self_test_default_compares_two_threads(tmp_path):
+    out = tmp_path / "st.json"
+    assert main(["self-test", "--out", str(out), *SEED]) == 0
+    assert _read_manifest(out)["resolved_config"]["threads"] == 2
+    assert json.loads(out.read_text(encoding="utf-8"))["thread_count_invariant"] is True
+
+
+def test_every_option_has_help():
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        for action in parser._actions:
+            if action.option_strings != ["-h", "--help"]:
+                assert action.help, (name, action.option_strings)
