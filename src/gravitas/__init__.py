@@ -5,9 +5,9 @@ entanglement channels."""
 __version__ = "0.1.0"
 
 from .params import ModelParams
-from .kinematics import (FourVector, KinematicConfig, PhaseSpaceSample,
-                         boost, mandelstam, minkowski_dot, sample_three_body,
-                         sample_two_body, stream)
+from .kinematics import (FourVector, KinematicConfig, boost, mandelstam,
+                         minkowski_dot, on_shell, stream, three_body_batch,
+                         two_body_batch)
 from .amplitudes import (ComplexAmplitude, feynman_propagator,
                          m_2to2_newton, m_2to2_spin0, m_2to2_spin2,
                          m_3to3_tree, m_compton_probe, m_graviton_emission,

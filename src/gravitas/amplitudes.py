@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigShapeError, ContractMismatchError, PoleError, SpectatorMismatchError
-from .kinematics import METRIC, FourVector, KinematicConfig, minkowski_dot
+from .errors import ConfigShapeError, PoleError, SpectatorMismatchError
+from .kinematics import METRIC, KinematicConfig, minkowski_dot
 from .params import ModelParams
-
-CONTRACT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -84,18 +82,15 @@ def tree_denominators(cfg: KinematicConfig, params: ModelParams) -> tuple[float,
     """The three real denominators of the 6-point tree amplitude.
 
     d1 = (p1+k)^2 + m^2,  d2 = ktil^2 + mu^2,  d3 = (p2'+k')^2 + m^2,
-    with ktil = p1' - (p1 + k).
+    with ktil = p1' - (p1 + k), as Python floats.
     """
     _check_3to3(cfg, params.m)
     k, p1, _ = cfg.incoming
     kp, p1p, p2p = cfg.outgoing
     a = p1 + k
-    ktil = p1p - a
-    b = p2p + kp
-    d1 = minkowski_dot(a, a) + params.m**2
-    d2 = minkowski_dot(ktil, ktil) + params.mu**2
-    d3 = minkowski_dot(b, b) + params.m**2
-    return d1, d2, d3
+    v = np.array([a, p1p - a, p2p + kp])
+    a2, ktil2, b2 = minkowski_dot(v, v).tolist()
+    return a2 + params.m**2, ktil2 + params.mu**2, b2 + params.m**2
 
 
 def m_3to3_tree(cfg: KinematicConfig, params: ModelParams) -> ComplexAmplitude:
@@ -139,16 +134,14 @@ def im_m_3to3_near_pole(cfg: KinematicConfig, params: ModelParams,
 # standard 1/2-normalized propagator numerator.
 # ---------------------------------------------------------------------------
 
-def spin2_vertex(p: FourVector, p_out: FourVector, params: ModelParams) -> np.ndarray:
+def spin2_vertex(p: np.ndarray, p_out: np.ndarray, params: ModelParams) -> np.ndarray:
     """Graviton-matter vertex sqrt(8 pi G) [p a p'b + p'a p b - eta (p.p' + m^2)]."""
-    pa = p.as_array()
-    pb = p_out.as_array()
     dot = minkowski_dot(p, p_out)
     g = math.sqrt(8.0 * math.pi * params.g_newton)
-    return g * (np.outer(pa, pb) + np.outer(pb, pa) - METRIC * (dot + params.m**2))
+    return g * (np.outer(p, p_out) + np.outer(p_out, p) - METRIC * (dot + params.m**2))
 
 
-def spin0_vertex(p: FourVector, p_out: FourVector, params: ModelParams) -> float:
+def spin0_vertex(p: np.ndarray, p_out: np.ndarray, params: ModelParams) -> float:
     """Scalar-gravity vertex: the index trace of the spin-2 one, -2 sqrt(8 pi G)(p.p'+2m^2)."""
     g = math.sqrt(8.0 * math.pi * params.g_newton)
     return -2.0 * g * (minkowski_dot(p, p_out) + 2.0 * params.m**2)
@@ -221,33 +214,31 @@ def spin0_numerator_contracted(cfg: KinematicConfig, params: ModelParams) -> flo
 
 
 def _mediator_amplitude(cfg: KinematicConfig, params: ModelParams,
-                        closed, contracted, tag: str) -> ComplexAmplitude:
+                        numerator, tag: str) -> ComplexAmplitude:
     _check_elastic_2to2(cfg, params.m)
-    n_a = closed(cfg, params)
-    n_b = contracted(cfg, params)
-    scale = max(abs(n_a), abs(n_b), params.m**4)
-    if abs(n_a - n_b) > CONTRACT_TOL * scale:
-        raise ContractMismatchError(
-            f"{tag}: closed form {n_a} vs contraction {n_b} "
-            f"(rel {abs(n_a - n_b) / scale:.3e})")
-    p1 = cfg.incoming[0]
-    p1p = cfg.outgoing[0]
-    q = p1p - p1
-    q2 = minkowski_dot(q, q)
-    value = -4.0 * math.pi * params.g_newton * n_a * feynman_propagator(q2, params.eps_abs)
+    q = cfg.outgoing[0] - cfg.incoming[0]
+    q2 = float(minkowski_dot(q, q))
+    value = (-4.0 * math.pi * params.g_newton * float(numerator(cfg, params))
+             * feynman_propagator(q2, params.eps_abs))
     return ComplexAmplitude(value, tag)
 
 
 def m_2to2_spin2(cfg: KinematicConfig, params: ModelParams) -> ComplexAmplitude:
-    """Graviton-exchange elastic amplitude, cross-checked against the tensor route."""
-    return _mediator_amplitude(cfg, params, spin2_numerator_closed,
-                               spin2_numerator_contracted, "spin2-exchange")
+    """Graviton-exchange elastic amplitude from the closed-form numerator.
+
+    :func:`spin2_numerator_contracted` is the independent tensor route the
+    tests hold it against.
+    """
+    return _mediator_amplitude(cfg, params, spin2_numerator_closed, "spin2-exchange")
 
 
 def m_2to2_spin0(cfg: KinematicConfig, params: ModelParams) -> ComplexAmplitude:
-    """Scalar-gravity elastic amplitude, cross-checked against the scalar rules."""
-    return _mediator_amplitude(cfg, params, spin0_numerator_closed,
-                               spin0_numerator_contracted, "spin0-exchange")
+    """Scalar-gravity elastic amplitude from the closed-form numerator.
+
+    :func:`spin0_numerator_contracted` is the independent scalar-rules route
+    the tests hold it against.
+    """
+    return _mediator_amplitude(cfg, params, spin0_numerator_closed, "spin0-exchange")
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +314,7 @@ def m_graviton_emission(cfg: KinematicConfig, params: ModelParams,
     d1 = minkowski_dot(a, a) + params.m**2
     connected = (math.sqrt(params.g_newton) * params.m**2 * params.lambda_probe
                  * feynman_propagator(d1, params.eps_abs))
-    scale = max(abs(p2.e), 1.0)
-    support = bool(np.max(np.abs(p2.as_array() - p2p.as_array())) <= spectator_tol * scale)
-    norm = 2.0 * p2.e * (2.0 * math.pi) ** 3
+    e2 = float(p2[0])
+    support = bool(np.max(np.abs(p2 - p2p)) <= spectator_tol * max(abs(e2), 1.0))
+    norm = 2.0 * e2 * (2.0 * math.pi) ** 3
     return EmissionAmplitude(connected, norm, support)

@@ -67,6 +67,7 @@ class Flag:
     help: str
     type: Callable = float
     gt: float | None = None       # every value must be greater than this
+    ge: float | None = None       # every value must be at least this
     nargs: str | None = None
     choices: tuple[str, ...] | None = None
     flag: str | None = None       # default: --key-with-dashes
@@ -92,7 +93,7 @@ FLAGS = {
                     "(self-test compares this count with 1)", type=int, gt=0),
     "d": Flag("mean separation (length units)", gt=0),
     "var_x": Flag("initial per-mass position variance (length^2)", gt=0),
-    "delta_t": Flag("interaction time horizon (time units)"),
+    "delta_t": Flag("interaction time horizon (time units)", ge=0),
     "n_grid": Flag("time grid intervals", type=int, gt=0),
     "axis": Flag("displacement axis of the quadratized coupling", type=str,
                  choices=("separation", "transverse")),
@@ -156,10 +157,14 @@ def _resolve(cmd: Command, args: argparse.Namespace) -> dict:
             cfg[key] = _from_file(key, file_cfg[key])
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
-        bound, value = FLAGS[key].gt, cfg[key]
+        f, value = FLAGS[key], cfg[key]
+        if value is None:
+            continue
         values = value if isinstance(value, list) else [value]
-        if bound is not None and value is not None and any(v <= bound for v in values):
-            raise ConfigError(f"{key} must be > {bound}, got {value}")
+        if f.gt is not None and any(v <= f.gt for v in values):
+            raise ConfigError(f"{key} must be > {f.gt}, got {value}")
+        if f.ge is not None and any(v < f.ge for v in values):
+            raise ConfigError(f"{key} must be >= {f.ge}, got {value}")
     return cfg
 
 
@@ -412,9 +417,11 @@ def _execute(cmd: Command, args: argparse.Namespace) -> int:
     cfg = _resolve(cmd, args)
     if "seed" in cfg:
         cfg["seed"] = _need_seed(cfg["seed"])
+    out = Path(cfg["out"])
+    if not out.parent.is_dir():
+        raise ConfigError(f"output directory {out.parent} does not exist")
     t0 = time.perf_counter()
     data, checks, message = cmd.run(cfg)
-    out = Path(cfg["out"])
     provenance = {}
     if isinstance(data, dict):
         _write_json(out, {"schema_version": SCHEMA_VERSION, **data})

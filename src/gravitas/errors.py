@@ -21,14 +21,6 @@ class PoleError(GravitasError):
     """An amplitude was evaluated too close to a propagator pole."""
 
 
-class ContractMismatchError(GravitasError):
-    """Closed-form numerator and tensor-contraction route disagree.
-
-    Signals an implementation bug in the index algebra, not a physics
-    condition.
-    """
-
-
 class SpectatorMismatchError(GravitasError):
     """Spectator momenta differ where a disconnected delta requires equality."""
 

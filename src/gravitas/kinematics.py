@@ -1,4 +1,9 @@
-"""Four-vector algebra, Mandelstam invariants, boosts, and phase-space sampling.
+"""Four-momenta, Mandelstam invariants, boosts, and phase-space sampling.
+
+A momentum is a float array of shape ``(..., 4)`` ordered ``(e, px, py, pz)``;
+every function here takes and returns such arrays, a single momentum being
+shape ``(4,)`` and a batch ``(n, 4)``. :func:`FourVector` and :func:`on_shell`
+are constructors of ``(4,)`` arrays, not a separate type.
 
 Conventions: metric signature (-,+,+,+), so an on-shell momentum satisfies
 p.p = -m^2 and the invariants of elastic 2->2 scattering are
@@ -13,7 +18,7 @@ reproducible streams (see :func:`stream`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,65 +38,23 @@ def stream(master_seed: int, index: int = 0) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# four-vectors
+# four-momenta
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FourVector:
-    e: float
-    px: float
-    py: float
-    pz: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.e, self.px, self.py, self.pz], dtype=float)
-
-    @staticmethod
-    def from_array(a: np.ndarray) -> "FourVector":
-        return FourVector(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-    @staticmethod
-    def on_shell(mass: float, p3: Sequence[float]) -> "FourVector":
-        px, py, pz = (float(c) for c in p3)
-        return FourVector(math.sqrt(mass * mass + px * px + py * py + pz * pz), px, py, pz)
-
-    @property
-    def p3(self) -> np.ndarray:
-        return np.array([self.px, self.py, self.pz], dtype=float)
-
-    def minkowski_sq(self) -> float:
-        """p.p = -e^2 + |p3|^2; equals -m^2 on shell."""
-        return minkowski_dot(self, self)
-
-    def invariant_mass(self) -> float:
-        return math.sqrt(max(-self.minkowski_sq(), 0.0))
-
-    def __add__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.e + other.e, self.px + other.px,
-                          self.py + other.py, self.pz + other.pz)
-
-    def __sub__(self, other: "FourVector") -> "FourVector":
-        return FourVector(self.e - other.e, self.px - other.px,
-                          self.py - other.py, self.pz - other.pz)
-
-    def __neg__(self) -> "FourVector":
-        return FourVector(-self.e, -self.px, -self.py, -self.pz)
+def FourVector(e: float, px: float, py: float, pz: float) -> np.ndarray:
+    """The momentum (e, px, py, pz) as a (4,) array."""
+    return np.array([e, px, py, pz], dtype=float)
 
 
-def minkowski_dot(a: FourVector, b: FourVector) -> float:
-    """Minkowski inner product with signature (-,+,+,+)."""
-    return -a.e * b.e + a.px * b.px + a.py * b.py + a.pz * b.pz
+def on_shell(mass: float, p3: Sequence[float]) -> np.ndarray:
+    """The positive-energy momentum of rest mass ``mass`` and 3-momentum ``p3``."""
+    px, py, pz = (float(c) for c in p3)
+    return FourVector(math.sqrt(mass * mass + px * px + py * py + pz * pz), px, py, pz)
 
 
-def minkowski_dot_arr(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched Minkowski dot for arrays shaped (..., 4)."""
-    return -a[..., 0] * b[..., 0] + np.sum(a[..., 1:] * b[..., 1:], axis=-1)
-
-
-def is_on_shell(v: FourVector, mass: float, tol: float = TOL_ONSHELL) -> bool:
-    """|p^2 + m^2| <= tol * scale^2 with scale = max(m, e) (covers massless legs)."""
-    scale2 = max(mass * mass, v.e * v.e)
-    return abs(v.minkowski_sq() + mass * mass) <= tol * scale2 and v.e > 0
+def minkowski_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minkowski inner product over the last axis, signature (-,+,+,+)."""
+    return -a[..., 0] * b[..., 0] + (a[..., 1:] * b[..., 1:]).sum(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -114,61 +77,62 @@ def boost_matrix(beta: Sequence[float]) -> np.ndarray:
     return L
 
 
-def boost(v: FourVector, beta: Sequence[float]) -> FourVector:
-    """Active boost: a particle at rest acquires velocity ``beta``."""
-    return FourVector.from_array(boost_matrix(beta) @ v.as_array())
-
-
-def boost_arr(arr: np.ndarray, beta: Sequence[float]) -> np.ndarray:
-    """Boost an array of momenta shaped (..., 4)."""
-    return arr @ boost_matrix(beta).T
+def boost(p: np.ndarray, beta: Sequence[float]) -> np.ndarray:
+    """Active boost of momenta (..., 4): a particle at rest acquires velocity ``beta``."""
+    return p @ boost_matrix(beta).T
 
 
 # ---------------------------------------------------------------------------
 # kinematic configurations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KinematicConfig:
-    """Incoming/outgoing momenta with declared rest masses per leg.
+    """Incoming/outgoing momenta, (n_in, 4) and (n_out, 4), with rest masses per leg.
 
-    Masses are listed incoming first, then outgoing. Construction validates
-    total four-momentum conservation and the on-shell condition of every leg.
+    Masses are listed incoming first, then outgoing. Sequences of (4,) rows
+    are accepted and stacked. Construction validates the shapes, total
+    four-momentum conservation and the on-shell condition of every leg.
     """
 
-    incoming: tuple[FourVector, ...]
-    outgoing: tuple[FourVector, ...]
+    incoming: np.ndarray
+    outgoing: np.ndarray
     masses: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        legs = list(self.incoming) + list(self.outgoing)
+        for name in ("incoming", "outgoing"):
+            try:
+                legs = np.array(getattr(self, name), dtype=float)
+            except ValueError as exc:  # ragged rows
+                raise ConfigShapeError(f"{name} legs: {exc}") from exc
+            if legs.ndim != 2 or legs.shape[1] != 4:
+                raise ConfigShapeError(
+                    f"{name} legs must form an (n, 4) array, got shape {legs.shape}")
+            object.__setattr__(self, name, legs)
+        legs = np.concatenate([self.incoming, self.outgoing])
         if len(legs) != len(self.masses):
             raise ConfigShapeError(
                 f"{len(legs)} legs but {len(self.masses)} declared masses")
-        p_in = np.sum([v.as_array() for v in self.incoming], axis=0)
-        p_out = np.sum([v.as_array() for v in self.outgoing], axis=0)
-        scale = max(float(np.max(np.abs(p_in))), float(np.max(np.abs(p_out))), 1e-300)
-        if float(np.max(np.abs(p_in - p_out))) > TOL_CONSERVATION * scale:
+        p_in = self.incoming.sum(axis=0)
+        p_out = self.outgoing.sum(axis=0)
+        scale = max(float(abs(p_in).max()), float(abs(p_out).max()), 1e-300)
+        if float(abs(p_in - p_out).max()) > TOL_CONSERVATION * scale:
             raise ConfigShapeError(
                 f"four-momentum not conserved: in={p_in}, out={p_out}")
-        for v, m in zip(legs, self.masses):
-            if not is_on_shell(v, m):
-                raise ConfigShapeError(
-                    f"leg {v} off shell for declared mass {m}: p^2={v.minkowski_sq()}")
-
-    @property
-    def total_incoming(self) -> FourVector:
-        tot = self.incoming[0]
-        for v in self.incoming[1:]:
-            tot = tot + v
-        return tot
+        # |p^2 + m^2| <= tol * max(m, e)^2 (covers massless legs) and e > 0
+        m2 = np.asarray(self.masses, dtype=float) ** 2
+        p2 = minkowski_dot(legs, legs)
+        e = legs[:, 0]
+        ok = (abs(p2 + m2) <= TOL_ONSHELL * np.maximum(m2, e * e)) & (e > 0)
+        if not ok.all():
+            i = int(np.argmin(ok))
+            raise ConfigShapeError(
+                f"leg {i} = {legs[i]} off shell for declared mass "
+                f"{self.masses[i]}: p^2={p2[i]}")
 
     def boosted(self, beta: Sequence[float]) -> "KinematicConfig":
-        return KinematicConfig(
-            incoming=tuple(boost(v, beta) for v in self.incoming),
-            outgoing=tuple(boost(v, beta) for v in self.outgoing),
-            masses=self.masses,
-        )
+        return KinematicConfig(boost(self.incoming, beta),
+                               boost(self.outgoing, beta), self.masses)
 
 
 def mandelstam(cfg: KinematicConfig) -> tuple[float, float, float]:
@@ -178,9 +142,8 @@ def mandelstam(cfg: KinematicConfig) -> tuple[float, float, float]:
             f"mandelstam needs 2->2, got {len(cfg.incoming)}->{len(cfg.outgoing)}")
     p1, p2 = cfg.incoming
     p1p, p2p = cfg.outgoing
-    s = -minkowski_dot(p1 + p2, p1 + p2)
-    t = -minkowski_dot(p1p - p1, p1p - p1)
-    u = -minkowski_dot(p2p - p1, p2p - p1)
+    v = np.stack([p1 + p2, p1p - p1, p2p - p1])
+    s, t, u = (-minkowski_dot(v, v)).tolist()
     return s, t, u
 
 
@@ -189,11 +152,9 @@ def elastic_cm_config(m: float, p: float, theta: float, phi: float = 0.0) -> Kin
     e = math.hypot(m, p)
     st, ct = math.sin(theta), math.cos(theta)
     cp, sp = math.cos(phi), math.sin(phi)
-    p1 = FourVector(e, 0.0, 0.0, p)
-    p2 = FourVector(e, 0.0, 0.0, -p)
-    p1p = FourVector(e, p * st * cp, p * st * sp, p * ct)
-    p2p = FourVector(e, -p * st * cp, -p * st * sp, -p * ct)
-    return KinematicConfig((p1, p2), (p1p, p2p), (m, m, m, m))
+    k = (p * st * cp, p * st * sp, p * ct)
+    return KinematicConfig([[e, 0.0, 0.0, p], [e, 0.0, 0.0, -p]],
+                           [[e, *k], [e, *(-c for c in k)]], (m, m, m, m))
 
 
 # ---------------------------------------------------------------------------
@@ -202,16 +163,6 @@ def elastic_cm_config(m: float, p: float, theta: float, phi: float = 0.0) -> Kin
 # Measure convention (no 2 pi factors): a weighted sample estimates
 #   E[w f] = int prod_i d^3k_i / (2 E_i) delta^4(sum k_i - P) f .
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PhaseSpaceSample:
-    momenta: tuple[FourVector, ...]
-    weight: float
-
-    def __post_init__(self) -> None:
-        if self.weight < 0:
-            raise ValueError("phase-space weight must be nonnegative")
-
 
 def _kallen(a: float, b: float, c: float) -> float:
     return a * a + b * b + c * c - 2 * (a * b + b * c + c * a)
@@ -234,10 +185,10 @@ def _uniform_directions(rng: np.random.Generator, n: int) -> np.ndarray:
     return np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=1)
 
 
-def two_body_batch(total: FourVector, m1: float, m2: float,
+def two_body_batch(total: np.ndarray, m1: float, m2: float,
                    rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """n two-body samples; returns momenta (n, 2, 4) and weights (n,)."""
-    s = -total.minkowski_sq()
+    s = -minkowski_dot(total, total)
     if s < (m1 + m2) ** 2 * (1.0 - 1e-12):
         raise BelowThresholdError(
             f"total invariant mass^2 {s} below ({m1}+{m2})^2 = {(m1 + m2) ** 2}")
@@ -253,26 +204,17 @@ def two_body_batch(total: FourVector, m1: float, m2: float,
     k1[:, 1:] = k * nhat
     k2[:, 1:] = -k * nhat
 
-    beta = total.p3 / total.e
+    beta = total[1:] / total[0]
     if float(beta @ beta) > 0:
-        k1 = boost_arr(k1, beta)
-        k2 = boost_arr(k2, beta)
+        k1 = boost(k1, beta)
+        k2 = boost(k2, beta)
 
     # uniform directions have pdf 1/(4 pi); measure density is k/(4 sqrt(s))
     w = np.full(n, 4.0 * math.pi * k / (4.0 * roots))
     return np.stack([k1, k2], axis=1), w
 
 
-def sample_two_body(total: FourVector, m1: float, m2: float,
-                    rng: np.random.Generator) -> PhaseSpaceSample:
-    """One point of two-body phase space, uniform on the CM sphere."""
-    mom, w = two_body_batch(total, m1, m2, rng, 1)
-    return PhaseSpaceSample(
-        (FourVector.from_array(mom[0, 0]), FourVector.from_array(mom[0, 1])),
-        float(w[0]))
-
-
-def three_body_batch(total: FourVector, masses: Sequence[float],
+def three_body_batch(total: np.ndarray, masses: Sequence[float],
                      rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Sequential 1->2 splitting, flat in the intermediate invariant mass squared.
 
@@ -280,7 +222,7 @@ def three_body_batch(total: FourVector, masses: Sequence[float],
     (a, b, c) and weights (n,).
     """
     ma, mb, mc = (float(m) for m in masses)
-    s = -total.minkowski_sq()
+    s = -minkowski_dot(total, total)
     roots = math.sqrt(s)
     if roots < (ma + mb + mc) * (1.0 - 1e-12):
         raise BelowThresholdError(
@@ -290,12 +232,11 @@ def three_body_batch(total: FourVector, masses: Sequence[float],
     m2_hi = (roots - ma) ** 2
     if m2_hi <= m2_lo:
         # degenerate: everything at rest in the CM frame
-        beta = total.p3 / total.e
+        beta = total[1:] / total[0]
         mom = np.empty((n, 3, 4))
         for i, m in enumerate((ma, mb, mc)):
-            rest = np.zeros(4)
-            rest[0] = m
-            mom[:, i, :] = boost_arr(rest[None, :], beta) if float(beta @ beta) > 0 else rest
+            rest = FourVector(m, 0.0, 0.0, 0.0)
+            mom[:, i, :] = boost(rest, beta) if float(beta @ beta) > 0 else rest
         return mom, np.zeros(n)
 
     m2 = rng.uniform(m2_lo, m2_hi, n)
@@ -325,9 +266,9 @@ def three_body_batch(total: FourVector, masses: Sequence[float],
     pc = _boost_rows(pc, beta_I)
 
     mom = np.stack([pa, pb, pc], axis=1)
-    beta = total.p3 / total.e
+    beta = total[1:] / total[0]
     if float(beta @ beta) > 0:
-        mom = boost_arr(mom, beta)
+        mom = boost(mom, beta)
 
     # flat-m2 pdf times two uniform spheres against the exact measure density
     w = (m2_hi - m2_lo) * (4.0 * math.pi) ** 2 \
@@ -348,13 +289,6 @@ def _boost_rows(p: np.ndarray, beta: np.ndarray) -> np.ndarray:
     out[:, 0] = e
     out[:, 1:] = p3
     return out
-
-
-def sample_three_body(total: FourVector, masses: Sequence[float],
-                      rng: np.random.Generator) -> PhaseSpaceSample:
-    mom, w = three_body_batch(total, masses, rng, 1)
-    return PhaseSpaceSample(tuple(FourVector.from_array(mom[0, i]) for i in range(3)),
-                            float(w[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +357,7 @@ def check_invariant_measure_identity(
         q = np.exp(-0.5 * ((k0 - e_shell) / prop_sigma) ** 2) \
             / (prop_sigma * math.sqrt(2.0 * math.pi))
         k4 = np.concatenate([k0[:, None], k3], axis=1)
-        ksq = minkowski_dot_arr(k4, k4)
+        ksq = minkowski_dot(k4, k4)
         delta = np.exp(-0.5 * ((ksq + mu * mu) / w) ** 2) / (w * math.sqrt(2.0 * math.pi))
         vals = np.where(k0 > 0,
                         test_fn(k4) * delta * vol3 / ((2.0 * math.pi) ** 3 * q),

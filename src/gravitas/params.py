@@ -6,7 +6,7 @@ Natural units hbar = c = 1 throughout; SI conversions live in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,3 @@ class ModelParams:
     def pole_guard(self) -> float:
         """Distance from a pole below which evaluation raises PoleError."""
         return self.pole_guard_rel * max(self.m**2, self.mu**2)
-
-    def with_eps(self, eps_rel: float) -> "ModelParams":
-        return ModelParams(
-            g_newton=self.g_newton,
-            m=self.m,
-            mu=self.mu,
-            lambda_probe=self.lambda_probe,
-            alpha_tilde=self.alpha_tilde,
-            eps_rel=eps_rel,
-            pole_guard_rel=self.pole_guard_rel,
-        )

@@ -22,14 +22,13 @@ Kalman-Bucy form with backaction heating dVar(p)/dt = 2 hbar^2 k.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 from .entanglement import (GaussianState, duan_witness, log_negativity,
-                           quadratize_newton, symplectic_propagator,
-                           yukawa_derivatives)
+                           quadratize_newton, yukawa_derivatives)
 from .errors import StepSizeError
 from .kinematics import stream
 from .params import ModelParams

@@ -17,7 +17,7 @@ integrand evaluation and carry provenance tags saying so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,8 +26,8 @@ from scipy.optimize import brentq
 
 from .amplitudes import m_3to3_tree, m_graviton_emission, tree_denominators
 from .errors import BelowThresholdError, NoPoleCrossingError
-from .kinematics import (FourVector, KinematicConfig, boost_arr, cm_momentum,
-                         minkowski_dot, minkowski_dot_arr, two_body_batch)
+from .kinematics import (FourVector, KinematicConfig, boost, cm_momentum,
+                         minkowski_dot, on_shell, two_body_batch)
 from .params import ModelParams
 
 LHS_TAG = "lhs:im-m3to3-tree/quadrature"
@@ -59,22 +59,18 @@ class TreePoleFamily:
         if omega <= 0:
             raise ValueError("photon energy must be positive")
         p1 = FourVector(m, 0.0, 0.0, 0.0)
-        p2 = FourVector.on_shell(m, (0.0, 0.0, self.spectator_pz))
+        p2 = on_shell(m, (0.0, 0.0, self.spectator_pz))
         k = FourVector(omega, 0.0, 0.0, omega)
-        p1p = FourVector.on_shell(m, (0.0, 0.0, self.q_out))
-        total = k + p1 + p2
-        t2 = total - p1p
-        s2 = -minkowski_dot(t2, t2)
-        if s2 <= m * m or t2.e <= 0:
+        p1p = on_shell(m, (0.0, 0.0, self.q_out))
+        t2 = k + p1 + p2 - p1p
+        s2 = float(-minkowski_dot(t2, t2))
+        if s2 <= m * m or t2[0] <= 0:
             raise ValueError(f"family leaves the physical region at omega={omega}")
         # deterministic split t2 -> photon (massless, +z in the t2 frame) + mass m
         kmag = cm_momentum(s2, 0.0, m)
-        kp_rest = np.array([kmag, 0.0, 0.0, kmag])
-        p2p_rest = np.array([math.sqrt(m * m + kmag * kmag), 0.0, 0.0, -kmag])
-        beta = t2.p3 / t2.e
-        kp_arr, p2p_arr = boost_arr(np.stack([kp_rest, p2p_rest]), beta)
-        kp = FourVector.from_array(kp_arr)
-        p2p = FourVector.from_array(p2p_arr)
+        rest = np.array([[kmag, 0.0, 0.0, kmag],
+                         [math.sqrt(m * m + kmag * kmag), 0.0, 0.0, -kmag]])
+        kp, p2p = boost(rest, t2[1:] / t2[0])
         return KinematicConfig((k, p1, p2), (kp, p1p, p2p),
                                (0.0, m, m, 0.0, m, m))
 
@@ -174,7 +170,7 @@ def optical_tree_check(
 
     ladder = []
     for eps_rel in epss:
-        pe = params.with_eps(eps_rel)
+        pe = replace(params, eps_rel=eps_rel)
 
         def integrand(omega: float) -> float:
             return weight_fn(omega) * m_3to3_tree(family.config(omega), pe).value.imag
@@ -191,7 +187,7 @@ def optical_tree_check(
     k, p1, p2 = cfg_pole.incoming
     kp, p1p, p2p = cfg_pole.outgoing
     ktil_out = k + p1 - p1p  # radiated quantum; positive energy at the pole
-    if ktil_out.e <= 0:
+    if ktil_out[0] <= 0:
         raise NoPoleCrossingError("radiated quantum has nonpositive energy at the pole")
     emis_in = KinematicConfig((k, p1, p2), (ktil_out, p1p, p2),
                               (0.0, params.m, params.m,
@@ -223,7 +219,8 @@ def optical_tree_check(
 # ---------------------------------------------------------------------------
 
 def _forward_pair(s: float, params: ModelParams,
-                  beta: Sequence[float] | None) -> tuple[np.ndarray, FourVector]:
+                  beta: Sequence[float] | None) -> tuple[np.ndarray, np.ndarray]:
+    """Incoming p1 and the total momentum of the forward pair at this s."""
     m = params.m
     if s < 4.0 * m * m * (1.0 - 1e-12):
         raise BelowThresholdError(f"s={s} below the incoming-pair threshold 4m^2")
@@ -233,8 +230,7 @@ def _forward_pair(s: float, params: ModelParams,
     p1 = np.array([math.sqrt(s) / 2.0, 0.0, 0.0, p])
     total = FourVector(math.sqrt(s), 0.0, 0.0, 0.0)
     if beta is not None:
-        p1 = boost_arr(p1[None, :], beta)[0]
-        total = FourVector.from_array(boost_arr(total.as_array()[None, :], beta)[0])
+        p1, total = boost(np.stack([p1, total]), beta)
     return p1, total
 
 
@@ -261,7 +257,7 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
         n = min(chunk_size, n_samples - count)
         mom, w = two_body_batch(total, params.mu, params.mu, rng, n)
         diff = p1[None, :] - mom[:, 0, :]
-        den = minkowski_dot_arr(diff, diff) + params.m**2
+        den = minkowski_dot(diff, diff) + params.m**2
         if float(np.min(den)) < floor:
             raise AssertionError(
                 "squared matter propagator approached its pole; "
@@ -303,7 +299,7 @@ def annihilation_rhs(s: float, params: ModelParams, n_samples: int,
         st = np.sqrt(1.0 - c * c)
         k1 = np.stack([np.full(per, ek), kmag * st * np.cos(phi),
                        kmag * st * np.sin(phi), kmag * c], axis=1)
-        den = -2.0 * minkowski_dot_arr(np.broadcast_to(p1, k1.shape), k1) - mu * mu
+        den = -2.0 * minkowski_dot(p1, k1) - mu * mu
         f = 1.0 / den**2
         strat_means.append(float(np.mean(f)))
         strat_vars.append(float(np.var(f) / per))

@@ -206,12 +206,23 @@ BAD_VALUES = {
     "semiclassical-zero-trajectories": ["semiclassical", "--n-traj", "0", *SEED],
     "box-cut-negative-threads": ["box-cut", "--threads", "-3", *SEED],
     "self-test-zero-threads": ["self-test", "--threads", "0", *SEED],
+    "entangle-negative-delta-t": ["entangle", "--delta-t", "-30"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_VALUES))
 def test_bad_value_exits_2_without_output(tmp_path, case):
     assert main([*BAD_VALUES[case], "--out", str(tmp_path / "x.out")]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_into_missing_directory_exits_2_before_running(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("computed before the output path was checked")
+
+    monkeypatch.setattr("gravitas.cli.estimate_record", never)
+    out = tmp_path / "missing_dir" / "x.json"
+    assert main(["deflection", "--out", str(out)]) == 2
     assert list(tmp_path.iterdir()) == []
 
 

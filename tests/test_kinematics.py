@@ -9,12 +9,13 @@ from scipy.stats import chi2
 
 from gravitas.errors import (BelowThresholdError, ConfigShapeError,
                              SuperluminalBoostError)
-from gravitas.kinematics import (FourVector, KinematicConfig, PhaseSpaceSample,
-                                 boost, check_invariant_measure_identity,
+from gravitas.kinematics import (FourVector, KinematicConfig, boost,
+                                 check_invariant_measure_identity,
                                  cm_momentum, elastic_cm_config, mandelstam,
-                                 minkowski_dot, sample_three_body,
-                                 sample_two_body, stream, three_body_batch,
-                                 two_body_batch)
+                                 minkowski_dot, on_shell, stream,
+                                 three_body_batch, two_body_batch)
+from gravitas.params import ModelParams
+from gravitas.unitarity import TreePoleFamily
 
 momenta3 = st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3)
 betas = st.lists(st.floats(-0.57, 0.57), min_size=3, max_size=3)  # |beta| < 0.99
@@ -39,9 +40,19 @@ def test_minkowski_dot_direct_arithmetic():
 
 @given(momenta3, momenta3)
 def test_minkowski_dot_symmetric(p3a, p3b):
-    a = FourVector.on_shell(1.0, p3a)
-    b = FourVector.on_shell(2.0, p3b)
+    a = on_shell(1.0, p3a)
+    b = on_shell(2.0, p3b)
     assert minkowski_dot(a, b) == minkowski_dot(b, a)
+
+
+def test_minkowski_dot_batched_matches_rows():
+    rng = stream(5)
+    a = rng.normal(size=(7, 4))
+    b = rng.normal(size=(7, 4))
+    assert minkowski_dot(a, b).shape == (7,)
+    assert np.array_equal(minkowski_dot(a, b),
+                          [minkowski_dot(x, y) for x, y in zip(a, b)])
+    assert np.array_equal(minkowski_dot(a[0], b), minkowski_dot(np.tile(a[0], (7, 1)), b))
 
 
 def test_mandelstam_threshold():
@@ -97,21 +108,29 @@ def test_mandelstam_boost_invariant(p, theta, beta):
 
 def test_boost_identity():
     v = FourVector(1.5, 0.0, 0.0, 0.0)
-    assert boost(v, (0.0, 0.0, 0.0)) == v
+    assert np.array_equal(boost(v, (0.0, 0.0, 0.0)), v)
 
 
 def test_boost_textbook_form():
     m, b = 2.0, 0.6
     g = 1.0 / math.sqrt(1.0 - b * b)
-    out = boost(FourVector(m, 0.0, 0.0, 0.0), (0.0, 0.0, b))
-    assert out.e == pytest.approx(g * m, rel=1e-14)
-    assert out.pz == pytest.approx(g * b * m, rel=1e-14)
-    assert out.px == out.py == 0.0
+    e, px, py, pz = boost(FourVector(m, 0.0, 0.0, 0.0), (0.0, 0.0, b))
+    assert e == pytest.approx(g * m, rel=1e-14)
+    assert pz == pytest.approx(g * b * m, rel=1e-14)
+    assert px == py == 0.0
+
+
+def test_boost_batch_matches_rows():
+    p = np.stack([on_shell(1.0, (0.3, -0.2, 0.5)), on_shell(0.0, (1.0, 0.0, 0.0))])
+    beta = (0.1, 0.2, -0.3)
+    assert boost(p, beta).shape == (2, 4)
+    for row, out in zip(p, boost(p, beta)):
+        assert np.allclose(boost(row, beta), out, rtol=1e-15, atol=0.0)
 
 
 @given(momenta3, betas)
 def test_boost_preserves_invariant_mass(p3, beta):
-    v = FourVector.on_shell(1.0, p3)
+    v = on_shell(1.0, p3)
     w = boost(v, beta)
     assert minkowski_dot(w, w) == pytest.approx(minkowski_dot(v, v),
                                                 rel=1e-12, abs=1e-12)
@@ -122,16 +141,10 @@ def test_boost_superluminal_rejected():
         boost(FourVector(1.0, 0, 0, 0), (0.0, 0.0, 1.0))
 
 
-def test_phase_space_sample_weight_nonnegative():
-    v = FourVector(1.0, 0, 0, 0)
-    with pytest.raises(ValueError):
-        PhaseSpaceSample((v,), -1.0)
-
-
 def test_kinematic_config_rejects_nonconserving():
     m = 1.0
     a = FourVector(m, 0, 0, 0)
-    b = FourVector.on_shell(m, (0.3, 0, 0))
+    b = on_shell(m, (0.3, 0, 0))
     with pytest.raises(ConfigShapeError):
         KinematicConfig((a,), (b,), (m, m))
 
@@ -142,33 +155,81 @@ def test_kinematic_config_rejects_off_shell():
         KinematicConfig((a,), (a,), (0.5, 0.5))
 
 
+def test_kinematic_config_rejects_one_off_shell_leg_among_many():
+    cfg = elastic_cm_config(1.0, 0.5, 0.7)
+    out = cfg.outgoing.copy()
+    out[:, 0] += [1e-3, -1e-3]  # conserved in total, both legs off shell
+    with pytest.raises(ConfigShapeError, match="leg 2"):
+        KinematicConfig(cfg.incoming, out, cfg.masses)
+
+
+def test_kinematic_config_rejects_three_component_leg():
+    a = FourVector(1.0, 0, 0, 0)
+    with pytest.raises(ConfigShapeError):
+        KinematicConfig((a,), (a[1:],), (1.0, 1.0))
+    with pytest.raises(ConfigShapeError):
+        KinematicConfig((a, a[1:]), (a, a), (1.0, 1.0, 1.0, 1.0))
+    with pytest.raises(ConfigShapeError):
+        KinematicConfig(a, (a,), (1.0, 1.0))
+
+
+def test_kinematic_config_holds_arrays_of_rows():
+    m = 1.0
+    a = on_shell(m, (0.0, 0.0, 0.4))
+    b = on_shell(m, (0.0, 0.0, -0.4))
+    cfg = KinematicConfig((a, b), [b, a], (m, m, m, m))
+    assert cfg.incoming.shape == cfg.outgoing.shape == (2, 4)
+    assert cfg.incoming.dtype == np.float64
+    assert np.array_equal(cfg.outgoing, [b, a])
+
+
+def test_benchmark_probe_api():
+    # the calls the traced benchmark run makes: rows of a family config
+    # combined with array arithmetic into an emission config, and a sampler
+    # fed a FourVector
+    params = ModelParams(g_newton=1.0, m=1.0, mu=0.05, lambda_probe=0.7)
+    fam = TreePoleFamily(params)
+    ep = math.hypot(params.m, fam.q_out)  # closed-form mediator pole on the path
+    omega_star = ((2 * params.m * (ep - params.m) + params.mu**2)
+                  / (2 * (fam.q_out + params.m - ep)))
+    cfg = fam.config(omega_star)
+    k, p1, p2 = cfg.incoming
+    _, p1p, _ = cfg.outgoing
+    emis = KinematicConfig((k, p1, p2), (k + p1 - p1p, p1p, p2),
+                           (0.0, params.m, params.m, params.mu, params.m, params.m))
+    assert emis.outgoing.shape == (3, 4)
+    mom, w = two_body_batch(FourVector(math.sqrt(10.0), 0.0, 0.0, 0.0),
+                            params.mu, params.mu, stream(1), 16)
+    assert mom.shape == (16, 2, 4) and w.shape == (16,)
+
+
 # ---------------------------------------------------------------------------
 # two-body sampling
 # ---------------------------------------------------------------------------
 
 def test_two_body_threshold_limit(rng):
     m = 1.0
-    s = sample_two_body(FourVector(2 * m, 0, 0, 0), m, m, rng)
-    assert all(abs(c) < 1e-12 for v in s.momenta for c in (v.px, v.py, v.pz))
-    assert s.weight == 0.0  # measure density k/(4 sqrt s) vanishes at threshold
+    mom, w = two_body_batch(FourVector(2 * m, 0, 0, 0), m, m, rng, 1)
+    assert np.max(np.abs(mom[0, :, 1:])) < 1e-12
+    assert w[0] == 0.0  # measure density k/(4 sqrt s) vanishes at threshold
 
 
 def test_two_body_back_to_back(rng):
-    s = sample_two_body(FourVector(4.0, 0, 0, 0), 1.0, 0.5, rng)
-    k1, k2 = s.momenta
-    assert np.allclose(k1.p3, -k2.p3, atol=0.0)
+    mom, _ = two_body_batch(FourVector(4.0, 0, 0, 0), 1.0, 0.5, rng, 1)
+    k1, k2 = mom[0]
+    assert np.allclose(k1[1:], -k2[1:], atol=0.0)
 
 
 def test_two_body_below_threshold(rng):
     with pytest.raises(BelowThresholdError):
-        sample_two_body(FourVector(1.9, 0, 0, 0), 1.0, 1.0, rng)
+        two_body_batch(FourVector(1.9, 0, 0, 0), 1.0, 1.0, rng, 1)
 
 
 def test_two_body_conservation_and_shell(rng):
     total = boost(FourVector(4.0, 0, 0, 0), (0.2, -0.1, 0.3))
     mom, w = two_body_batch(total, 1.0, 1.0, rng, 2000)
     tot = mom.sum(axis=1)
-    assert np.max(np.abs(tot - total.as_array())) < 1e-12 * total.e
+    assert np.max(np.abs(tot - total)) < 1e-12 * total[0]
     for i in range(2):
         msq = -mom[:, i, 0] ** 2 + np.sum(mom[:, i, 1:] ** 2, axis=1)
         assert np.max(np.abs(msq + 1.0)) < 1e-9
@@ -204,16 +265,16 @@ def test_two_body_angular_uniformity(rng):
 def test_three_body_degenerate_limit(rng):
     masses = (1.0, 0.8, 0.5)
     total = FourVector(sum(masses), 0, 0, 0)
-    s = sample_three_body(total, masses, rng)
-    assert all(abs(c) < 1e-12 for v in s.momenta for c in (v.px, v.py, v.pz))
-    assert s.weight == 0.0
+    mom, w = three_body_batch(total, masses, rng, 1)
+    assert np.max(np.abs(mom[0, :, 1:])) < 1e-12
+    assert w[0] == 0.0
 
 
 def test_three_body_conservation(rng):
     total = boost(FourVector(4.0, 0, 0, 0), (0.1, 0.2, -0.25))
     mom, _ = three_body_batch(total, (1.0, 0.8, 0.5), rng, 500)
     tot = mom.sum(axis=1)
-    assert np.max(np.abs(tot - total.as_array())) < 1e-12 * total.e
+    assert np.max(np.abs(tot - total)) < 1e-12 * total[0]
 
 
 def _dalitz_volume(roots, ma, mb, mc):
@@ -243,7 +304,7 @@ def test_three_body_volume_vs_dalitz(rng):
 
 def test_three_body_below_threshold(rng):
     with pytest.raises(BelowThresholdError):
-        sample_three_body(FourVector(2.0, 0, 0, 0), (1.0, 0.8, 0.5), rng)
+        three_body_batch(FourVector(2.0, 0, 0, 0), (1.0, 0.8, 0.5), rng, 1)
 
 
 # ---------------------------------------------------------------------------
