@@ -13,7 +13,8 @@ from .amplitudes import (ComplexAmplitude, feynman_propagator,
                          m_3to3_tree, m_compton_probe, m_graviton_emission,
                          newton_potential_element)
 from .entanglement import (GaussianState, QuadraticHamiltonian, duan_witness,
-                           evolve_gaussian, log_negativity, quadratize_newton,
+                           evolve_gaussian, evolve_gaussian_grid,
+                           log_negativity, quadratize_newton,
                            run_fig1_circuit)
 from .semiclassical import (FeedbackConfig, compare_channels, run_ensemble,
                             step_trajectory)

@@ -24,18 +24,26 @@ from .params import ModelParams
 
 @dataclass(frozen=True)
 class ComplexAmplitude:
-    """A Feynman amplitude value together with its diagram provenance."""
+    """A Feynman amplitude value together with its diagram provenance.
 
-    value: complex
+    ``value`` is a complex number, or a complex array for a batch of
+    configurations.
+    """
+
+    value: complex | np.ndarray
     channel_tag: str
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.value.real) and math.isfinite(self.value.imag)):
+        if isinstance(self.value, np.ndarray):
+            finite = bool(np.isfinite(self.value).all())
+        else:
+            finite = math.isfinite(self.value.real) and math.isfinite(self.value.imag)
+        if not finite:
             raise ValueError(f"non-finite amplitude in channel {self.channel_tag}")
 
 
-def feynman_propagator(x: float, eps: float) -> complex:
-    """1/(x - i eps) = x/(x^2+eps^2) + i eps/(x^2+eps^2).
+def feynman_propagator(x: float | np.ndarray, eps: float) -> complex | np.ndarray:
+    """1/(x - i eps) = x/(x^2+eps^2) + i eps/(x^2+eps^2), elementwise on arrays.
 
     The imaginary part is a normalized Lorentzian: against a smooth test
     function it integrates to pi * g(0) as eps -> 0.
@@ -43,6 +51,8 @@ def feynman_propagator(x: float, eps: float) -> complex:
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = x * x + eps * eps
+    if isinstance(d, np.ndarray):
+        return x / d + 1j * (eps / d)
     return complex(x / d, eps / d)
 
 
@@ -67,10 +77,10 @@ def m_2to2_newton(t: float, params: ModelParams) -> ComplexAmplitude:
 # ---------------------------------------------------------------------------
 
 def _check_3to3(cfg: KinematicConfig, m: float) -> None:
-    if len(cfg.incoming) != 3 or len(cfg.outgoing) != 3:
+    n_in, n_out = cfg.incoming.shape[-2], cfg.outgoing.shape[-2]
+    if n_in != 3 or n_out != 3:
         raise ConfigShapeError(
-            f"need legs (k, p1, p2) -> (k', p1', p2'), got "
-            f"{len(cfg.incoming)}->{len(cfg.outgoing)}")
+            f"need legs (k, p1, p2) -> (k', p1', p2'), got {n_in}->{n_out}")
     expected = (0.0, m, m, 0.0, m, m)
     for got, want in zip(cfg.masses, expected):
         if got != want:
@@ -78,23 +88,26 @@ def _check_3to3(cfg: KinematicConfig, m: float) -> None:
                 f"leg masses must be (0, m, m, 0, m, m) with m={m}, got {cfg.masses}")
 
 
-def tree_denominators(cfg: KinematicConfig, params: ModelParams) -> tuple[float, float, float]:
+def tree_denominators(cfg: KinematicConfig, params: ModelParams) -> tuple:
     """The three real denominators of the 6-point tree amplitude.
 
     d1 = (p1+k)^2 + m^2,  d2 = ktil^2 + mu^2,  d3 = (p2'+k')^2 + m^2,
-    with ktil = p1' - (p1 + k), as Python floats.
+    with ktil = p1' - (p1 + k): Python floats for one configuration, arrays
+    over the batch axes of a batched one.
     """
     _check_3to3(cfg, params.m)
-    k, p1, _ = cfg.incoming
-    kp, p1p, p2p = cfg.outgoing
+    inc, out = cfg.incoming, cfg.outgoing
+    k, p1 = inc[..., 0, :], inc[..., 1, :]
+    kp, p1p, p2p = out[..., 0, :], out[..., 1, :], out[..., 2, :]
     a = p1 + k
     v = np.array([a, p1p - a, p2p + kp])
-    a2, ktil2, b2 = minkowski_dot(v, v).tolist()
+    d = minkowski_dot(v, v)
+    a2, ktil2, b2 = d.tolist() if d.ndim == 1 else d
     return a2 + params.m**2, ktil2 + params.mu**2, b2 + params.m**2
 
 
 def m_3to3_tree(cfg: KinematicConfig, params: ModelParams) -> ComplexAmplitude:
-    """Probe-Newton-probe tree amplitude.
+    """Probe-Newton-probe tree amplitude, one value per configuration of a batch.
 
     M = [lam/((p1+k)^2+m^2-i eps)] [G m^4/(ktil^2+mu^2-i eps)]
         [lam/((p2'+k')^2+m^2-i eps)].

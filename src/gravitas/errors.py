@@ -35,3 +35,7 @@ class NonpositiveSeparationError(GravitasError):
 
 class StepSizeError(GravitasError):
     """Stochastic integration step violates the accuracy guard."""
+
+
+class NumericalCheckError(GravitasError, ArithmeticError):
+    """A numerical self-check failed during a computation (not a bad input)."""

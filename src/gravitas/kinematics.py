@@ -88,11 +88,13 @@ def boost(p: np.ndarray, beta: Sequence[float]) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class KinematicConfig:
-    """Incoming/outgoing momenta, (n_in, 4) and (n_out, 4), with rest masses per leg.
+    """Incoming/outgoing momenta, (..., n_in, 4) and (..., n_out, 4), with rest masses per leg.
 
     Masses are listed incoming first, then outgoing. Sequences of (4,) rows
-    are accepted and stacked. Construction validates the shapes, total
-    four-momentum conservation and the on-shell condition of every leg.
+    are accepted and stacked. Leading axes, shared by both sides, hold a
+    batch of configurations with the same legs. Construction validates the
+    shapes, total four-momentum conservation and the on-shell condition of
+    every leg of every configuration.
     """
 
     incoming: np.ndarray
@@ -105,30 +107,36 @@ class KinematicConfig:
                 legs = np.array(getattr(self, name), dtype=float)
             except ValueError as exc:  # ragged rows
                 raise ConfigShapeError(f"{name} legs: {exc}") from exc
-            if legs.ndim != 2 or legs.shape[1] != 4:
+            if legs.ndim < 2 or legs.shape[-1] != 4:
                 raise ConfigShapeError(
-                    f"{name} legs must form an (n, 4) array, got shape {legs.shape}")
+                    f"{name} legs must form an (..., n, 4) array, got shape {legs.shape}")
             object.__setattr__(self, name, legs)
-        legs = np.concatenate([self.incoming, self.outgoing])
-        if len(legs) != len(self.masses):
+        if self.incoming.shape[:-2] != self.outgoing.shape[:-2]:
             raise ConfigShapeError(
-                f"{len(legs)} legs but {len(self.masses)} declared masses")
-        p_in = self.incoming.sum(axis=0)
-        p_out = self.outgoing.sum(axis=0)
-        scale = max(float(abs(p_in).max()), float(abs(p_out).max()), 1e-300)
-        if float(abs(p_in - p_out).max()) > TOL_CONSERVATION * scale:
+                f"batch shapes differ: incoming {self.incoming.shape}, "
+                f"outgoing {self.outgoing.shape}")
+        legs = np.concatenate([self.incoming, self.outgoing], axis=-2)
+        if legs.shape[-2] != len(self.masses):
             raise ConfigShapeError(
-                f"four-momentum not conserved: in={p_in}, out={p_out}")
+                f"{legs.shape[-2]} legs but {len(self.masses)} declared masses")
+        p_in = self.incoming.sum(axis=-2)
+        p_out = self.outgoing.sum(axis=-2)
+        scale = np.maximum(np.maximum(abs(p_in).max(axis=-1), abs(p_out).max(axis=-1)),
+                           1e-300)
+        bad = abs(p_in - p_out).max(axis=-1) > TOL_CONSERVATION * scale
+        if bad.any():
+            raise ConfigShapeError(
+                f"four-momentum not conserved: in={p_in[bad][0]}, out={p_out[bad][0]}")
         # |p^2 + m^2| <= tol * max(m, e)^2 (covers massless legs) and e > 0
         m2 = np.asarray(self.masses, dtype=float) ** 2
         p2 = minkowski_dot(legs, legs)
-        e = legs[:, 0]
+        e = legs[..., 0]
         ok = (abs(p2 + m2) <= TOL_ONSHELL * np.maximum(m2, e * e)) & (e > 0)
         if not ok.all():
-            i = int(np.argmin(ok))
+            i = tuple(np.argwhere(~ok)[0])
             raise ConfigShapeError(
-                f"leg {i} = {legs[i]} off shell for declared mass "
-                f"{self.masses[i]}: p^2={p2[i]}")
+                f"leg {i[-1]} = {legs[i]} off shell for declared mass "
+                f"{self.masses[i[-1]]}: p^2={p2[i]}")
 
     def boosted(self, beta: Sequence[float]) -> "KinematicConfig":
         return KinematicConfig(boost(self.incoming, beta),
@@ -164,18 +172,32 @@ def elastic_cm_config(m: float, p: float, theta: float, phi: float = 0.0) -> Kin
 #   E[w f] = int prod_i d^3k_i / (2 E_i) delta^4(sum k_i - P) f .
 # ---------------------------------------------------------------------------
 
-def _kallen(a: float, b: float, c: float) -> float:
+def _kallen(a: float | np.ndarray, b: float | np.ndarray,
+            c: float | np.ndarray) -> float | np.ndarray:
+    """Kallen function, elementwise on floats or arrays."""
     return a * a + b * b + c * c - 2 * (a * b + b * c + c * a)
 
 
-def cm_momentum(s: float, m1: float, m2: float) -> float:
-    """Magnitude of the back-to-back momentum of a two-body state of mass sqrt(s)."""
+def cm_momentum(s: float | np.ndarray, m1: float | np.ndarray,
+                m2: float | np.ndarray) -> float | np.ndarray:
+    """Magnitude of the back-to-back momentum of a two-body state of mass sqrt(s).
+
+    Elementwise on arrays, with the same arithmetic as the scalar form, so
+    each entry is bit-identical to a scalar call; scalar arguments give a
+    Python float.
+    """
     lam = _kallen(s, m1 * m1, m2 * m2)
-    if lam < 0:
-        if lam > -1e-12 * s * s:
-            return 0.0
-        raise BelowThresholdError(f"s={s} below threshold ({m1}+{m2})^2")
-    return math.sqrt(lam) / (2.0 * math.sqrt(s))
+    if np.ndim(lam) == 0:
+        if lam < 0:
+            if lam > -1e-12 * s * s:
+                return 0.0
+            raise BelowThresholdError(f"s={s} below threshold ({m1}+{m2})^2")
+        return math.sqrt(lam) / (2.0 * math.sqrt(s))
+    below = lam <= -1e-12 * s * s
+    if below.any():
+        raise BelowThresholdError(
+            f"s={np.broadcast_to(s, lam.shape)[below][0]} below the two-body threshold")
+    return np.sqrt(np.maximum(lam, 0.0)) / (2.0 * np.sqrt(s))
 
 
 def _uniform_directions(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -243,7 +265,7 @@ def three_body_batch(total: np.ndarray, masses: Sequence[float],
     mI = np.sqrt(m2)
 
     # split total -> a + I in the total rest frame
-    ka = np.array([cm_momentum(s, ma, mi) for mi in mI])
+    ka = cm_momentum(s, ma, mI)
     nhat_a = _uniform_directions(rng, n)
     pa = np.empty((n, 4))
     pa[:, 0] = np.hypot(ma, ka)
@@ -253,7 +275,7 @@ def three_body_batch(total: np.ndarray, masses: Sequence[float],
     pI[:, 1:] = -ka[:, None] * nhat_a
 
     # split I -> b + c in the I rest frame, then boost along I's velocity
-    kbc = np.array([cm_momentum(mm, mb, mc) for mm in m2])
+    kbc = cm_momentum(m2, mb, mc)
     nhat_b = _uniform_directions(rng, n)
     pb = np.empty((n, 4))
     pb[:, 0] = np.hypot(mb, kbc)

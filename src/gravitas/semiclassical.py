@@ -25,10 +25,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .entanglement import (GaussianState, duan_witness, log_negativity,
-                           quadratize_newton, yukawa_derivatives)
+from .entanglement import (GaussianState, duan_witness, evolve_gaussian_grid,
+                           expm, log_negativity, quadratize_newton,
+                           yukawa_derivatives)
 from .errors import StepSizeError
 from .kinematics import stream
 from .params import ModelParams
@@ -309,17 +309,12 @@ def compare_channels(cfg: FeedbackConfig, initial: GaussianState,
 
     def unitary_series(axis: str):
         h = quadratize_newton(cfg.d, cfg.params, cfg.masses, axis=axis)
-        times, duans, ens, seps = [], [], [], []
-        from .entanglement import evolve_gaussian
-
-        for j in range(0, n_steps + 1, record_every):
-            t = j * dt
-            st = evolve_gaussian(initial, h, t)
-            times.append(t)
-            duans.append(duan_witness(st))
-            ens.append(log_negativity(st))
-            seps.append(st.mean[0] - st.mean[2])
-        return (np.array(times), np.array(duans), np.array(ens), np.array(seps))
+        states = evolve_gaussian_grid(initial, h, record_every * dt,
+                                      n_steps // record_every)
+        return (np.arange(0, n_steps + 1, record_every) * dt,
+                np.array([duan_witness(st) for st in states]),
+                np.array([log_negativity(st) for st in states]),
+                np.array([st.mean[0] - st.mean[2] for st in states]))
 
     # witness section: transverse
     cfg_t = FeedbackConfig(cfg.gamma, cfg.d, cfg.masses, cfg.params,

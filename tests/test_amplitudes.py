@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from gravitas.amplitudes import (EmissionAmplitude, feynman_propagator,
+from gravitas.amplitudes import (ComplexAmplitude, EmissionAmplitude,
+                                 feynman_propagator,
                                  graviton_propagator_tensor,
                                  im_m_3to3_near_pole, m_2to2_newton,
                                  m_2to2_spin0, m_2to2_spin2, m_3to3_tree,
@@ -113,6 +114,19 @@ def test_propagator_requires_positive_eps():
 # ---------------------------------------------------------------------------
 # 6-point tree amplitude
 # ---------------------------------------------------------------------------
+
+def test_tree_amplitude_batch_matches_scalar_calls(params):
+    fam = TreePoleFamily(params)
+    omegas = np.linspace(*fam.omega_window(), 9).reshape(3, 3)
+    batch = m_3to3_tree(fam.config(omegas), params)
+    assert batch.value.shape == (3, 3)
+    for idx in np.ndindex(3, 3):
+        one = m_3to3_tree(fam.config(float(omegas[idx])), params).value
+        assert type(one) is complex
+        assert batch.value[idx] == pytest.approx(one, rel=1e-14)
+    with pytest.raises(ValueError):
+        ComplexAmplitude(np.array([1.0, np.inf]) + 0j, "batch")
+
 
 def test_tree_amplitude_is_product_of_propagators(params):
     fam = TreePoleFamily(params)

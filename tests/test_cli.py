@@ -3,10 +3,14 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from gravitas import unitarity
+import gravitas
+from gravitas import entanglement, unitarity
 from gravitas.cli import build_parser, main
 
 SEED = ["--seed", "20260810"]
@@ -46,7 +50,8 @@ def test_optical_tree_default(tmp_path):
     assert main(["optical-tree", "--out", str(out)]) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert abs(doc["ratio_restored"] - 1.0) <= 0.01
-    assert "undefined" in doc["ratio_elastic_only"]
+    assert "ratio_elastic_only" not in doc and "rhs_elastic" not in doc
+    assert len(doc["lhs_quadrature_error"]) == len(doc["eps_ladder"])
     man = _read_manifest(out)
     assert man["outputs"] == [out.name]
     assert man["checks"]["ratio_restored_within_tolerance"] is True
@@ -278,6 +283,28 @@ def test_self_test_default_compares_two_threads(tmp_path):
     assert main(["self-test", "--out", str(out), *SEED]) == 0
     assert _read_manifest(out)["resolved_config"]["threads"] == 2
     assert json.loads(out.read_text(encoding="utf-8"))["thread_count_invariant"] is True
+
+
+def test_numerical_check_failure_exits_1_without_traceback(tmp_path, monkeypatch,
+                                                            capsys):
+    monkeypatch.setattr(entanglement, "TOL_SYMPLECTIC", -1.0)
+    out = tmp_path / "e.csv"
+    assert main(["entangle", "--n-grid", "4", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "symplectic" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(gravitas.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    code = ("import sys, gravitas.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_every_option_has_help():

@@ -4,16 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm as scipy_expm
 
 from gravitas.entanglement import (FIG1_DEFAULTS, OMEGA, GaussianState,
                                    QuadraticHamiltonian, duan_witness,
-                                   evolve_gaussian, fig1_default_initial,
+                                   evolve_gaussian, evolve_gaussian_grid,
+                                   expm, fig1_default_initial,
                                    fig1_default_params, fig1_witness_crossing,
                                    ground_state_width, log_negativity,
                                    product_state, quadratize_newton,
                                    run_fig1_circuit, symplectic_propagator,
                                    two_mode_squeezed_cov, yukawa_derivatives)
-from gravitas.errors import NonpositiveSeparationError
+from gravitas.errors import NonpositiveSeparationError, NumericalCheckError
 from gravitas.kinematics import stream
 from gravitas.params import ModelParams
 
@@ -84,6 +86,55 @@ def test_transverse_spring_is_stable():
 # ---------------------------------------------------------------------------
 # symplectic evolution
 # ---------------------------------------------------------------------------
+
+def _affine_generator(h):
+    gen = np.zeros((5, 5))
+    gen[:4, :4] = OMEGA @ h.hmat
+    gen[:4, 4] = OMEGA @ h.linear
+    return gen
+
+
+@pytest.mark.parametrize("axis", ["transverse", "separation"])
+def test_expm_matches_scipy_on_both_axes(axis):
+    h = quadratize_newton(FIG1_DEFAULTS["d"], fig1_default_params(),
+                          FIG1_DEFAULTS["masses"], axis=axis)
+    gen = _affine_generator(h)
+    for t in np.linspace(0.0, 30.0, 31):
+        ref = scipy_expm(gen * t)
+        assert np.max(np.abs(expm(gen * t) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_expm_scaling_and_squaring_matches_scipy():
+    a = 4.0 * stream(3, 0).normal(size=(5, 5))
+    assert np.abs(a).sum(axis=0).max() > 5.371920351148152  # theta_13: squarings run
+    ref = scipy_expm(a)
+    assert np.max(np.abs(expm(a) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_expm_of_zero_is_exactly_identity():
+    for n in (2, 4, 5):
+        assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
+
+
+def test_grid_matches_per_point_scipy_route():
+    h = quadratize_newton(FIG1_DEFAULTS["d"], fig1_default_params(),
+                          FIG1_DEFAULTS["masses"], axis="transverse")
+    initial = fig1_default_initial()
+    gen = _affine_generator(h)
+    states = evolve_gaussian_grid(initial, h, 30.0 / 40, 40)
+    assert len(states) == 41 and states[0] is initial
+    for j, st in enumerate(states):
+        full = scipy_expm(gen * (j * 30.0 / 40))
+        s, drift = full[:4, :4], full[:4, 4]
+        cov = s @ initial.cov @ s.T
+        assert np.max(np.abs(st.cov - cov)) <= 1e-12 * np.max(np.abs(cov))
+        assert np.max(np.abs(st.mean - (s @ initial.mean + drift))) <= 1e-12
+
+
+def test_witness_crossing_failure_is_a_numerical_check_error():
+    with pytest.raises(NumericalCheckError):
+        fig1_witness_crossing(t_max=1.0, n_grid=5, threshold=0.0)
+
 
 def test_evolve_identity_at_zero_time():
     st0 = _minimal_product(1.0)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2
 
+from gravitas import kinematics
 from gravitas.errors import (BelowThresholdError, ConfigShapeError,
                              SuperluminalBoostError)
 from gravitas.kinematics import (FourVector, KinematicConfig, boost,
@@ -183,6 +184,28 @@ def test_kinematic_config_holds_arrays_of_rows():
     assert np.array_equal(cfg.outgoing, [b, a])
 
 
+def test_tree_family_batch_matches_scalar_configs():
+    fam = TreePoleFamily(ModelParams(g_newton=1.0, m=1.0, mu=0.05))
+    omegas = np.linspace(*fam.omega_window(), 6)
+    batch = fam.config(omegas.reshape(2, 3))
+    assert batch.incoming.shape == batch.outgoing.shape == (2, 3, 3, 4)
+    for idx in np.ndindex(2, 3):
+        one = fam.config(float(omegas.reshape(2, 3)[idx]))
+        assert np.array_equal(batch.incoming[idx], one.incoming)
+        assert np.array_equal(batch.outgoing[idx], one.outgoing)
+
+
+def test_batched_config_rejects_one_bad_row_and_mismatched_batches():
+    cfg = TreePoleFamily(ModelParams(g_newton=1.0, m=1.0, mu=0.05)).config(
+        np.array([0.1, 0.2, 0.3]))
+    out = cfg.outgoing.copy()
+    out[1, 1, 0] += 1e-3  # p1' of the middle row off shell, momentum not conserved
+    with pytest.raises(ConfigShapeError):
+        KinematicConfig(cfg.incoming, out, cfg.masses)
+    with pytest.raises(ConfigShapeError, match="batch shapes"):
+        KinematicConfig(cfg.incoming, cfg.outgoing[:2], cfg.masses)
+
+
 def test_benchmark_probe_api():
     # the calls the traced benchmark run makes: rows of a family config
     # combined with array arithmetic into an emission config, and a sampler
@@ -300,6 +323,33 @@ def test_three_body_volume_vs_dalitz(rng):
     mom, w = three_body_batch(FourVector(roots, 0, 0, 0), masses, rng, 200000)
     est, err = w.mean(), w.std() / math.sqrt(len(w))
     assert abs(est - oracle) <= 3 * err
+
+
+def test_cm_momentum_vectorised_matches_scalar_calls():
+    s = np.array([4.0 * (1.0 - 1e-14), 4.0, 9.0, 25.0])
+    want = [cm_momentum(float(x), 1.0, 1.0) for x in s]
+    assert all(type(k) is float for k in want)
+    assert type(cm_momentum(np.float64(9.0), 1.0, 1.0)) is float
+    assert want[0] == 0.0
+    assert np.array_equal(cm_momentum(s, 1.0, 1.0), want)
+    with pytest.raises(BelowThresholdError):
+        cm_momentum(np.array([9.0, 3.0]), 1.0, 1.0)
+
+
+def test_three_body_matches_rowwise_scalar_cm_momentum(monkeypatch):
+    total = boost(FourVector(4.0, 0, 0, 0), (0.1, 0.2, -0.25))
+    masses = (1.0, 0.8, 0.5)
+    fast = three_body_batch(total, masses, stream(5, 0), 2000)
+    scalar = kinematics.cm_momentum
+
+    def rowwise(s, m1, m2):
+        rows = zip(*np.broadcast_arrays(s, m1, m2))
+        return np.array([scalar(float(a), float(b), float(c)) for a, b, c in rows])
+
+    monkeypatch.setattr(kinematics, "cm_momentum", rowwise)
+    slow = three_body_batch(total, masses, stream(5, 0), 2000)
+    assert np.array_equal(fast[0], slow[0])
+    assert np.array_equal(fast[1], slow[1])
 
 
 def test_three_body_below_threshold(rng):

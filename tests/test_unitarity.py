@@ -7,11 +7,12 @@ from scipy.integrate import quad
 from gravitas.errors import BelowThresholdError, NoPoleCrossingError
 from gravitas.kinematics import cm_momentum, stream
 from gravitas.params import ModelParams
+from gravitas.amplitudes import m_3to3_tree
 from gravitas.unitarity import (LHS_TAG, RHS_TAG, OpticalReport,
-                                TreePoleFamily, annihilation_rhs,
-                                box_cut_im_forward, bump_weight,
-                                elastic_only_rhs, optical_tree_check,
-                                unitarity_violation_scan)
+                                TreePoleFamily, _gauss_legendre,
+                                annihilation_rhs, box_cut_im_forward,
+                                bump_weight, elastic_only_rhs,
+                                optical_tree_check, unitarity_violation_scan)
 
 
 # ---------------------------------------------------------------------------
@@ -21,8 +22,9 @@ from gravitas.unitarity import (LHS_TAG, RHS_TAG, OpticalReport,
 def test_optical_tree_default_ratio(params):
     rep = optical_tree_check(TreePoleFamily(params), None, params)
     assert rep.ratio_restored == pytest.approx(1.0, abs=0.01)
-    assert math.isinf(rep.ratio_elastic_only)
-    assert rep.rhs_elastic == 0.0
+    # the measured quadrature error is far inside the 1 % tolerance
+    assert all(err < 1e-5 * abs(v)
+               for err, (_, v) in zip(rep.lhs_quadrature_error, rep.eps_ladder))
 
 
 def test_optical_tree_ladder_monotone_convergence(params):
@@ -44,6 +46,53 @@ def test_optical_tree_off_pole_weight_vanishes(params):
     values = [abs(v) for _, v in rep.eps_ladder]
     assert all(a > b for a, b in zip(values, values[1:]))  # shrinks with eps
     assert values[-1] < 1e-3 * lhs_scale
+    # off the pole the integral is linear in eps, so a missed bump shows here
+    per_eps = [v / e for e, v in rep.eps_ladder]
+    assert max(per_eps) == pytest.approx(min(per_eps), rel=1e-2)
+    for eps_rel, value in rep.eps_ladder:
+        pe = ModelParams(g_newton=params.g_newton, m=params.m, mu=params.mu,
+                         lambda_probe=params.lambda_probe, eps_rel=eps_rel)
+        ref, _ = quad(lambda om: w(om) * m_3to3_tree(fam.config(om), pe).value.imag,
+                      off_center - 0.03, off_center + 0.03, epsabs=0.0, epsrel=1e-12)
+        assert value == pytest.approx(ref, rel=1e-6)
+
+
+def test_pole_closed_form_matches_brentq(params):
+    fam = TreePoleFamily(params)
+    lo, hi = fam.omega_window()
+    from scipy.optimize import brentq
+
+    omega_star, slope = fam.pole()
+    assert omega_star == pytest.approx(
+        brentq(fam.ktil2_plus_mu2, lo, hi, xtol=1e-300), rel=1e-14)
+    h = 1e-6 * omega_star
+    fd = (fam.ktil2_plus_mu2(omega_star - h)
+          - fam.ktil2_plus_mu2(omega_star + h)) / (2.0 * h)
+    assert slope == pytest.approx(fd, rel=1e-8)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 256, 512])
+def test_gauss_legendre_matches_numpy(n):
+    x, w = _gauss_legendre(n)
+    order = np.argsort(x)
+    xr, wr = np.polynomial.legendre.leggauss(n)
+    assert np.allclose(x[order], xr, rtol=0.0, atol=1e-15)
+    assert np.allclose(w[order], wr, rtol=1e-9, atol=0.0)
+
+
+def test_optical_tree_ladder_matches_quad(params):
+    fam = TreePoleFamily(params)
+    rep = optical_tree_check(fam, None, params)
+    omega_star, slope = fam.pole()
+    half = 10.0 * math.sqrt(1e-4 * max(params.m**2, params.mu**2)) / slope
+    w = bump_weight(omega_star, half)
+    for eps_rel, value in rep.eps_ladder:
+        pe = ModelParams(g_newton=params.g_newton, m=params.m, mu=params.mu,
+                         lambda_probe=params.lambda_probe, eps_rel=eps_rel)
+        ref, _ = quad(lambda om: w(om) * m_3to3_tree(fam.config(om), pe).value.imag,
+                      omega_star - half, omega_star + half, points=[omega_star],
+                      epsabs=0.0, epsrel=1e-12, limit=1000)
+        assert value == pytest.approx(ref, rel=1e-7)
 
 
 def test_optical_tree_lambda_rescaling_invariance(params):
@@ -65,14 +114,17 @@ def test_optical_tree_no_crossing_raises(params):
 
 def test_optical_report_invariants(params):
     rep = optical_tree_check(TreePoleFamily(params), None, params)
-    assert rep.mc_error_rhs > 0
+    assert len(rep.lhs_quadrature_error) == len(rep.eps_ladder)
+    assert all(err >= 0 for err in rep.lhs_quadrature_error)
     epss = [e for e, _ in rep.eps_ladder]
     assert epss == sorted(epss, reverse=True)
     assert rep.lhs_provenance == LHS_TAG
     assert rep.rhs_provenance == RHS_TAG
     assert rep.lhs_provenance != rep.rhs_provenance
     with pytest.raises(ValueError):
-        OpticalReport(1.0, 0.0, 1.0, 0.0, ((1e-2, 1.0),), 1.0, 1.0, math.inf)
+        OpticalReport(1.0, 1.0, ((1e-2, 1.0),), (-1.0,), 1.0, 1.0)
+    with pytest.raises(ValueError):
+        OpticalReport(1.0, 1.0, ((1e-2, 1.0), (1e-3, 1.0)), (0.0,), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
