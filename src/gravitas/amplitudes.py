@@ -34,11 +34,7 @@ class ComplexAmplitude:
     channel_tag: str
 
     def __post_init__(self) -> None:
-        if isinstance(self.value, np.ndarray):
-            finite = bool(np.isfinite(self.value).all())
-        else:
-            finite = math.isfinite(self.value.real) and math.isfinite(self.value.imag)
-        if not finite:
+        if not np.isfinite(self.value).all():
             raise ValueError(f"non-finite amplitude in channel {self.channel_tag}")
 
 
@@ -51,9 +47,7 @@ def feynman_propagator(x: float | np.ndarray, eps: float) -> complex | np.ndarra
     if eps <= 0:
         raise ValueError("eps must be positive")
     d = x * x + eps * eps
-    if isinstance(d, np.ndarray):
-        return x / d + 1j * (eps / d)
-    return complex(x / d, eps / d)
+    return x / d + 1j * (eps / d)
 
 
 def newton_potential_element(q: np.ndarray, params: ModelParams) -> float:

@@ -182,22 +182,16 @@ def cm_momentum(s: float | np.ndarray, m1: float | np.ndarray,
                 m2: float | np.ndarray) -> float | np.ndarray:
     """Magnitude of the back-to-back momentum of a two-body state of mass sqrt(s).
 
-    Elementwise on arrays, with the same arithmetic as the scalar form, so
-    each entry is bit-identical to a scalar call; scalar arguments give a
-    Python float.
+    Elementwise on arrays; scalar arguments give a Python float.
     """
     lam = _kallen(s, m1 * m1, m2 * m2)
-    if np.ndim(lam) == 0:
-        if lam < 0:
-            if lam > -1e-12 * s * s:
-                return 0.0
-            raise BelowThresholdError(f"s={s} below threshold ({m1}+{m2})^2")
-        return math.sqrt(lam) / (2.0 * math.sqrt(s))
     below = lam <= -1e-12 * s * s
-    if below.any():
-        raise BelowThresholdError(
-            f"s={np.broadcast_to(s, lam.shape)[below][0]} below the two-body threshold")
-    return np.sqrt(np.maximum(lam, 0.0)) / (2.0 * np.sqrt(s))
+    if np.count_nonzero(below):
+        s_, m1_, m2_ = (np.broadcast_to(x, np.shape(lam))[below].flat[0]
+                        for x in (s, m1, m2))
+        raise BelowThresholdError(f"s={s_} below threshold ({m1_}+{m2_})^2")
+    k = np.sqrt(np.maximum(lam, 0.0)) / (2.0 * np.sqrt(s))
+    return k if isinstance(k, np.ndarray) else float(k)
 
 
 def _uniform_directions(rng: np.random.Generator, n: int) -> np.ndarray:

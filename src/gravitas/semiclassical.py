@@ -127,14 +127,25 @@ def _mean_drift(cfg: FeedbackConfig) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def step_trajectory(state: ConditionalState, cfg: FeedbackConfig, dt: float,
-                    dw: tuple[float, float]) -> tuple[ConditionalState, np.ndarray]:
-    """One Ito step: Kalman conditioning with increments ``dw``, then the
-    local feedback kick. Returns (new state, measurement record dy)."""
-    _guard_dt(cfg, dt)
-    k = cfg.k_meas
-    gain = math.sqrt(8.0 * k)
+def _riccati_thetas(cfg: FeedbackConfig, dt: float) -> list[np.ndarray]:
+    """The two per-mass Riccati step matrices; fixed for a given (cfg, dt)."""
     _, spring = cfg.feedback_gains
+    return [_riccati_step_matrix(m, -spring, cfg.k_meas, dt, cfg.hbar) for m in cfg.masses]
+
+
+def step_trajectory(state: ConditionalState, cfg: FeedbackConfig, dt: float,
+                    dw: tuple[float, float],
+                    thetas: list[np.ndarray] | None = None
+                    ) -> tuple[ConditionalState, np.ndarray]:
+    """One Ito step: Kalman conditioning with increments ``dw``, then the
+    local feedback kick. Returns (new state, measurement record dy).
+
+    ``thetas`` are the Riccati step matrices of ``(cfg, dt)``; a loop over
+    steps passes them in once computed, otherwise they are built here."""
+    _guard_dt(cfg, dt)
+    gain = math.sqrt(8.0 * cfg.k_meas)
+    if thetas is None:
+        thetas = _riccati_thetas(cfg, dt)
     mean = state.mean.copy()
     cov = state.cov.copy()
     dw = np.asarray(dw, dtype=float)
@@ -148,8 +159,7 @@ def step_trajectory(state: ConditionalState, cfg: FeedbackConfig, dt: float,
     a, b = _mean_drift(cfg)
     mean += (a @ mean + b) * dt
     # exact per-mass Riccati update
-    for i, m in enumerate(cfg.masses):
-        theta = _riccati_step_matrix(m, -spring, k, dt, cfg.hbar)
+    for i, theta in enumerate(thetas):
         sl = slice(2 * i, 2 * i + 2)
         cov[sl, sl] = _riccati_apply(theta, cov[sl, sl])
     return ConditionalState(mean, cov), record
@@ -169,12 +179,13 @@ def run_trajectory(cfg: FeedbackConfig, initial: GaussianState, n_steps: int,
     rng = stream(master_seed, index)
     dws = rng.normal(0.0, math.sqrt(dt), size=(n_steps, 2))
     state = ConditionalState(initial.mean.copy(), initial.cov.copy())
+    thetas = _riccati_thetas(cfg, dt)
     times = [0.0]
     means = [state.mean.copy()]
     covs = [state.cov.copy()]
     records = np.empty((n_steps, 2))
     for j in range(n_steps):
-        state, rec = step_trajectory(state, cfg, dt, dws[j])
+        state, rec = step_trajectory(state, cfg, dt, dws[j], thetas)
         records[j] = rec
         if (j + 1) % record_every == 0:
             times.append((j + 1) * dt)
@@ -221,9 +232,7 @@ def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
     _guard_dt(cfg, dt)
     if antithetic and n_traj % 2:
         raise ValueError("antithetic ensembles need an even n_traj")
-    k = cfg.k_meas
-    gain = math.sqrt(8.0 * k)
-    _, spring = cfg.feedback_gains
+    gain = math.sqrt(8.0 * cfg.k_meas)
     a, b = _mean_drift(cfg)
 
     n_draw = n_traj // 2 if antithetic else n_traj
@@ -235,7 +244,7 @@ def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
 
     means = np.broadcast_to(initial.mean, (n_traj, 4)).copy()
     cov_blocks = [initial.cov[0:2, 0:2].copy(), initial.cov[2:4, 2:4].copy()]
-    thetas = [_riccati_step_matrix(m, -spring, k, dt, cfg.hbar) for m in cfg.masses]
+    thetas = _riccati_thetas(cfg, dt)
 
     def snapshot(step_idx: int, out: dict) -> None:
         cov_cond = np.zeros((4, 4))

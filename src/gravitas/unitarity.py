@@ -114,24 +114,6 @@ def bump_weight(center: float, width: float) -> Callable:
     return w
 
 
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1].
-
-    Three Newton steps on the Legendre recurrence from Tricomi's initial
-    guesses reach double precision; at n = 512 this costs a third of
-    numpy's leggauss, which solves a dense n x n eigenproblem.
-    """
-    k = np.arange(1, n + 1)
-    x = (1.0 - (n - 1) / (8.0 * n**3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
-    for _ in range(3):
-        p0, p1 = np.ones_like(x), x
-        for j in range(2, n + 1):
-            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-        dp = n * (p0 - x * p1) / (1.0 - x * x)
-        x = x - p1 / dp
-    return x, 2.0 / ((1.0 - x * x) * dp * dp)
-
-
 # ---------------------------------------------------------------------------
 # tree-level optical theorem
 # ---------------------------------------------------------------------------
@@ -167,11 +149,13 @@ def optical_tree_check(
 
     LHS: integral of weight * Im[m_3to3_tree] along the path, once per
     epsilon in the ladder (relative epsilons, scaled by max(m^2, mu^2)),
-    extrapolated linearly from the two smallest. On the pole cell
-    omega* +/- Delta (Delta the half-width of the default bump) the
+    extrapolated linearly from the two smallest. The integral runs over the
+    support of the default bump, or over the whole window [lo, hi] for a
+    user ``weight_fn``. On the pole cell, omega* +/- Delta (Delta the
+    half-width of the default bump) clipped to that support, the
     Gauss-Legendre nodes are uniform in theta, omega = omega* + (eps/slope)
-    tan(theta), which flattens the Lorentzian; the rest of the window, where
-    only a user ``weight_fn`` has support, gets plain Gauss-Legendre panels.
+    tan(theta), which flattens the Lorentzian; the support outside the cell
+    gets plain Gauss-Legendre panels.
     Every node of every rule and epsilon is evaluated in one batched
     ``family.config`` call. Each ladder entry uses ``n_nodes`` per panel,
     and |I_n - I_n/2| is its measured quadrature error.
@@ -198,22 +182,23 @@ def optical_tree_check(
     half = 10.0 * math.sqrt(min(epss) * scale) / slope
     if weight_fn is None:
         weight_fn = bump_weight(omega_star, half)
-        panels = []
+        support = (omega_star - half, omega_star + half)
     else:
-        panels = [(a, b) for a, b in ((lo, omega_star - half), (omega_star + half, hi))
-                  if b > a]
+        support = (lo, hi)
+    cell = (max(support[0], omega_star - half), min(support[1], omega_star + half))
+    panels = [(a, b) for a, b in ((support[0], cell[0]), (cell[1], support[1])) if b > a]
 
     # one row of (omega, quadrature weight) per ladder entry: the n-node
     # rule on every panel, then the n/2-node rule
-    rules = [_gauss_legendre(n) for n in (n_nodes, n_nodes // 2)]
+    rules = [np.polynomial.legendre.leggauss(n) for n in (n_nodes, n_nodes // 2)]
     rows = []
     for eps_rel in epss:
         c = eps_rel * scale / slope
-        theta = math.atan(half / c)
+        th_a, th_b = (math.atan((x - omega_star) / c) for x in cell)
         parts = []
         for x, w in rules:
-            t = np.tan(theta * x)
-            parts.append((omega_star + c * t, theta * c * w * (1.0 + t * t)))
+            t = np.tan(0.5 * (th_a + th_b) + 0.5 * (th_b - th_a) * x)
+            parts.append((omega_star + c * t, 0.5 * (th_b - th_a) * c * w * (1.0 + t * t)))
             parts += [(0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w)
                       for a, b in panels]
         rows.append([np.concatenate(z) for z in zip(*parts)])

@@ -19,7 +19,7 @@ STOCHASTIC_ENSEMBLE = ["--seed", "7", "--n-traj", "16", "--n-steps", "100",
 RUNS = {
     "optical-tree": (
         ["optical-tree"],
-        "fd4150f2e3ddfdd82dab7a7fba2eeb238ee51c287185da8875fbf363686a24dc"),
+        "3e328a0724d9074ec5b30b01f36a4805bb2ca46ff9f2363bd78cee7f72d213f4"),
     "deflection": (
         ["deflection"],
         "a718726c3b2002bd566edc4dc599dba202e33ad73f8511fdfba0c94de0cd1329"),
@@ -32,19 +32,19 @@ RUNS = {
         "2b9b975a63c2b5a1a7b8edbd5bcbf6e97f81740d14d2be53f235356935b2f739"),
     "entangle-separation": (
         ["entangle", "--n-grid", "40", "--axis", "separation"],
-        "4f787c7d6b58f5ac93180e4c7ae83f476b7088f4f0ae3f5434df142fda4d43f2"),
+        "e4edaa22b248f35ea9c7c1ce8ec2ff4bc792574069f664ac413e1826f075e37c"),
     "semiclassical": (
         ["semiclassical", *STOCHASTIC_ENSEMBLE],
-        "d7d42d622a9e490be22efc55b07868e686c4d98529ea31d3a35c01ef50213e76"),
+        "6759854a6de8ef6e5313eb9fbd4d4b141d92610bc7303de9d7a80b89e5bb5ed5"),
     "compare": (
         ["compare", *STOCHASTIC_ENSEMBLE],
-        "d2a002efce3d64e595fb74c4c364ef71165f8bd073b3dda9ec98c378fa1db00d"),
+        "a7b660e36bdc71921ffa12f73e27bcff1126ab9b45441a5b096160038ade95cf"),
     "phase-space-check": (
         ["phase-space-check", "--seed", "7", "--n-samples", "20000"],
         "2d6adbaa50aa35bc98f3e920c82253959bd7cc2b76cfb5265802642e5be54f06"),
     "self-test": (
         ["self-test", "--seed", "7", "--n-samples", "5000"],
-        "5395d5c4740a8fa2a943254324722ed31dc1a123832337392aa16591ff3be8da"),
+        "acb81347d2ab751b922f9777ed74db5456093438d0bbac9b94140953a2ef3e02"),
 }
 
 

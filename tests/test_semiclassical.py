@@ -75,6 +75,19 @@ def test_records_follow_means():
     assert lhs == pytest.approx([0.0, 0.0], abs=1e-15)
 
 
+def test_trajectory_matches_unshared_steps():
+    # run_trajectory builds the Riccati step matrices once; stepping with
+    # step_trajectory's own per-call matrices gives the same bits
+    cfg, dt = _cfg(), 0.01
+    traj = run_trajectory(cfg, _initial(), n_steps=30, dt=dt, master_seed=5)
+    state = ConditionalState(_initial().mean.copy(), _initial().cov.copy())
+    for j in range(30):
+        state, rec = step_trajectory(state, cfg, dt, traj.noise[j])
+        assert np.array_equal(rec, traj.records[j])
+        assert np.array_equal(state.cov, traj.covs[j + 1])
+        assert np.array_equal(state.mean, traj.means[j + 1])
+
+
 def test_conditional_cov_stays_block_diagonal():
     traj = run_trajectory(_cfg(), _initial(), n_steps=200, dt=0.01,
                           master_seed=3, record_every=50)

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -9,9 +8,8 @@ from gravitas.kinematics import cm_momentum, stream
 from gravitas.params import ModelParams
 from gravitas.amplitudes import m_3to3_tree
 from gravitas.unitarity import (LHS_TAG, RHS_TAG, OpticalReport,
-                                TreePoleFamily, _gauss_legendre,
-                                annihilation_rhs, box_cut_im_forward,
-                                bump_weight, elastic_only_rhs,
+                                TreePoleFamily, annihilation_rhs,
+                                box_cut_im_forward, bump_weight, elastic_only_rhs,
                                 optical_tree_check, unitarity_violation_scan)
 
 
@@ -71,15 +69,6 @@ def test_pole_closed_form_matches_brentq(params):
     assert slope == pytest.approx(fd, rel=1e-8)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 256, 512])
-def test_gauss_legendre_matches_numpy(n):
-    x, w = _gauss_legendre(n)
-    order = np.argsort(x)
-    xr, wr = np.polynomial.legendre.leggauss(n)
-    assert np.allclose(x[order], xr, rtol=0.0, atol=1e-15)
-    assert np.allclose(w[order], wr, rtol=1e-9, atol=0.0)
-
-
 def test_optical_tree_ladder_matches_quad(params):
     fam = TreePoleFamily(params)
     rep = optical_tree_check(fam, None, params)
@@ -92,6 +81,26 @@ def test_optical_tree_ladder_matches_quad(params):
         ref, _ = quad(lambda om: w(om) * m_3to3_tree(fam.config(om), pe).value.imag,
                       omega_star - half, omega_star + half, points=[omega_star],
                       epsabs=0.0, epsrel=1e-12, limit=1000)
+        assert value == pytest.approx(ref, rel=1e-7)
+
+
+def test_optical_tree_user_weight_coarse_ladder_matches_quad(params):
+    # at eps = 1e-3 the pole cell omega* +/- Delta reaches past both ends of
+    # the window; a user weight is still integrated over exactly [lo, hi]
+    fam = TreePoleFamily(params)
+    lo, hi = fam.omega_window()
+    omega_star, slope = fam.pole()
+    assert 10.0 * math.sqrt(1e-3 * max(params.m**2, params.mu**2)) / slope > omega_star
+
+    def w(om):
+        return 1.0 / (1.0 + om * om)
+
+    rep = optical_tree_check(fam, w, params, eps_ladder=(1e-2, 1e-3))
+    for eps_rel, value in rep.eps_ladder:
+        pe = ModelParams(g_newton=params.g_newton, m=params.m, mu=params.mu,
+                         lambda_probe=params.lambda_probe, eps_rel=eps_rel)
+        ref, _ = quad(lambda om: w(om) * m_3to3_tree(fam.config(om), pe).value.imag,
+                      lo, hi, points=[omega_star], epsabs=0.0, epsrel=1e-12, limit=1000)
         assert value == pytest.approx(ref, rel=1e-7)
 
 
