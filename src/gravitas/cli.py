@@ -45,7 +45,7 @@ from .estimators import BendingConfig, estimate_record
 from .kinematics import check_invariant_measure_identity, stream
 from .params import ModelParams
 from .semiclassical import FeedbackConfig, compare_channels, run_ensemble
-from .unitarity import (TreePoleFamily, optical_tree_check,
+from .unitarity import (TreePoleFamily, max_smallest_eps, optical_tree_check,
                         unitarity_violation_scan)
 
 SCHEMA_VERSION = 1
@@ -124,6 +124,8 @@ class Command:
     help: str
     defaults: dict
     run: Callable[[dict], tuple]
+    # raises ConfigError for a combination of values no flag bound covers
+    check: Callable[[dict], None] | None = None
 
 
 def _load_config_file(path: str | None, section: str) -> dict:
@@ -167,6 +169,8 @@ def _resolve(cmd: Command, args: argparse.Namespace) -> dict:
             raise ConfigError(f"{key} must be > {f.gt}, got {value}")
         if f.ge is not None and any(v < f.ge for v in values):
             raise ConfigError(f"{key} must be >= {f.ge}, got {value}")
+    if cmd.check is not None:
+        cmd.check(cfg)
     return cfg
 
 
@@ -197,6 +201,20 @@ def _sidak_z(n: int, alpha: float = GATE_ALPHA) -> float:
 # ---------------------------------------------------------------------------
 # subcommands: run(cfg) -> (data, checks, message)
 # ---------------------------------------------------------------------------
+
+def _check_eps_ladder(cfg: dict) -> None:
+    ladder = cfg["eps_ladder"]
+    if len(ladder) < 2:
+        raise ConfigError("--eps-ladder needs at least two entries (the LHS is "
+                          f"extrapolated from the two smallest), got {ladder}")
+    params = _params(cfg)
+    eps_max = max_smallest_eps(TreePoleFamily(params), params)
+    if min(ladder) >= eps_max:
+        raise ConfigError(
+            f"--eps-ladder: the smallest entry must be below {eps_max:.6g} at "
+            f"these masses, got {min(ladder)}; from there on the pole cell "
+            "omega* +/- Delta reaches zero photon energy")
+
 
 def _optical_tree(cfg: dict):
     params = _params(cfg)
@@ -363,7 +381,7 @@ COMMANDS = (
     Command("optical-tree", "tree-level optical theorem at the mediator pole",
             dict(g_newton=1.0, m=1.0, mu=0.05, lambda_probe=1.0,
                  eps_ladder=[1e-2, 1e-3, 1e-4], tolerance=0.01,
-                 out="optical_tree.json"), _optical_tree),
+                 out="optical_tree.json"), _optical_tree, _check_eps_ladder),
     Command("box-cut", "Cutkosky cut of the crossed box vs annihilation sum",
             dict(m=1.0, mu=1e-3, alpha_tilde=1.0,
                  s_grid=[4.1, 5.575, 7.05, 8.525, 10.0], n_samples=10**6,

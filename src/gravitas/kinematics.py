@@ -53,8 +53,14 @@ def on_shell(mass: float, p3: Sequence[float]) -> np.ndarray:
 
 
 def minkowski_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Minkowski inner product over the last axis, signature (-,+,+,+)."""
-    return -a[..., 0] * b[..., 0] + (a[..., 1:] * b[..., 1:]).sum(axis=-1)
+    """Minkowski inner product over the last axis, signature (-,+,+,+).
+
+    A sum of components rather than a reduce over the strided length-3
+    spatial axis, which costs several times more; the additions run in the
+    order that reduce uses, so the two agree to the bit.
+    """
+    return (a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2] + a[..., 3] * b[..., 3]
+            - a[..., 0] * b[..., 0])
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 from .amplitudes import m_3to3_tree, m_graviton_emission, tree_denominators
 from .errors import BelowThresholdError, NoPoleCrossingError, NumericalCheckError
 from .kinematics import (FourVector, KinematicConfig, boost, cm_momentum,
-                         minkowski_dot, on_shell, two_body_batch)
+                         minkowski_dot, on_shell)
 from .params import ModelParams
 
 LHS_TAG = "lhs:im-m3to3-tree/quadrature"
@@ -138,6 +138,18 @@ class OpticalReport:
             raise ValueError("need one nonnegative quadrature error per ladder entry")
 
 
+# half-width of the default bump and of the pole cell, omega* +/- Delta, in
+# units of sqrt(eps * max(m^2, mu^2)) / |slope|
+POLE_CELL_WIDTHS = 10.0
+
+
+def max_smallest_eps(family: TreePoleFamily, params: ModelParams) -> float:
+    """Bound (exclusive) on the smallest ladder epsilon of the default bump:
+    at and above it the pole cell reaches omega <= 0, where no photon is."""
+    omega_star, slope = family.pole()
+    return (omega_star * slope / POLE_CELL_WIDTHS) ** 2 / max(params.m**2, params.mu**2)
+
+
 def optical_tree_check(
     family: TreePoleFamily,
     weight_fn: Callable | None,
@@ -179,7 +191,7 @@ def optical_tree_check(
 
     omega_star, slope = family.pole()
     scale = max(params.m**2, params.mu**2)
-    half = 10.0 * math.sqrt(min(epss) * scale) / slope
+    half = POLE_CELL_WIDTHS * math.sqrt(min(epss) * scale) / slope
     if weight_fn is None:
         weight_fn = bump_weight(omega_star, half)
         support = (omega_star - half, omega_star + half)
@@ -251,20 +263,14 @@ def optical_tree_check(
 # box cut at forward kinematics
 # ---------------------------------------------------------------------------
 
-def _forward_pair(s: float, params: ModelParams,
-                  beta: Sequence[float] | None) -> tuple[np.ndarray, np.ndarray]:
-    """Incoming p1 and the total momentum of the forward pair at this s."""
+def _forward_p1(s: float, params: ModelParams) -> np.ndarray:
+    """Incoming p1 of the forward pair at this s, in the CM frame along +z."""
     m = params.m
     if s < 4.0 * m * m * (1.0 - 1e-12):
         raise BelowThresholdError(f"s={s} below the incoming-pair threshold 4m^2")
     if s <= 4.0 * params.mu**2:
         raise BelowThresholdError(f"s={s} below the two-mediator cut 4mu^2")
-    p = cm_momentum(s, m, m)
-    p1 = np.array([math.sqrt(s) / 2.0, 0.0, 0.0, p])
-    total = FourVector(math.sqrt(s), 0.0, 0.0, 0.0)
-    if beta is not None:
-        p1, total = boost(np.stack([p1, total]), beta)
-    return p1, total
+    return FourVector(math.sqrt(s) / 2.0, 0.0, 0.0, cm_momentum(s, m, m))
 
 
 def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
@@ -280,22 +286,60 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
     p1' = p1, p2' = p2 are constructed internally in the CM frame (optionally
     boosted by ``beta``). Returns (value, standard error). The chunk size is
     fixed so results do not depend on scheduling.
+
+    In the CM frame the squared denominator is (A - B c)^2, with c the
+    cosine of the angle between k1 and p1, A = sqrt(s) E_k - mu^2 and
+    B = 2 p k. The polar angle is importance-sampled from
+
+        pdf(c) = B / (L (A - B c)),   L = ln((A + B)/(A - B)),
+
+    by its closed-form inverse CDF (uniform c at B = 0), and the azimuth is
+    uniform. k1 is built in the CM frame and boosted with the pair by
+    ``beta``; each sample carries the weight
+
+        w = 2 pi k/(4 sqrt(s)) * L (A - B c)/B
+
+    (the measure density over the sampling density) and is evaluated on the
+    full quadratic form (p1 - k1)^2 + m^2. The density is deliberately not
+    the integrand's own (A - B c)^-2, so w times the integrand varies and a
+    wrong density shows as a bias against the closed form 2/(A^2 - B^2).
     """
-    p1, total = _forward_pair(s, params, beta)
+    p1 = _forward_p1(s, params)
+    m, mu = params.m, params.mu
+    kmag = cm_momentum(s, mu, mu)
+    roots = math.sqrt(s)
+    ek = math.hypot(mu, kmag)
+    a = roots * ek - mu * mu
+    b = 2.0 * p1[3] * kmag
+    # inverse CDF c = -1 + ((A+B)/B) (1 - ((A-B)/(A+B))^u), with log1p/expm1
+    # so that B -> 0 degrades to uniform c without cancellation; at B = 0
+    # (s = 4m^2) the density is uniform and L/B = 2/A
+    log_ratio = math.log1p(-2.0 * b / (a + b)) if b > 0.0 else 0.0   # -L
+    l_over_b = -log_ratio / b if b > 0.0 else 2.0 / a
+    measure = 2.0 * math.pi * kmag / (4.0 * roots)
     pref = math.pi**2 * params.alpha_tilde**4
-    floor = 0.5 * (params.m**2 - params.mu**2)
+    floor = 0.5 * (m * m - mu * mu)
+    if beta is not None:
+        p1 = boost(p1, beta)
 
     sums, sqs, count = [], [], 0
     while count < n_samples:
         n = min(chunk_size, n_samples - count)
-        mom, w = two_body_batch(total, params.mu, params.mu, rng, n)
-        diff = p1[None, :] - mom[:, 0, :]
-        den = minkowski_dot(diff, diff) + params.m**2
+        u = rng.random(n)
+        phi = rng.uniform(0.0, 2.0 * math.pi, n)
+        c = -1.0 - ((a + b) / b) * np.expm1(u * log_ratio) if b > 0.0 else 2.0 * u - 1.0
+        st = kmag * np.sqrt(np.maximum(1.0 - c * c, 0.0))
+        k1 = np.stack([np.full(n, ek), st * np.cos(phi), st * np.sin(phi),
+                       kmag * c], axis=1)
+        if beta is not None:
+            k1 = boost(k1, beta)
+        diff = p1 - k1
+        den = minkowski_dot(diff, diff) + m * m
         if float(np.min(den)) < floor:
             raise NumericalCheckError(
                 "squared matter propagator approached its pole; "
                 "forward-limit regularization assumption violated")
-        f = w / den**2
+        f = (measure * l_over_b) * (a - b * c) / den**2
         sums.append(float(np.sum(f)))
         sqs.append(float(np.sum(f * f)))
         count += n
@@ -316,8 +360,8 @@ def annihilation_rhs(s: float, params: ModelParams, n_samples: int,
     azimuth is drawn first, and the squared t-channel matter denominator is
     assembled as -2 p1.k1 - mu^2 instead of the full quadratic form.
     """
-    p1, total = _forward_pair(s, params, beta=None)
-    m, mu = params.m, params.mu
+    p1 = _forward_p1(s, params)
+    mu = params.mu
     kmag = cm_momentum(s, mu, mu)
     roots = math.sqrt(s)
     ek = math.hypot(mu, kmag)

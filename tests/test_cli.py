@@ -252,7 +252,8 @@ def test_odd_n_traj_recorded_as_run(tmp_path):
 
 @pytest.mark.parametrize("seed", [1, 13, 16, 17, 21])
 def test_box_cut_gate_passes_correct_runs(tmp_path, seed):
-    # each of these seeds has a restored ratio 2.07-2.18 sigma from 1
+    # the restored ratio farthest from 1 is 1.80, 2.07, 1.89, 1.45 and 1.75
+    # sigma from it for these seeds, against a bound of z(5) = 3.72
     out = tmp_path / "bc.csv"
     assert main(["box-cut", "--seed", str(seed), "--n-samples", "100000",
                  "--out", str(out)]) == 0
@@ -270,6 +271,30 @@ def test_box_cut_gate_rejects_rhs_off_by_one_percent(tmp_path, monkeypatch):
     out = tmp_path / "bc.csv"
     assert main(["box-cut", "--s-grid", "4.1", "--out", str(out), *SEED]) == 1
     assert _read_manifest(out)["checks"] == {"restored_ratios_within_sidak_z": False}
+
+
+def test_box_cut_gate_rejects_elastic_only_rhs(tmp_path, monkeypatch):
+    # at mu/m = 1e-3 the elastic-only sum is 1e6 to 1e7 times the annihilation sum
+    def elastic(s, params, n_samples, rng, **kwargs):
+        return unitarity.elastic_only_rhs(s, params), 0.0
+
+    monkeypatch.setattr(unitarity, "annihilation_rhs", elastic)
+    out = tmp_path / "bc.csv"
+    assert main(["box-cut", "--out", str(out), *SEED]) == 1
+    assert _read_manifest(out)["checks"] == {"restored_ratios_within_sidak_z": False}
+
+
+@pytest.mark.parametrize("ladder, says", [
+    (["1e-5"], "at least two entries"),
+    (["0.05", "0.01"], "must be below 0.000245129"),
+])
+def test_optical_tree_bad_ladder_exits_2_naming_the_flag(tmp_path, capsys,
+                                                         ladder, says):
+    out = tmp_path / "ot.json"
+    assert main(["optical-tree", "--eps-ladder", *ladder, "--out", str(out)]) == 2
+    assert list(tmp_path.iterdir()) == []
+    err = capsys.readouterr().err
+    assert "--eps-ladder" in err and says in err and "Traceback" not in err
 
 
 def test_phase_space_gate_passes_correct_run(tmp_path):

@@ -26,7 +26,7 @@ RUNS = {
     "box-cut": (
         ["box-cut", "--seed", "7", "--n-samples", "20000",
          "--s-grid", "3.5", "4.1", "6"],
-        "7cdf70b96bc37c0a81eb50b360c731fbe924c68589bd9b4c2b37dfe75870d9c3"),
+        "95b8201da5d5e695db80ad6985eb2df2a10f87600391cd8b74a78124a8f47a15"),
     "entangle-transverse": (
         ["entangle", "--n-grid", "40", "--axis", "transverse"],
         "2b9b975a63c2b5a1a7b8edbd5bcbf6e97f81740d14d2be53f235356935b2f739"),
@@ -44,7 +44,7 @@ RUNS = {
         "2d6adbaa50aa35bc98f3e920c82253959bd7cc2b76cfb5265802642e5be54f06"),
     "self-test": (
         ["self-test", "--seed", "7", "--n-samples", "5000"],
-        "acb81347d2ab751b922f9777ed74db5456093438d0bbac9b94140953a2ef3e02"),
+        "91e8787139f347d1fe5415334e158229a80fa7f53ef79aac62980d8addf75514"),
 }
 
 

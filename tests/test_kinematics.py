@@ -56,6 +56,22 @@ def test_minkowski_dot_batched_matches_rows():
     assert np.array_equal(minkowski_dot(a[0], b), minkowski_dot(np.tile(a[0], (7, 1)), b))
 
 
+def _reduce_dot(a, b):
+    """minkowski_dot as a reduce over the spatial axis, the reference."""
+    return -a[..., 0] * b[..., 0] + (a[..., 1:] * b[..., 1:]).sum(axis=-1)
+
+
+def test_minkowski_dot_bit_identical_to_reduce():
+    rng = stream(5, 0)
+    n, k = 1000, 3
+    rows = rng.normal(size=(n, 4)) * np.exp(rng.uniform(-20, 20, (n, 4)))
+    rows2 = rng.normal(size=(n, 4))
+    stack = rng.normal(size=(k, n, 4))
+    one = rng.normal(size=4)
+    for a, b in ((rows, one), (rows, rows2), (stack, one)):
+        assert minkowski_dot(a, b).tobytes() == _reduce_dot(a, b).tobytes()
+
+
 def test_mandelstam_threshold():
     m = 1.3
     cfg = elastic_cm_config(m, 0.0, 0.5)

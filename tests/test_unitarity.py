@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
@@ -10,7 +11,8 @@ from gravitas.amplitudes import m_3to3_tree
 from gravitas.unitarity import (LHS_TAG, RHS_TAG, OpticalReport,
                                 TreePoleFamily, annihilation_rhs,
                                 box_cut_im_forward, bump_weight, elastic_only_rhs,
-                                optical_tree_check, unitarity_violation_scan)
+                                max_smallest_eps, optical_tree_check,
+                                unitarity_violation_scan)
 
 
 # ---------------------------------------------------------------------------
@@ -104,6 +106,15 @@ def test_optical_tree_user_weight_coarse_ladder_matches_quad(params):
         assert value == pytest.approx(ref, rel=1e-7)
 
 
+def test_max_smallest_eps_is_where_the_pole_cell_reaches_zero(params):
+    fam = TreePoleFamily(params)
+    eps_max = max_smallest_eps(fam, params)
+    rep = optical_tree_check(fam, None, params, eps_ladder=(1e-2, 0.99 * eps_max))
+    assert rep.ratio_restored == pytest.approx(1.0, abs=0.01)
+    with pytest.raises(ValueError, match="photon energy must be positive"):
+        optical_tree_check(fam, None, params, eps_ladder=(1e-2, 1.01 * eps_max))
+
+
 def test_optical_tree_lambda_rescaling_invariance(params):
     rep1 = optical_tree_check(TreePoleFamily(params), None, params)
     doubled = ModelParams(g_newton=params.g_newton, m=params.m, mu=params.mu,
@@ -174,6 +185,58 @@ def test_box_cut_sign_stable(box_params):
     vals = [box_cut_im_forward(s, box_params, 20000, stream(13, i))[0]
             for i, s in enumerate((4.1, 5.5, 7.0, 8.5, 10.0))]
     assert all(v < 0 for v in vals)  # the displayed -pi^2 prefactor, as written
+
+
+def _box_closed_form(s, params):
+    """Forward cut in closed form: int dc (A - B c)^-2 = 2/(A^2 - B^2)."""
+    m, mu = params.m, params.mu
+    p, k = cm_momentum(s, m, m), cm_momentum(s, mu, mu)
+    a = math.sqrt(s) * math.hypot(mu, k) - mu * mu
+    b = 2.0 * p * k
+    return -math.pi**2 * params.alpha_tilde**4 \
+        * 2 * math.pi * k / (4 * math.sqrt(s)) * 2.0 / ((a - b) * (a + b))
+
+
+@pytest.mark.parametrize("s", [4.0, 4.0 * (1.0 + 1e-12)])
+def test_box_cut_threshold_limit(box_params, s):
+    # B = 2pk = 0 exactly at s = 4m^2, where the inverse CDF must reduce to
+    # uniform c rather than 0/0; just above it (B ~ 2e-6) the estimate must
+    # still match the closed form
+    val, err = box_cut_im_forward(s, box_params, 20000, stream(41, 0))
+    ref = _box_closed_form(s, box_params)
+    assert math.isfinite(val) and math.isfinite(err)
+    assert err <= 1e-7 * abs(ref)
+    assert val == pytest.approx(ref, rel=3e-8)
+
+
+def test_box_cut_calibrated_against_closed_form(box_params):
+    # z = (estimate - closed form)/reported error over 200 seeds. For N(0, 1)
+    # draws, |mean z| > 0.3 (4.2 sigma of the mean) has probability 2.2e-5
+    # and a sample SD outside [0.8, 1.2] has 6.7e-5 (chi^2 with 199 dof):
+    # together a false-failure rate below 1e-4. A density that is off by a
+    # few per cent biases the mean; a wrong error bar moves the SD.
+    s, ref = 10.0, _box_closed_form(10.0, box_params)
+    z = []
+    for seed in range(200):
+        val, err = box_cut_im_forward(s, box_params, 20000, stream(43, seed))
+        z.append((val - ref) / err)
+    mean = math.fsum(z) / len(z)
+    sd = math.sqrt(math.fsum((x - mean) ** 2 for x in z) / (len(z) - 1))
+    assert abs(mean) <= 0.3
+    assert 0.8 <= sd <= 1.2
+
+
+def test_box_cut_importance_sampling_cuts_variance(box_params):
+    # per-sample variance against the same estimator with c uniform on [-1, 1]
+    s, n = 10.0, 200000
+    m, mu = box_params.m, box_params.mu
+    p, k = cm_momentum(s, m, m), cm_momentum(s, mu, mu)
+    a = math.sqrt(s) * math.hypot(mu, k) - mu * mu
+    c = stream(47, 1).uniform(-1.0, 1.0, n)
+    uniform = 2.0 * (2 * math.pi * k / (4 * math.sqrt(s))) / (a - 2.0 * p * k * c) ** 2
+    pref = math.pi**2 * box_params.alpha_tilde**4
+    _, err = box_cut_im_forward(s, box_params, n, stream(47, 0))
+    assert float(np.var(uniform)) >= 4.0 * n * (err / pref) ** 2
 
 
 def test_box_cut_boost_invariant(box_params):
