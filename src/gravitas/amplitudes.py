@@ -115,23 +115,6 @@ def m_3to3_tree(cfg: KinematicConfig, params: ModelParams) -> ComplexAmplitude:
     return ComplexAmplitude(value, "tree-6pt")
 
 
-def im_m_3to3_near_pole(cfg: KinematicConfig, params: ModelParams,
-                        delta_width: float) -> float:
-    """Near-pole form of Im M: the mediator delta against real outer factors.
-
-    pi * G m^4 * [lam/d1] * delta_w(ktil^2 + mu^2) * [lam/d3], with the
-    delta realized as a normalized Gaussian of width ``delta_width`` in
-    ktil^2. The factor pi is the weight of the distributional limit
-    Im 1/(x - i eps) -> pi delta(x).
-    """
-    if delta_width <= 0:
-        raise ValueError("delta_width must be positive")
-    d1, d2, d3 = tree_denominators(cfg, params)
-    lam = params.lambda_probe
-    delta = math.exp(-0.5 * (d2 / delta_width) ** 2) / (delta_width * math.sqrt(2.0 * math.pi))
-    return math.pi * params.g_newton * params.m**4 * (lam / d1) * delta * (lam / d3)
-
-
 # ---------------------------------------------------------------------------
 # mediator exchange: spin-2 and spin-0 numerators
 #

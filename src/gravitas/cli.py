@@ -45,8 +45,8 @@ from .estimators import BendingConfig, estimate_record
 from .kinematics import check_invariant_measure_identity, stream
 from .params import ModelParams
 from .semiclassical import FeedbackConfig, compare_channels, run_ensemble
-from .unitarity import (TreePoleFamily, max_smallest_eps, optical_tree_check,
-                        unitarity_violation_scan)
+from .unitarity import (N_STRATA, TreePoleFamily, max_smallest_eps,
+                        optical_tree_check, unitarity_violation_scan)
 
 SCHEMA_VERSION = 1
 
@@ -102,8 +102,8 @@ FLAGS = {
     "gamma": Flag("measurement rate (1/time)", gt=0),
     "horizon": Flag("total evolution time (time units)", gt=0),
     "n_steps": Flag("time steps", type=int, gt=0),
-    "n_traj": Flag("trajectories, rounded up to an even count (antithetic "
-                   "pairs)", type=int, gt=0),
+    "n_traj": Flag("trajectories, rounded up to an even count (pairs with "
+                   "opposite-sign noise)", type=int, gt=0),
     "mass_g": Flag("source mass (grams)", gt=0),
     "impact_um": Flag("impact parameter (micrometers)", gt=0),
     "separation_um": Flag("superposition separation (micrometers)", gt=0),
@@ -204,9 +204,10 @@ def _sidak_z(n: int, alpha: float = GATE_ALPHA) -> float:
 
 def _check_eps_ladder(cfg: dict) -> None:
     ladder = cfg["eps_ladder"]
-    if len(ladder) < 2:
-        raise ConfigError("--eps-ladder needs at least two entries (the LHS is "
-                          f"extrapolated from the two smallest), got {ladder}")
+    if len(ladder) < 2 or len(set(ladder)) < len(ladder):
+        raise ConfigError("--eps-ladder needs at least two entries, all distinct "
+                          "(the LHS is extrapolated from the two smallest), "
+                          f"got {ladder}")
     params = _params(cfg)
     eps_max = max_smallest_eps(TreePoleFamily(params), params)
     if min(ladder) >= eps_max:
@@ -214,6 +215,12 @@ def _check_eps_ladder(cfg: dict) -> None:
             f"--eps-ladder: the smallest entry must be below {eps_max:.6g} at "
             f"these masses, got {min(ladder)}; from there on the pole cell "
             "omega* +/- Delta reaches zero photon energy")
+
+
+def _check_n_samples(cfg: dict) -> None:
+    if cfg["n_samples"] < 2 * N_STRATA:
+        raise ConfigError(f"--n-samples must be at least {2 * N_STRATA}, two per "
+                          f"stratum of the annihilation sum, got {cfg['n_samples']}")
 
 
 def _optical_tree(cfg: dict):
@@ -373,9 +380,7 @@ def _self_test(cfg: dict):
             f"deterministic={rerun and threaded}")
 
 
-FIG1_MODEL = dict(g_newton=10.0, m=1.0, mu=1e-6, d=FIG1_DEFAULTS["d"],
-                  var_x=FIG1_DEFAULTS["var_x"])
-ENSEMBLE = dict(FIG1_MODEL, gamma=1.0, horizon=20.0, n_steps=2000, n_traj=500)
+ENSEMBLE = dict(FIG1_DEFAULTS, gamma=1.0, horizon=20.0, n_steps=2000, n_traj=500)
 
 COMMANDS = (
     Command("optical-tree", "tree-level optical theorem at the mediator pole",
@@ -386,9 +391,9 @@ COMMANDS = (
             dict(m=1.0, mu=1e-3, alpha_tilde=1.0,
                  s_grid=[4.1, 5.575, 7.05, 8.525, 10.0], n_samples=10**6,
                  tolerance=0.0, threads=1, out="box_cut.csv", seed=None),
-            _box_cut),
+            _box_cut, _check_n_samples),
     Command("entangle", "unitary Fig.-1 circuit time series",
-            dict(FIG1_MODEL, delta_t=30.0, n_grid=300, axis="transverse",
+            dict(FIG1_DEFAULTS, delta_t=30.0, n_grid=300, axis="transverse",
                  out="entangle.csv"), _entangle),
     Command("semiclassical", "measurement-feedback ensemble time series",
             dict(ENSEMBLE, axis="separation", out="semiclassical.csv", seed=None),
@@ -404,7 +409,7 @@ COMMANDS = (
                  seed=None), _phase_space_check),
     Command("self-test", "bit-identical rerun and thread-invariance check",
             dict(n_samples=20000, threads=2, out="self_test.json", seed=None),
-            _self_test),
+            _self_test, _check_n_samples),
 )
 
 

@@ -98,11 +98,6 @@ class GaussianState:
         scale = max(float(np.max(np.abs(self.cov))), self.hbar)
         return self.validity_margin() >= -tol * scale
 
-    def is_product(self, tol: float = 1e-12) -> bool:
-        off = self.cov[:2, 2:]
-        scale = max(float(np.max(np.abs(self.cov))), 1e-300)
-        return float(np.max(np.abs(off))) <= tol * scale
-
 
 def product_state(var_x: tuple[float, float], var_p: tuple[float, float],
                   cov_xp: tuple[float, float] = (0.0, 0.0),
@@ -114,11 +109,6 @@ def product_state(var_x: tuple[float, float], var_p: tuple[float, float],
         blk = np.array([[var_x[i], cov_xp[i]], [cov_xp[i], var_p[i]]])
         cov[2 * i:2 * i + 2, 2 * i:2 * i + 2] = blk
     return GaussianState(np.zeros(4) if mean is None else mean, cov, hbar)
-
-
-def ground_state_width(mass: float, omega_ref: float, hbar: float = 1.0) -> float:
-    """Position variance of the ground state of a reference trap."""
-    return hbar / (2.0 * mass * omega_ref)
 
 
 def two_mode_squeezed_cov(r: float, hbar: float = 1.0) -> np.ndarray:
@@ -253,62 +243,18 @@ def log_negativity(state: GaussianState) -> float:
     return max(0.0, -math.log(2.0 * nu_min / state.hbar))
 
 
-@dataclass(frozen=True)
-class Fig1Result:
-    state: GaussianState
-    duan: float
-    log_neg: float
-
-
-def run_fig1_circuit(initial: GaussianState, d: float, delta_t: float,
-                     params: ModelParams,
-                     masses: tuple[float, float] = (1.0, 1.0),
-                     axis: str = "transverse") -> Fig1Result:
-    """Prepare-interact-read-out circuit on a product state.
-
-    The default axis is transverse: there the quadratized interaction is a
-    stable spring, the relative position breathes below its initial width
-    while the total momentum is conserved, and the Duan product can drop
-    below 1. (Along the separation axis the quadratic coupling is inverted
-    and this particular witness never fires, although entanglement is still
-    generated; see log_negativity.)
-    """
-    if not initial.is_product():
-        raise ValueError("initial state must be a product state")
-    h = quadratize_newton(d, params, masses, axis=axis)
-    final = evolve_gaussian(initial, h, delta_t)
-    return Fig1Result(final, duan_witness(final), log_negativity(final))
+# The Fig.-1 demonstration model: two bodies of mass m at separation d, each
+# prepared at position variance var_x, with a coupling strong enough that the
+# relative-mode period is O(50) natural time units
+FIG1_DEFAULTS = dict(g_newton=10.0, m=1.0, mu=1e-6, d=10.0, var_x=9.0)
 
 
 def fig1_default_params() -> ModelParams:
-    """Demonstration coupling: strong enough that the relative-mode period
-    is O(50) natural time units at separation 10."""
-    return ModelParams(g_newton=10.0, m=1.0, mu=1e-6)
-
-
-# two unit masses at separation 10, prepared at the ground-state width of a
-# reference trap omega0 = 1/18 (position variance 9)
-FIG1_DEFAULTS = dict(d=10.0, masses=(1.0, 1.0), var_x=9.0, omega_ref=1.0 / 18.0)
+    return ModelParams(g_newton=FIG1_DEFAULTS["g_newton"], m=FIG1_DEFAULTS["m"],
+                       mu=FIG1_DEFAULTS["mu"])
 
 
 def fig1_default_initial(hbar: float = 1.0) -> GaussianState:
     vx = FIG1_DEFAULTS["var_x"]
     vp = hbar**2 / (4.0 * vx)
     return product_state((vx, vx), (vp, vp), hbar=hbar)
-
-
-def fig1_witness_crossing(t_max: float = 30.0, n_grid: int = 600,
-                          threshold: float = 1.0 - 1e-3) -> tuple[float, float]:
-    """(t*, duan(t*)) where the default circuit first drops below threshold.
-
-    The initial product state sits exactly on the Duan boundary, so the
-    crossing is detected against a threshold slightly below 1.
-    """
-    initial = fig1_default_initial()
-    params = fig1_default_params()
-    for t in np.linspace(0.0, t_max, n_grid + 1)[1:]:
-        res = run_fig1_circuit(initial, FIG1_DEFAULTS["d"], float(t),
-                               params, FIG1_DEFAULTS["masses"])
-        if res.duan < threshold:
-            return float(t), res.duan
-    raise NumericalCheckError("witness never crossed the threshold on the grid")

@@ -27,7 +27,6 @@ from .errors import BelowThresholdError, ConfigShapeError, SuperluminalBoostErro
 
 TOL_ONSHELL = 1e-9
 TOL_CONSERVATION = 1e-10
-TOL_LORENTZ = 1e-10
 
 METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -236,88 +235,15 @@ def two_body_batch(total: np.ndarray, m1: float, m2: float,
     return np.stack([k1, k2], axis=1), w
 
 
-def three_body_batch(total: np.ndarray, masses: Sequence[float],
-                     rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sequential 1->2 splitting, flat in the intermediate invariant mass squared.
-
-    total -> (a, I), then I -> (b, c). Returns momenta (n, 3, 4) ordered
-    (a, b, c) and weights (n,).
-    """
-    ma, mb, mc = (float(m) for m in masses)
-    s = -minkowski_dot(total, total)
-    roots = math.sqrt(s)
-    if roots < (ma + mb + mc) * (1.0 - 1e-12):
-        raise BelowThresholdError(
-            f"sqrt(s)={roots} below three-body threshold {ma + mb + mc}")
-
-    m2_lo = (mb + mc) ** 2
-    m2_hi = (roots - ma) ** 2
-    if m2_hi <= m2_lo:
-        # degenerate: everything at rest in the CM frame
-        beta = total[1:] / total[0]
-        mom = np.empty((n, 3, 4))
-        for i, m in enumerate((ma, mb, mc)):
-            rest = FourVector(m, 0.0, 0.0, 0.0)
-            mom[:, i, :] = boost(rest, beta) if float(beta @ beta) > 0 else rest
-        return mom, np.zeros(n)
-
-    m2 = rng.uniform(m2_lo, m2_hi, n)
-    mI = np.sqrt(m2)
-
-    # split total -> a + I in the total rest frame
-    ka = cm_momentum(s, ma, mI)
-    nhat_a = _uniform_directions(rng, n)
-    pa = np.empty((n, 4))
-    pa[:, 0] = np.hypot(ma, ka)
-    pa[:, 1:] = ka[:, None] * nhat_a
-    pI = np.empty((n, 4))
-    pI[:, 0] = np.hypot(mI, ka)
-    pI[:, 1:] = -ka[:, None] * nhat_a
-
-    # split I -> b + c in the I rest frame, then boost along I's velocity
-    kbc = cm_momentum(m2, mb, mc)
-    nhat_b = _uniform_directions(rng, n)
-    pb = np.empty((n, 4))
-    pb[:, 0] = np.hypot(mb, kbc)
-    pb[:, 1:] = kbc[:, None] * nhat_b
-    pc = np.empty((n, 4))
-    pc[:, 0] = np.hypot(mc, kbc)
-    pc[:, 1:] = -kbc[:, None] * nhat_b
-    beta_I = pI[:, 1:] / pI[:, 0:1]
-    pb = _boost_rows(pb, beta_I)
-    pc = _boost_rows(pc, beta_I)
-
-    mom = np.stack([pa, pb, pc], axis=1)
-    beta = total[1:] / total[0]
-    if float(beta @ beta) > 0:
-        mom = boost(mom, beta)
-
-    # flat-m2 pdf times two uniform spheres against the exact measure density
-    w = (m2_hi - m2_lo) * (4.0 * math.pi) ** 2 \
-        * (ka / (4.0 * roots)) * (kbc / (4.0 * mI))
-    return mom, w
-
-
-def _boost_rows(p: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Boost each row p[i] by its own velocity beta[i]."""
-    b2 = np.sum(beta * beta, axis=1)
-    g = 1.0 / np.sqrt(1.0 - b2)
-    bp = np.sum(beta * p[:, 1:], axis=1)
-    e = g * (p[:, 0] + bp)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        coef = np.where(b2 > 0, (g - 1.0) * bp / np.where(b2 > 0, b2, 1.0), 0.0)
-    p3 = p[:, 1:] + (coef + g * p[:, 0])[:, None] * beta
-    out = np.empty_like(p)
-    out[:, 0] = e
-    out[:, 1:] = p3
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Lorentz-invariant measure identity
 #   int d^3k / ((2 pi)^3 2 E_k) f = int d^4k delta(k^2 + mu^2) Theta(k^0) f
 # checked with a Gaussian-regularized shell delta of width w in k^2
 # ---------------------------------------------------------------------------
+
+# shell widths w of the right-hand side, in units of mu^2
+WIDTH_LADDER = (1e-1, 1e-2, 1e-3)
+
 
 @dataclass(frozen=True)
 class MeasureIdentityReport:
@@ -339,19 +265,16 @@ def check_invariant_measure_identity(
     rng: np.random.Generator,
     n: int,
     kmax: float,
-    width_ladder: Sequence[float] | None = None,
 ) -> MeasureIdentityReport:
     """Estimate both sides of the on-shell measure identity for ``test_fn``.
 
     ``test_fn`` maps an array of four-vectors (n, 4) to values (n,); it must
     be negligible for |k3| > kmax. The left side samples 3-momenta on shell;
     the right side samples 4-momenta with a Gaussian shell of width w in k^2,
-    swept over ``width_ladder`` (default {1e-1, 1e-2, 1e-3} * mu^2) and
-    Richardson-extrapolated linearly in w^2.
+    swept over WIDTH_LADDER * mu^2 and Richardson-extrapolated linearly in
+    w^2.
     """
-    if width_ladder is None:
-        width_ladder = [1e-1 * mu * mu, 1e-2 * mu * mu, 1e-3 * mu * mu]
-    widths = sorted(width_ladder, reverse=True)
+    widths = [w * mu * mu for w in WIDTH_LADDER]
 
     # LHS: k3 uniform in a ball of radius kmax
     u = rng.random(n) ** (1.0 / 3.0)

@@ -71,24 +71,6 @@ class FeedbackConfig:
         raise ValueError(f"axis must be 'separation' or 'transverse', got {self.axis!r}")
 
 
-@dataclass
-class ConditionalState:
-    """Conditional Gaussian of one trajectory; cov stays block-diagonal."""
-
-    mean: np.ndarray
-    cov: np.ndarray
-
-
-@dataclass(frozen=True)
-class ConditionalGaussianTrajectory:
-    times: np.ndarray
-    means: np.ndarray    # (n_times, 4)
-    covs: np.ndarray     # (n_times, 4, 4)
-    records: np.ndarray  # (n_steps, 2) measurement outcomes dy_i
-    noise: np.ndarray    # (n_steps, 2) Wiener increments dW_i
-    seed: tuple[int, int]
-
-
 def _riccati_step_matrix(mass: float, grad: float, k: float, dt: float,
                          hbar: float) -> np.ndarray:
     """exp(dt * [[A, D], [Ctil, -A^T]]) for the per-mass 2x2 Riccati flow
@@ -133,67 +115,11 @@ def _riccati_thetas(cfg: FeedbackConfig, dt: float) -> list[np.ndarray]:
     return [_riccati_step_matrix(m, -spring, cfg.k_meas, dt, cfg.hbar) for m in cfg.masses]
 
 
-def step_trajectory(state: ConditionalState, cfg: FeedbackConfig, dt: float,
-                    dw: tuple[float, float],
-                    thetas: list[np.ndarray] | None = None
-                    ) -> tuple[ConditionalState, np.ndarray]:
-    """One Ito step: Kalman conditioning with increments ``dw``, then the
-    local feedback kick. Returns (new state, measurement record dy).
-
-    ``thetas`` are the Riccati step matrices of ``(cfg, dt)``; a loop over
-    steps passes them in once computed, otherwise they are built here."""
-    _guard_dt(cfg, dt)
-    gain = math.sqrt(8.0 * cfg.k_meas)
-    if thetas is None:
-        thetas = _riccati_thetas(cfg, dt)
-    mean = state.mean.copy()
-    cov = state.cov.copy()
-    dw = np.asarray(dw, dtype=float)
-
-    record = np.array([mean[0] * dt + dw[0] / gain, mean[2] * dt + dw[1] / gain])
-    # innovation with pre-step covariance
-    for i, (ix, ip) in enumerate(((0, 1), (2, 3))):
-        mean[ix] += gain * cov[ix, ix] * dw[i]
-        mean[ip] += gain * cov[ix, ip] * dw[i]
-    # Euler-Maruyama drift + feedback using the post-innovation estimates
-    a, b = _mean_drift(cfg)
-    mean += (a @ mean + b) * dt
-    # exact per-mass Riccati update
-    for i, theta in enumerate(thetas):
-        sl = slice(2 * i, 2 * i + 2)
-        cov[sl, sl] = _riccati_apply(theta, cov[sl, sl])
-    return ConditionalState(mean, cov), record
-
-
 def _guard_dt(cfg: FeedbackConfig, dt: float) -> None:
     if dt <= 0:
         raise StepSizeError("dt must be positive")
     if dt * cfg.gamma > 0.1:
         raise StepSizeError(f"dt*gamma = {dt * cfg.gamma} exceeds the 0.1 accuracy guard")
-
-
-def run_trajectory(cfg: FeedbackConfig, initial: GaussianState, n_steps: int,
-                   dt: float, master_seed: int, index: int = 0,
-                   record_every: int = 1) -> ConditionalGaussianTrajectory:
-    """Integrate one conditional trajectory with its own seeded stream."""
-    rng = stream(master_seed, index)
-    dws = rng.normal(0.0, math.sqrt(dt), size=(n_steps, 2))
-    state = ConditionalState(initial.mean.copy(), initial.cov.copy())
-    thetas = _riccati_thetas(cfg, dt)
-    times = [0.0]
-    means = [state.mean.copy()]
-    covs = [state.cov.copy()]
-    records = np.empty((n_steps, 2))
-    for j in range(n_steps):
-        state, rec = step_trajectory(state, cfg, dt, dws[j], thetas)
-        records[j] = rec
-        if (j + 1) % record_every == 0:
-            times.append((j + 1) * dt)
-            means.append(state.mean.copy())
-            covs.append(state.cov.copy())
-    return ConditionalGaussianTrajectory(
-        np.array(times), np.array(means), np.array(covs), records, dws,
-        (master_seed, index))
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +139,15 @@ class EnsembleResult:
 
 def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
                  n_steps: int, dt: float, master_seed: int,
-                 record_every: int = 10,
-                 antithetic: bool = True) -> EnsembleResult:
+                 record_every: int = 10) -> EnsembleResult:
     """Ensemble statistics of the measurement-feedback model.
 
     The conditional covariance path is deterministic and shared by all
     trajectories; only the means are stochastic, and they follow a linear
     recursion, so the whole ensemble is advanced with one matrix multiply
-    per step. Trajectory j draws its increments from stream
-    (master_seed, j); with ``antithetic`` each even/odd pair shares
-    increments with opposite sign, which cancels the innovation noise in
+    per step. ``n_traj`` must be even: trajectory j < n_traj/2 draws its
+    increments from stream (master_seed, j) and trajectory j + n_traj/2
+    takes them with opposite sign, which cancels the innovation noise in
     ensemble means exactly for this linear model.
 
     Unconditional covariance = shared conditional covariance + sample
@@ -230,17 +155,15 @@ def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
     addition), from which the witnesses are evaluated.
     """
     _guard_dt(cfg, dt)
-    if antithetic and n_traj % 2:
-        raise ValueError("antithetic ensembles need an even n_traj")
+    if n_traj % 2:
+        raise ValueError("n_traj must be even (opposite-sign noise pairs)")
     gain = math.sqrt(8.0 * cfg.k_meas)
     a, b = _mean_drift(cfg)
 
-    n_draw = n_traj // 2 if antithetic else n_traj
-    dws = np.empty((n_draw, n_steps, 2))
-    for j in range(n_draw):
+    dws = np.empty((n_traj // 2, n_steps, 2))
+    for j in range(n_traj // 2):
         dws[j] = stream(master_seed, j).normal(0.0, math.sqrt(dt), size=(n_steps, 2))
-    if antithetic:
-        dws = np.concatenate([dws, -dws], axis=0)
+    dws = np.concatenate([dws, -dws], axis=0)
 
     means = np.broadcast_to(initial.mean, (n_traj, 4)).copy()
     cov_blocks = [initial.cov[0:2, 0:2].copy(), initial.cov[2:4, 2:4].copy()]

@@ -141,6 +141,8 @@ class OpticalReport:
 # half-width of the default bump and of the pole cell, omega* +/- Delta, in
 # units of sqrt(eps * max(m^2, mu^2)) / |slope|
 POLE_CELL_WIDTHS = 10.0
+# Gauss-Legendre nodes per panel of the fine rule; the coarse rule has half
+N_NODES = 512
 
 
 def max_smallest_eps(family: TreePoleFamily, params: ModelParams) -> float:
@@ -155,7 +157,6 @@ def optical_tree_check(
     weight_fn: Callable | None,
     params: ModelParams,
     eps_ladder: Sequence[float] = (1e-2, 1e-3, 1e-4),
-    n_nodes: int = 512,
 ) -> OpticalReport:
     """Integrated Im M against the collapsed emission-state sum.
 
@@ -169,8 +170,9 @@ def optical_tree_check(
     tan(theta), which flattens the Lorentzian; the support outside the cell
     gets plain Gauss-Legendre panels.
     Every node of every rule and epsilon is evaluated in one batched
-    ``family.config`` call. Each ladder entry uses ``n_nodes`` per panel,
-    and |I_n - I_n/2| is its measured quadrature error.
+    ``family.config`` call. Each ladder entry uses ``N_NODES`` per panel,
+    and |I_n - I_n/2| is its measured quadrature error. The ladder needs at
+    least two entries, all distinct.
 
     RHS: pi * (emission amplitude) * (emission amplitude)* * weight at the
     pole / |d(ktil^2)/d omega|, with the pole and the slope in closed form
@@ -180,6 +182,9 @@ def optical_tree_check(
 
     ``weight_fn`` maps omega (a float or an array, elementwise) to weights.
     """
+    if len(eps_ladder) < 2 or len(set(eps_ladder)) < len(eps_ladder):
+        raise ValueError("eps_ladder needs at least two entries, all distinct, "
+                         f"got {eps_ladder}")
     epss = sorted(eps_ladder, reverse=True)
     lo, hi = family.omega_window()
     d_lo = family.ktil2_plus_mu2(lo)
@@ -202,7 +207,7 @@ def optical_tree_check(
 
     # one row of (omega, quadrature weight) per ladder entry: the n-node
     # rule on every panel, then the n/2-node rule
-    rules = [np.polynomial.legendre.leggauss(n) for n in (n_nodes, n_nodes // 2)]
+    rules = [np.polynomial.legendre.leggauss(n) for n in (N_NODES, N_NODES // 2)]
     rows = []
     for eps_rel in epss:
         c = eps_rel * scale / slope
@@ -217,7 +222,7 @@ def optical_tree_check(
     omega, dw = (np.array(z) for z in zip(*rows))
     cfg = family.config(omega)
     f = dw * weight_fn(omega)
-    split = n_nodes * (1 + len(panels))
+    split = N_NODES * (1 + len(panels))
     ladder, quad_err = [], []
     for i, eps_rel in enumerate(epss):
         amp = m_3to3_tree(KinematicConfig(cfg.incoming[i], cfg.outgoing[i], cfg.masses),
@@ -263,6 +268,11 @@ def optical_tree_check(
 # box cut at forward kinematics
 # ---------------------------------------------------------------------------
 
+# samples per array pass of the LHS; fixed so results do not depend on scheduling
+CHUNK_SIZE = 1 << 17
+# polar-angle strata of the annihilation sum
+N_STRATA = 64
+
 def _forward_p1(s: float, params: ModelParams) -> np.ndarray:
     """Incoming p1 of the forward pair at this s, in the CM frame along +z."""
     m = params.m
@@ -275,8 +285,7 @@ def _forward_p1(s: float, params: ModelParams) -> np.ndarray:
 
 def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
                        rng: np.random.Generator,
-                       beta: Sequence[float] | None = None,
-                       chunk_size: int = 1 << 17) -> tuple[float, float]:
+                       beta: Sequence[float] | None = None) -> tuple[float, float]:
     """Monte Carlo estimate of the Cutkosky imaginary part of the crossed box.
 
     Im M = -pi^2 alpha~^4 int d^3k1/(2E1) d^3k2/(2E2)
@@ -284,8 +293,7 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
 
     with the cut legs on shell at the mediator mass mu. Forward kinematics
     p1' = p1, p2' = p2 are constructed internally in the CM frame (optionally
-    boosted by ``beta``). Returns (value, standard error). The chunk size is
-    fixed so results do not depend on scheduling.
+    boosted by ``beta``). Returns (value, standard error).
 
     In the CM frame the squared denominator is (A - B c)^2, with c the
     cosine of the angle between k1 and p1, A = sqrt(s) E_k - mu^2 and
@@ -324,7 +332,7 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
 
     sums, sqs, count = [], [], 0
     while count < n_samples:
-        n = min(chunk_size, n_samples - count)
+        n = min(CHUNK_SIZE, n_samples - count)
         u = rng.random(n)
         phi = rng.uniform(0.0, 2.0 * math.pi, n)
         c = -1.0 - ((a + b) / b) * np.expm1(u * log_ratio) if b > 0.0 else 2.0 * u - 1.0
@@ -351,15 +359,22 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
 
 
 def annihilation_rhs(s: float, params: ModelParams, n_samples: int,
-                     rng: np.random.Generator,
-                     n_strata: int = 64) -> tuple[float, float]:
+                     rng: np.random.Generator) -> tuple[float, float]:
     """Two-mediator annihilation sum on the optical-theorem right-hand side.
 
     Same phase-space measure as :func:`box_cut_im_forward` but estimated by a
     structurally independent route: the polar angle is stratified, the
     azimuth is drawn first, and the squared t-channel matter denominator is
     assembled as -2 p1.k1 - mu^2 instead of the full quadratic form.
+
+    It draws N_STRATA * floor(n_samples / N_STRATA) samples, the same number
+    in each of the N_STRATA equal cells of cos(theta). The standard error
+    sums the per-stratum sample variances, so ``n_samples`` below
+    2 * N_STRATA, which leaves a stratum one sample, raises ValueError.
     """
+    if n_samples < 2 * N_STRATA:
+        raise ValueError(f"n_samples must be at least {2 * N_STRATA} (two per "
+                         f"stratum), got {n_samples}")
     p1 = _forward_p1(s, params)
     mu = params.mu
     kmag = cm_momentum(s, mu, mu)
@@ -367,10 +382,10 @@ def annihilation_rhs(s: float, params: ModelParams, n_samples: int,
     ek = math.hypot(mu, kmag)
     pref = math.pi**2 * params.alpha_tilde**4
 
-    per = max(1, n_samples // n_strata)
-    edges = np.linspace(-1.0, 1.0, n_strata + 1)
+    per = n_samples // N_STRATA
+    edges = np.linspace(-1.0, 1.0, N_STRATA + 1)
     strat_means, strat_vars = [], []
-    for i in range(n_strata):
+    for i in range(N_STRATA):
         phi = rng.uniform(0.0, 2.0 * math.pi, per)
         c = rng.uniform(edges[i], edges[i + 1], per)
         st = np.sqrt(1.0 - c * c)
@@ -380,8 +395,8 @@ def annihilation_rhs(s: float, params: ModelParams, n_samples: int,
         f = 1.0 / den**2
         strat_means.append(float(np.mean(f)))
         strat_vars.append(float(np.var(f) / per))
-    # measure: int dOmega k/(4 sqrt s); each stratum covers dc = 2/n_strata
-    cell = 2.0 * math.pi * (kmag / (4.0 * roots)) * (2.0 / n_strata)
+    # measure: int dOmega k/(4 sqrt s); each stratum covers dc = 2/N_STRATA
+    cell = 2.0 * math.pi * (kmag / (4.0 * roots)) * (2.0 / N_STRATA)
     value = cell * math.fsum(strat_means)
     err = cell * math.sqrt(math.fsum(strat_vars))
     return -pref * value, pref * err

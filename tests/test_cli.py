@@ -205,6 +205,9 @@ def test_entangle_m_is_the_mass_of_both_bodies(tmp_path):
 
 BAD_VALUES = {
     "box-cut-zero-samples": ["box-cut", "--n-samples", "0", *SEED],
+    "box-cut-one-sample-per-stratum": ["box-cut", "--n-samples", "64",
+                                       "--s-grid", "4.1", "10", *SEED],
+    "self-test-one-sample-per-stratum": ["self-test", "--n-samples", "64", *SEED],
     "semiclassical-zero-steps": ["semiclassical", "--n-steps", "0", *SEED],
     "entangle-negative-variance": ["entangle", "--var-x", "-1"],
     "phase-space-zero-samples": ["phase-space-check", "--n-samples", "0", *SEED],
@@ -287,6 +290,7 @@ def test_box_cut_gate_rejects_elastic_only_rhs(tmp_path, monkeypatch):
 @pytest.mark.parametrize("ladder, says", [
     (["1e-5"], "at least two entries"),
     (["0.05", "0.01"], "must be below 0.000245129"),
+    (["1e-4", "1e-4"], "all distinct"),
 ])
 def test_optical_tree_bad_ladder_exits_2_naming_the_flag(tmp_path, capsys,
                                                          ladder, says):

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import chi2
 
-from gravitas import kinematics
 from gravitas.errors import (BelowThresholdError, ConfigShapeError,
                              SuperluminalBoostError)
 from gravitas.kinematics import (FourVector, KinematicConfig, boost,
                                  check_invariant_measure_identity,
                                  cm_momentum, elastic_cm_config, mandelstam,
                                  minkowski_dot, on_shell, stream,
-                                 three_body_batch, two_body_batch)
+                                 two_body_batch)
 from gravitas.params import ModelParams
 from gravitas.unitarity import TreePoleFamily
 
@@ -297,50 +296,6 @@ def test_two_body_angular_uniformity(rng):
     assert stat < chi2.ppf(0.99, df=7)
 
 
-# ---------------------------------------------------------------------------
-# three-body sampling
-# ---------------------------------------------------------------------------
-
-def test_three_body_degenerate_limit(rng):
-    masses = (1.0, 0.8, 0.5)
-    total = FourVector(sum(masses), 0, 0, 0)
-    mom, w = three_body_batch(total, masses, rng, 1)
-    assert np.max(np.abs(mom[0, :, 1:])) < 1e-12
-    assert w[0] == 0.0
-
-
-def test_three_body_conservation(rng):
-    total = boost(FourVector(4.0, 0, 0, 0), (0.1, 0.2, -0.25))
-    mom, _ = three_body_batch(total, (1.0, 0.8, 0.5), rng, 500)
-    tot = mom.sum(axis=1)
-    assert np.max(np.abs(tot - total)) < 1e-12 * total[0]
-
-
-def _dalitz_volume(roots, ma, mb, mc):
-    """Deterministic 2-D Dalitz-plane quadrature of int prod d3k/(2E) delta4."""
-    s = roots * roots
-
-    def bc_extent(m2ab):
-        mab = math.sqrt(m2ab)
-        e2 = (m2ab - ma * ma + mb * mb) / (2 * mab)
-        e3 = (s - m2ab - mc * mc) / (2 * mab)
-        p2 = math.sqrt(max(e2 * e2 - mb * mb, 0.0))
-        p3 = math.sqrt(max(e3 * e3 - mc * mc, 0.0))
-        return ((e2 + e3) ** 2 - (p2 - p3) ** 2) - ((e2 + e3) ** 2 - (p2 + p3) ** 2)
-
-    area, _ = quad(bc_extent, (ma + mb) ** 2, (roots - mc) ** 2, limit=200)
-    return math.pi**2 / (4 * s) * area
-
-
-def test_three_body_volume_vs_dalitz(rng):
-    masses = (1.0, 0.8, 0.5)
-    roots = 4.0
-    oracle = _dalitz_volume(roots, *masses)
-    mom, w = three_body_batch(FourVector(roots, 0, 0, 0), masses, rng, 200000)
-    est, err = w.mean(), w.std() / math.sqrt(len(w))
-    assert abs(est - oracle) <= 3 * err
-
-
 def test_cm_momentum_vectorised_matches_scalar_calls():
     s = np.array([4.0 * (1.0 - 1e-14), 4.0, 9.0, 25.0])
     want = [cm_momentum(float(x), 1.0, 1.0) for x in s]
@@ -350,27 +305,6 @@ def test_cm_momentum_vectorised_matches_scalar_calls():
     assert np.array_equal(cm_momentum(s, 1.0, 1.0), want)
     with pytest.raises(BelowThresholdError):
         cm_momentum(np.array([9.0, 3.0]), 1.0, 1.0)
-
-
-def test_three_body_matches_rowwise_scalar_cm_momentum(monkeypatch):
-    total = boost(FourVector(4.0, 0, 0, 0), (0.1, 0.2, -0.25))
-    masses = (1.0, 0.8, 0.5)
-    fast = three_body_batch(total, masses, stream(5, 0), 2000)
-    scalar = kinematics.cm_momentum
-
-    def rowwise(s, m1, m2):
-        rows = zip(*np.broadcast_arrays(s, m1, m2))
-        return np.array([scalar(float(a), float(b), float(c)) for a, b, c in rows])
-
-    monkeypatch.setattr(kinematics, "cm_momentum", rowwise)
-    slow = three_body_batch(total, masses, stream(5, 0), 2000)
-    assert np.array_equal(fast[0], slow[0])
-    assert np.array_equal(fast[1], slow[1])
-
-
-def test_three_body_below_threshold(rng):
-    with pytest.raises(BelowThresholdError):
-        three_body_batch(FourVector(2.0, 0, 0, 0), (1.0, 0.8, 0.5), rng, 1)
 
 
 # ---------------------------------------------------------------------------

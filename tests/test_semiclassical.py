@@ -7,11 +7,10 @@ from gravitas.entanglement import (GaussianState, evolve_gaussian,
                                    fig1_default_initial, fig1_default_params,
                                    product_state, quadratize_newton)
 from gravitas.errors import StepSizeError
-from gravitas.kinematics import stream
 from gravitas.params import ModelParams
-from gravitas.semiclassical import (ConditionalState, FeedbackConfig,
-                                    compare_channels, run_ensemble,
-                                    run_trajectory, step_trajectory)
+from gravitas.semiclassical import (FeedbackConfig, _riccati_apply,
+                                    _riccati_thetas, compare_channels,
+                                    run_ensemble)
 
 
 def _cfg(gamma=1.0, axis="separation", g_newton=10.0, d=10.0, meas_length=3.0):
@@ -25,74 +24,69 @@ def _initial(vx=9.0):
 
 
 def test_step_size_guard():
-    cfg = _cfg(gamma=5.0)
-    state = ConditionalState(np.zeros(4), _initial().cov.copy())
     with pytest.raises(StepSizeError):
-        step_trajectory(state, cfg, 0.1, (0.0, 0.0))
+        run_ensemble(_cfg(gamma=5.0), _initial(), n_traj=2, n_steps=1, dt=0.1,
+                     master_seed=0)
 
 
 def test_single_step_feedback_momentum_kick():
-    # dW = 0: momenta move by -dV_i/dx_i dt at the current estimates
+    # the pair's opposite-sign innovations cancel in the ensemble mean, which
+    # takes the dW = 0 step: momenta move by -dV_i/dx_i dt at the estimates
     cfg = _cfg()
     lin, spring = cfg.feedback_gains
     mean0 = np.array([0.3, 0.0, -0.2, 0.0])
-    state = ConditionalState(mean0.copy(), _initial().cov.copy())
     dt = 1e-3
-    new, _ = step_trajectory(state, cfg, dt, (0.0, 0.0))
+    ens = run_ensemble(cfg, GaussianState(mean0, _initial().cov), n_traj=2,
+                       n_steps=1, dt=dt, master_seed=1, record_every=1)
     f1 = -lin - spring * (mean0[0] - mean0[2])
     f2 = lin + spring * (mean0[0] - mean0[2])
-    assert new.mean[1] == pytest.approx(f1 * dt, rel=1e-12)
-    assert new.mean[3] == pytest.approx(f2 * dt, rel=1e-12)
+    assert ens.mean_means[1, 1] == pytest.approx(f1 * dt, rel=1e-12)
+    assert ens.mean_means[1, 3] == pytest.approx(f2 * dt, rel=1e-12)
 
 
 def test_weak_measurement_free_covariance_closed_form():
-    # gamma -> 0, G -> 0: covariance follows ballistic spreading
+    # gamma -> 0, G -> 0: covariance follows ballistic spreading; the spread
+    # of the pair's means is O(gamma) and stays below the tolerance
     cfg = _cfg(gamma=1e-12, g_newton=1e-300)
-    state = ConditionalState(np.zeros(4), _initial(1.0).cov.copy())
     dt, n = 0.01, 500
-    for _ in range(n):
-        state, _ = step_trajectory(state, cfg, dt, (0.0, 0.0))
+    ens = run_ensemble(cfg, _initial(1.0), n_traj=2, n_steps=n, dt=dt,
+                       master_seed=2, record_every=n)
+    cov = ens.cov_unconditional[-1]
     t = dt * n
     vx0, vp0 = 1.0, 0.25
-    assert state.cov[0, 0] == pytest.approx(vx0 + t * t * vp0, rel=1e-6)
-    assert state.cov[1, 1] == pytest.approx(vp0, rel=1e-6)
+    assert cov[0, 0] == pytest.approx(vx0 + t * t * vp0, rel=1e-6)
+    assert cov[1, 1] == pytest.approx(vp0, rel=1e-6)
 
 
 def test_ito_consistency_of_noise():
-    traj = run_trajectory(_cfg(), _initial(), n_steps=4000, dt=0.005,
-                          master_seed=42)
-    var = np.var(traj.noise, axis=0) / 0.005
-    bound = 5.0 / math.sqrt(4000)
-    assert np.all(np.abs(var - 1.0) < bound)
-
-
-def test_records_follow_means():
-    traj = run_trajectory(_cfg(), _initial(), n_steps=50, dt=0.01,
-                          master_seed=7, record_every=1)
-    gain = math.sqrt(8.0 * _cfg().k_meas)
-    # dy - dW/gain = <x> dt, within roundoff
-    lhs = traj.records[0] - traj.noise[0] / gain
-    assert lhs == pytest.approx([0.0, 0.0], abs=1e-15)
-
-
-def test_trajectory_matches_unshared_steps():
-    # run_trajectory builds the Riccati step matrices once; stepping with
-    # step_trajectory's own per-call matrices gives the same bits
-    cfg, dt = _cfg(), 0.01
-    traj = run_trajectory(cfg, _initial(), n_steps=30, dt=dt, master_seed=5)
-    state = ConditionalState(_initial().mean.copy(), _initial().cov.copy())
-    for j in range(30):
-        state, rec = step_trajectory(state, cfg, dt, traj.noise[j])
-        assert np.array_equal(rec, traj.records[j])
-        assert np.array_equal(state.cov, traj.covs[j + 1])
-        assert np.array_equal(state.mean, traj.means[j + 1])
+    # measurement alone moves position variance from the conditional state
+    # into the spread of the means without changing their sum, exactly when
+    # the increments have variance dt; so the unconditional Var(x) of free
+    # masses follows the unmeasured spreading plus the backaction heating,
+    # vx0 + vp0 t^2 + (2/3) hbar^2 k t^3 (unit masses)
+    cfg = _cfg(g_newton=1e-300)
+    n_traj, n_steps, dt = 2000, 400, 0.005
+    ens = run_ensemble(cfg, _initial(), n_traj, n_steps, dt, master_seed=42,
+                       record_every=n_steps)
+    t, vx0, vp0 = n_steps * dt, 9.0, 0.25 / 9.0
+    want = vx0 + vp0 * t * t + 2.0 / 3.0 * cfg.k_meas * t**3
+    bound = 5.0 * math.sqrt(2.0 / (n_traj // 2))  # relative sigma of the spread
+    for i in (0, 2):
+        assert abs(ens.cov_unconditional[-1, i, i] / want - 1.0) < bound
 
 
 def test_conditional_cov_stays_block_diagonal():
-    traj = run_trajectory(_cfg(), _initial(), n_steps=200, dt=0.01,
-                          master_seed=3, record_every=50)
-    for cov in traj.covs:
-        assert np.max(np.abs(cov[:2, 2:])) == 0.0
+    # local measurement and feedback never correlate the conditional
+    # covariances of the two masses; with the measurement nearly off the
+    # means do not spread, so the unconditional covariance is the conditional
+    # one, while the unitary channel correlates the masses at this coupling
+    cfg = _cfg(gamma=1e-20)
+    ens = run_ensemble(cfg, _initial(), n_traj=2, n_steps=200, dt=0.01,
+                       master_seed=3, record_every=50)
+    h = quadratize_newton(cfg.d, cfg.params, cfg.masses, axis=cfg.axis)
+    assert np.max(np.abs(evolve_gaussian(_initial(), h, 2.0).cov[:2, 2:])) > 1e-2
+    for cov in ens.cov_unconditional:
+        assert np.max(np.abs(cov[:2, 2:])) < 1e-12
 
 
 def test_ensemble_no_entanglement_and_duan():
@@ -161,13 +155,13 @@ def test_conditional_cov_steady_state_independent_of_initial_width():
     # localization rate must beat 1.4/gamma for 1e-6 by t = 10/gamma;
     # meas_length 0.6 puts the steady width near that scale
     cfg = _cfg(gamma=1.0, g_newton=1e-300, meas_length=0.6)
-    wide = ConditionalState(np.zeros(4), _initial(9.0).cov.copy())
-    narrow = ConditionalState(np.zeros(4), _initial(0.25).cov.copy())
     dt, t_end = 0.01, 10.0 / cfg.gamma
+    theta = _riccati_thetas(cfg, dt)[0]
+    wide, narrow = _initial(9.0).cov[:2, :2], _initial(0.25).cov[:2, :2]
     for _ in range(int(t_end / dt)):
-        wide, _ = step_trajectory(wide, cfg, dt, (0.0, 0.0))
-        narrow, _ = step_trajectory(narrow, cfg, dt, (0.0, 0.0))
-    diff = np.max(np.abs(wide.cov - narrow.cov)) / np.max(np.abs(wide.cov))
+        wide = _riccati_apply(theta, wide)
+        narrow = _riccati_apply(theta, narrow)
+    diff = np.max(np.abs(wide - narrow)) / np.max(np.abs(wide))
     assert diff < 1e-6
 
 

@@ -132,6 +132,17 @@ def test_optical_tree_no_crossing_raises(params):
         optical_tree_check(TreePoleFamily(params, q_out=0.0), None, params)
 
 
+def test_optical_tree_rejects_bad_ladder_before_any_config(params, monkeypatch):
+    def never(self, omega):
+        raise AssertionError("built a configuration before checking the ladder")
+
+    monkeypatch.setattr(TreePoleFamily, "config", never)
+    for ladder in ((1e-5,), (1e-5, 1e-4, 1e-4)):
+        with pytest.raises(ValueError, match="at least two entries, all distinct"):
+            optical_tree_check(TreePoleFamily(params), None, params,
+                               eps_ladder=ladder)
+
+
 def test_optical_report_invariants(params):
     rep = optical_tree_check(TreePoleFamily(params), None, params)
     assert len(rep.lhs_quadrature_error) == len(rep.eps_ladder)
@@ -256,6 +267,13 @@ def test_annihilation_matches_box(box_params):
         v1, e1 = box_cut_im_forward(s, box_params, 400000, stream(19, 2 * i))
         v2, e2 = annihilation_rhs(s, box_params, 400000, stream(19, 2 * i + 1))
         assert abs(v1 - v2) <= 2 * math.hypot(e1, e2)
+
+
+def test_annihilation_rhs_needs_two_samples_per_stratum(box_params, rng):
+    # one sample in a stratum has no sample variance: the error would read 0
+    with pytest.raises(ValueError, match="at least 128"):
+        annihilation_rhs(4.1, box_params, 127, rng)
+    assert annihilation_rhs(4.1, box_params, 128, rng)[1] > 0.0
 
 
 def test_elastic_only_mismatch_near_threshold(box_params, rng):
