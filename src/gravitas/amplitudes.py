@@ -21,6 +21,8 @@ from .errors import ConfigShapeError, PoleError, SpectatorMismatchError
 from .kinematics import METRIC, KinematicConfig, minkowski_dot
 from .params import ModelParams
 
+SPECTATOR_TOL = 1e-9  # relative, on equal spectator momenta in emission
+
 
 @dataclass(frozen=True)
 class ComplexAmplitude:
@@ -284,8 +286,7 @@ class EmissionAmplitude:
         return self.connected
 
 
-def m_graviton_emission(cfg: KinematicConfig, params: ModelParams,
-                        spectator_tol: float = 1e-9) -> EmissionAmplitude:
+def m_graviton_emission(cfg: KinematicConfig, params: ModelParams) -> EmissionAmplitude:
     """Emission of a mediator quantum off the probe-struck mass.
 
     Legs (k, p1, p2) -> (kg, p1', p2'), kg the radiated quantum of mass mu.
@@ -305,6 +306,6 @@ def m_graviton_emission(cfg: KinematicConfig, params: ModelParams,
     connected = (math.sqrt(params.g_newton) * params.m**2 * params.lambda_probe
                  * feynman_propagator(d1, params.eps_abs))
     e2 = float(p2[0])
-    support = bool(np.max(np.abs(p2 - p2p)) <= spectator_tol * max(abs(e2), 1.0))
+    support = bool(np.max(np.abs(p2 - p2p)) <= SPECTATOR_TOL * max(abs(e2), 1.0))
     norm = 2.0 * e2 * (2.0 * math.pi) ** 3
     return EmissionAmplitude(connected, norm, support)

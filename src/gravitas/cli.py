@@ -13,10 +13,11 @@ for a header and rows) and a manifest next to it with the resolved
 configuration, the checks and the wall time.
 
 Exit codes: 0 when every check passes; 1 when a check fails (data and
-manifest are still written) or a numerical self-check stops the
-computation (``NumericalCheckError``, one line on stderr, nothing written);
-2 on a configuration error (bad flag, value, config file or seed), before
-any file is written.
+manifest are still written) or an ``ArithmeticError`` stops the computation
+(a ``NumericalCheckError``, or an overflow, division by zero or invalid
+operation, which numpy raises under the command's ``np.errstate``; one line
+on stderr, nothing written); 2 on a configuration error (bad flag, value,
+config file or seed), before any file is written.
 """
 
 from __future__ import annotations
@@ -37,10 +38,10 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .entanglement import (FIG1_DEFAULTS, duan_witness, evolve_gaussian_grid,
-                           fig1_default_initial, fig1_default_params,
-                           log_negativity, product_state, quadratize_newton)
-from .errors import GravitasError, NumericalCheckError
+from .entanglement import (FIG1_DEFAULTS, duan_variances, duan_witness,
+                           evolve_gaussian_grid, log_negativity, product_state,
+                           quadratize_newton)
+from .errors import GravitasError
 from .estimators import BendingConfig, estimate_record
 from .kinematics import check_invariant_measure_identity, stream
 from .params import ModelParams
@@ -148,7 +149,7 @@ def _from_file(key: str, value):
     f = FLAGS[key]
     try:
         return [f.type(v) for v in value] if f.nargs else f.type(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
         raise ConfigError(f"config value {key}={value!r}: {exc}") from exc
 
 
@@ -165,6 +166,9 @@ def _resolve(cmd: Command, args: argparse.Namespace) -> dict:
         if value is None:
             continue
         values = value if isinstance(value, list) else [value]
+        # nan and +/-inf pass every bound below: nan <= gt is False
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ConfigError(f"{key} must be finite, got {value}")
         if f.gt is not None and any(v <= f.gt for v in values):
             raise ConfigError(f"{key} must be > {f.gt}, got {value}")
         if f.ge is not None and any(v < f.ge for v in values):
@@ -261,12 +265,9 @@ def _entangle(cfg: dict):
     initial = _initial(cfg)
     h = quadratize_newton(cfg["d"], _params(cfg), (cfg["m"], cfg["m"]),
                           axis=cfg["axis"])
-    xm = np.array([1.0, 0.0, -1.0, 0.0])
-    pp = np.array([0.0, 1.0, 0.0, 1.0])
     states = evolve_gaussian_grid(initial, h, cfg["delta_t"] / cfg["n_grid"],
                                   cfg["n_grid"])
-    rows = [[float(t), duan_witness(st), log_negativity(st),
-             float(xm @ st.cov @ xm), float(pp @ st.cov @ pp)]
+    rows = [[float(t), duan_witness(st), log_negativity(st), *duan_variances(st)]
             for t, st in zip(np.linspace(0.0, cfg["delta_t"], cfg["n_grid"] + 1),
                              states)]
     return ((["t", "duan", "E_N", "var_xminus", "var_pplus"], rows),
@@ -360,13 +361,12 @@ def _phase_space_check(cfg: dict):
 def _self_test(cfg: dict):
     """Determinism check: identical seeds must give bit-identical outputs."""
     params = ModelParams(mu=1e-3)
+    fb, initial = _feedback(dict(ENSEMBLE)), _initial(ENSEMBLE)
 
     def digest(threads: int) -> str:
         rows = unitarity_violation_scan(params, [4.1, 6.0], cfg["n_samples"],
                                         cfg["seed"], n_threads=threads)
-        fb = FeedbackConfig(1.0, 10.0, (1.0, 1.0), fig1_default_params(),
-                            meas_length=3.0)
-        ens = run_ensemble(fb, fig1_default_initial(), 16, 50, 0.01, cfg["seed"])
+        ens = run_ensemble(fb, initial, 16, 50, 0.01, cfg["seed"])
         blob = json.dumps([[r.s, r.lhs, r.rhs_restored] for r in rows]).encode()
         blob += ens.mean_means.tobytes() + ens.cov_unconditional.tobytes()
         return hashlib.sha256(blob).hexdigest()
@@ -489,9 +489,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _execute(args.cmd, args)
-    except NumericalCheckError as exc:
-        print(f"{args.cmd.name}: numerical check failed: {exc}", file=sys.stderr)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _execute(args.cmd, args)
+    except ArithmeticError as exc:
+        print(f"{args.cmd.name}: numerical failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_CHECK_FAILED
     except (GravitasError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -10,8 +10,8 @@ applies it repeatedly; :func:`evolve_gaussian` is its one-step case. The
 matrix exponential is the numpy Pade-13 scaling-and-squaring :func:`expm`.
 
 The entanglement witnesses are the product form of the Duan inequality,
-Var(x1 - x2) Var(p1 + p2) >= hbar^2 for separable states, and the Gaussian
-logarithmic negativity (natural-log convention).
+Var(x1 - x2) Var(p1 + p2) >= 1 for separable states, and the Gaussian
+logarithmic negativity (natural-log convention); hbar = 1.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ class GaussianState:
 
     mean: np.ndarray
     cov: np.ndarray
-    hbar: float = 1.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
@@ -90,44 +89,36 @@ class GaussianState:
             raise ValueError("covariance must be symmetric")
 
     def validity_margin(self) -> float:
-        """Min eigenvalue of cov + i hbar Omega / 2; >= -tol for a bona fide state."""
-        herm = self.cov + 0.5j * self.hbar * OMEGA
-        return float(np.min(np.linalg.eigvalsh(herm)))
+        """Min eigenvalue of cov + i Omega / 2; >= -TOL_VALIDITY for a bona
+        fide state."""
+        return float(np.min(np.linalg.eigvalsh(self.cov + 0.5j * OMEGA)))
 
-    def is_valid(self, tol: float = TOL_VALIDITY) -> bool:
-        scale = max(float(np.max(np.abs(self.cov))), self.hbar)
-        return self.validity_margin() >= -tol * scale
-
-
-def product_state(var_x: tuple[float, float], var_p: tuple[float, float],
-                  cov_xp: tuple[float, float] = (0.0, 0.0),
-                  mean: np.ndarray | None = None,
-                  hbar: float = 1.0) -> GaussianState:
-    """Product Gaussian from per-mass second moments."""
-    cov = np.zeros((4, 4))
-    for i in range(2):
-        blk = np.array([[var_x[i], cov_xp[i]], [cov_xp[i], var_p[i]]])
-        cov[2 * i:2 * i + 2, 2 * i:2 * i + 2] = blk
-    return GaussianState(np.zeros(4) if mean is None else mean, cov, hbar)
+    def is_valid(self) -> bool:
+        scale = max(float(np.max(np.abs(self.cov))), 1.0)
+        return self.validity_margin() >= -TOL_VALIDITY * scale
 
 
-def two_mode_squeezed_cov(r: float, hbar: float = 1.0) -> np.ndarray:
-    """Standard two-mode squeezed covariance (vacuum variance hbar/2)."""
+def product_state(var_x: tuple[float, float],
+                  var_p: tuple[float, float]) -> GaussianState:
+    """Product Gaussian at zero mean from per-mass variances."""
+    return GaussianState(np.zeros(4), np.diag([var_x[0], var_p[0], var_x[1], var_p[1]]))
+
+
+def two_mode_squeezed_cov(r: float) -> np.ndarray:
+    """Standard two-mode squeezed covariance (vacuum variance 1/2)."""
     c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    half = 0.5 * hbar
-    return half * np.array([[c, 0, s, 0],
-                            [0, c, 0, -s],
-                            [s, 0, c, 0],
-                            [0, -s, 0, c]])
+    return 0.5 * np.array([[c, 0, s, 0],
+                           [0, c, 0, -s],
+                           [s, 0, c, 0],
+                           [0, -s, 0, c]])
 
 
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
-    """H = z^T hmat z / 2 + linear . z + constant."""
+    """H = z^T hmat z / 2 + linear . z (up to a constant)."""
 
     hmat: np.ndarray
     linear: np.ndarray
-    constant: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hmat", np.asarray(self.hmat, dtype=float))
@@ -165,10 +156,11 @@ def quadratize_newton(d: float, params: ModelParams,
     axis="transverse": displacements perpendicular to the line of centers.
     The effective spring is V'(d)/d > 0 (stable), with no linear force by
     symmetry. This is the configuration whose relative-coordinate breathing
-    pushes Var(x-) below its initial value.
+    pushes Var(x-) below its initial value. The feedback channel of
+    :mod:`gravitas.semiclassical` takes its mean drift from it too.
     """
     m1, m2 = masses
-    v, vp, vpp = yukawa_derivatives(d, params.g_newton, params.mu, m1, m2)
+    _, vp, vpp = yukawa_derivatives(d, params.g_newton, params.mu, m1, m2)
     if axis == "separation":
         spring, linear_coeff = vpp, vp
     elif axis == "transverse":
@@ -183,7 +175,7 @@ def quadratize_newton(d: float, params: ModelParams,
     h[2, 2] += spring
     h[0, 2] = h[2, 0] = -spring
     lin = np.array([linear_coeff, 0.0, -linear_coeff, 0.0])
-    return QuadraticHamiltonian(h, lin, v)
+    return QuadraticHamiltonian(h, lin)
 
 
 def symplectic_propagator(h: QuadraticHamiltonian, t: float) -> tuple[np.ndarray, np.ndarray]:
@@ -215,7 +207,7 @@ def evolve_gaussian_grid(state: GaussianState, h: QuadraticHamiltonian,
         resid = float(np.abs(s.T @ OMEGA @ s - OMEGA).max())
         if resid > TOL_SYMPLECTIC * max(1.0, float(np.abs(s).max()) ** 2):
             raise NumericalCheckError("propagator lost symplecticity; reduce t or rescale")
-        states.append(GaussianState(s @ state.mean + drift, s @ state.cov @ s.T, state.hbar))
+        states.append(GaussianState(s @ state.mean + drift, s @ state.cov @ s.T))
     return states
 
 
@@ -225,36 +217,30 @@ def evolve_gaussian(state: GaussianState, h: QuadraticHamiltonian,
     return evolve_gaussian_grid(state, h, t, 1)[-1]
 
 
+def duan_variances(state: GaussianState) -> tuple[float, float]:
+    """(Var(x1 - x2), Var(p1 + p2)), the Duan quadratures."""
+    xm, pp = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0])
+    return float(xm @ state.cov @ xm), float(pp @ state.cov @ pp)
+
+
 def duan_witness(state: GaussianState) -> float:
-    """Var(x1 - x2) Var(p1 + p2) / hbar^2; below 1 witnesses entanglement."""
-    xm = np.array([1.0, 0.0, -1.0, 0.0])
-    pp = np.array([0.0, 1.0, 0.0, 1.0])
-    return float((xm @ state.cov @ xm) * (pp @ state.cov @ pp)) / state.hbar**2
+    """Var(x1 - x2) Var(p1 + p2); below 1 witnesses entanglement."""
+    var_xminus, var_pplus = duan_variances(state)
+    return var_xminus * var_pplus
 
 
 def log_negativity(state: GaussianState) -> float:
-    """Gaussian E_N = max(0, -ln(2 nu_-/hbar)), nu_- the smaller symplectic
+    """Gaussian E_N = max(0, -ln(2 nu_-)), nu_- the smaller symplectic
     eigenvalue of the partially transposed covariance. Divide by ln 2 for
     the log2 convention."""
     pt = np.diag([1.0, 1.0, 1.0, -1.0])
     cov_pt = pt @ state.cov @ pt
     nus = np.abs(np.linalg.eigvals(1j * OMEGA @ cov_pt))
     nu_min = float(np.min(nus))
-    return max(0.0, -math.log(2.0 * nu_min / state.hbar))
+    return max(0.0, -math.log(2.0 * nu_min))
 
 
 # The Fig.-1 demonstration model: two bodies of mass m at separation d, each
 # prepared at position variance var_x, with a coupling strong enough that the
 # relative-mode period is O(50) natural time units
 FIG1_DEFAULTS = dict(g_newton=10.0, m=1.0, mu=1e-6, d=10.0, var_x=9.0)
-
-
-def fig1_default_params() -> ModelParams:
-    return ModelParams(g_newton=FIG1_DEFAULTS["g_newton"], m=FIG1_DEFAULTS["m"],
-                       mu=FIG1_DEFAULTS["mu"])
-
-
-def fig1_default_initial(hbar: float = 1.0) -> GaussianState:
-    vx = FIG1_DEFAULTS["var_x"]
-    vp = hbar**2 / (4.0 * vx)
-    return product_state((vx, vx), (vp, vp), hbar=hbar)

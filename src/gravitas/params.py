@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+POLE_GUARD_REL = 1e-12  # pole_guard in units of max(m^2, mu^2)
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -29,7 +31,6 @@ class ModelParams:
     lambda_probe: float = 1.0
     alpha_tilde: float = 1.0
     eps_rel: float = 1e-6
-    pole_guard_rel: float = 1e-12
 
     def __post_init__(self) -> None:
         if self.g_newton <= 0:
@@ -51,4 +52,4 @@ class ModelParams:
     @property
     def pole_guard(self) -> float:
         """Distance from a pole below which evaluation raises PoleError."""
-        return self.pole_guard_rel * max(self.m**2, self.mu**2)
+        return POLE_GUARD_REL * max(self.m**2, self.mu**2)

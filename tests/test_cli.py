@@ -215,6 +215,11 @@ BAD_VALUES = {
     "box-cut-negative-threads": ["box-cut", "--threads", "-3", *SEED],
     "self-test-zero-threads": ["self-test", "--threads", "0", *SEED],
     "entangle-negative-delta-t": ["entangle", "--delta-t", "-30"],
+    # nan and +/-inf pass every bound (nan <= 0 is False) unless rejected
+    "deflection-nan-mass": ["deflection", "--mass-g", "nan"],
+    "box-cut-nan-tolerance": ["box-cut", "--tolerance", "nan", *SEED],
+    "box-cut-minus-inf-alpha-tilde": ["box-cut", "--alpha-tilde=-inf", *SEED],
+    "entangle-inf-separation": ["entangle", "--d", "inf"],
 }
 
 
@@ -234,14 +239,23 @@ def test_out_into_missing_directory_exits_2_before_running(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("value", [0, "many"])
-def test_bad_config_file_value_exits_2(tmp_path, value):
+@pytest.mark.parametrize("key, value", [
+    pytest.param("n_samples", 0, id="0"),
+    pytest.param("n_samples", "many", id="many"),
+    # json.dumps writes NaN, Infinity and -Infinity, which json.loads reads back
+    pytest.param("n_samples", math.inf, id="n_samples-Infinity"),
+    pytest.param("tolerance", math.nan, id="tolerance-NaN"),
+    pytest.param("alpha_tilde", -math.inf, id="alpha_tilde--Infinity"),
+    pytest.param("s_grid", [4.1, math.nan], id="s_grid-NaN-entry"),
+])
+def test_bad_config_file_value_exits_2(tmp_path, capsys, key, value):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"box-cut": {"n_samples": value}}),
-                       encoding="utf-8")
+    cfgfile.write_text(json.dumps({"box-cut": {key: value}}), encoding="utf-8")
     out = tmp_path / "bc.csv"
     assert main(["box-cut", "--config", str(cfgfile), "--out", str(out), *SEED]) == 2
     assert not out.exists()
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
 
 
 def test_odd_n_traj_recorded_as_run(tmp_path):
@@ -325,6 +339,32 @@ def test_numerical_check_failure_exits_1_without_traceback(tmp_path, monkeypatch
     assert not out.exists()
 
 
+# inputs whose arithmetic overflows or divides by zero part-way through a run
+ARITHMETIC_FAILURES = {
+    "box-cut-huge-coupling": ["box-cut", "--alpha-tilde", "1e100", "--n-samples",
+                              "128", "--s-grid", "4.1", *SEED],
+    "phase-space-huge-mass": ["phase-space-check", "--mu", "1e200",
+                              "--n-samples", "100", *SEED],
+    "deflection-subnormal-mass": ["deflection", "--mass-g", "1e-320"],
+    "entangle-tiny-separation": ["entangle", "--d", "1e-300"],
+    "entangle-huge-coupling": ["entangle", "--g-newton", "1e300", "--n-grid", "2"],
+    "semiclassical-huge-coupling": ["semiclassical", "--g-newton", "1e300",
+                                    "--n-traj", "2", "--n-steps", "20",
+                                    "--horizon", "2", *SEED],
+    "optical-tree-huge-coupling": ["optical-tree", "--g-newton", "1e308"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARITHMETIC_FAILURES))
+def test_arithmetic_failure_exits_1_without_traceback(tmp_path, capsys, case):
+    out = tmp_path / "x.out"
+    assert main([*ARITHMETIC_FAILURES[case], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure" in err and "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(gravitas.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -334,6 +374,38 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout.strip() == "[]"
+
+
+# every settable value of each subcommand, --config included: adding or
+# removing a flag means editing this table
+SETTABLE = {
+    "optical-tree": "--config --g-newton --m --mu --lambda --eps-ladder "
+                    "--tolerance --out",
+    "box-cut": "--config --m --mu --alpha-tilde --s-grid --n-samples "
+               "--tolerance --threads --out --seed",
+    "entangle": "--config --g-newton --m --mu --d --var-x --delta-t --n-grid "
+                "--axis --out",
+    "semiclassical": "--config --g-newton --m --mu --d --var-x --gamma "
+                     "--horizon --n-steps --n-traj --axis --out --seed",
+    "compare": "--config --g-newton --m --mu --d --var-x --gamma --horizon "
+               "--n-steps --n-traj --out --seed",
+    "deflection": "--config --mass-g --impact-um --separation-um "
+                  "--wavelength-nm --cavity-m --target-time-s "
+                  "--t-integration-s --out",
+    "phase-space-check": "--config --mu --n-samples --kmax --out --seed",
+    "self-test": "--config --n-samples --threads --out --seed",
+}
+
+
+def test_settable_values_per_subcommand():
+    ap = build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: sorted(opt for action in parser._actions
+                        for opt in action.option_strings
+                        if opt not in ("-h", "--help"))
+           for name, parser in sub.choices.items()}
+    assert got == {name: sorted(flags.split()) for name, flags in SETTABLE.items()}
+    assert sum(len(flags) for flags in got.values()) == 73
 
 
 def test_every_option_has_help():

@@ -9,8 +9,7 @@ from scipy.linalg import expm as scipy_expm
 from gravitas.entanglement import (FIG1_DEFAULTS, OMEGA, GaussianState,
                                    QuadraticHamiltonian, duan_witness,
                                    evolve_gaussian, evolve_gaussian_grid,
-                                   expm, fig1_default_initial,
-                                   fig1_default_params, log_negativity,
+                                   expm, log_negativity,
                                    product_state, quadratize_newton,
                                    symplectic_propagator,
                                    two_mode_squeezed_cov, yukawa_derivatives)
@@ -23,9 +22,18 @@ def _minimal_product(vx):
     return product_state((vx, vx), (0.25 / vx, 0.25 / vx))
 
 
+def _initial():
+    return _minimal_product(FIG1_DEFAULTS["var_x"])
+
+
+def _fig1_params():
+    return ModelParams(g_newton=FIG1_DEFAULTS["g_newton"], m=FIG1_DEFAULTS["m"],
+                       mu=FIG1_DEFAULTS["mu"])
+
+
 def _fig1_hamiltonian(params=None, axis="transverse"):
     m = FIG1_DEFAULTS["m"]
-    return quadratize_newton(FIG1_DEFAULTS["d"], params or fig1_default_params(),
+    return quadratize_newton(FIG1_DEFAULTS["d"], params or _fig1_params(),
                              (m, m), axis=axis)
 
 
@@ -82,7 +90,7 @@ def test_quadratize_rejects_nonpositive_separation():
 
 
 def test_transverse_spring_is_stable():
-    pars = fig1_default_params()
+    pars = _fig1_params()
     h = quadratize_newton(10.0, pars, (1.0, 1.0), axis="transverse")
     assert h.hmat[0, 0] > 0          # stable spring
     assert h.linear[0] == 0.0        # no transverse mean force
@@ -122,7 +130,7 @@ def test_expm_of_zero_is_exactly_identity():
 
 def test_grid_matches_per_point_scipy_route():
     h = _fig1_hamiltonian()
-    initial = fig1_default_initial()
+    initial = _initial()
     gen = _affine_generator(h)
     states = evolve_gaussian_grid(initial, h, 30.0 / 40, 40)
     assert len(states) == 41 and states[0] is initial
@@ -136,7 +144,7 @@ def test_grid_matches_per_point_scipy_route():
 
 def test_evolve_identity_at_zero_time():
     st0 = _minimal_product(1.0)
-    pars = fig1_default_params()
+    pars = _fig1_params()
     h = quadratize_newton(10.0, pars, (1.0, 1.0))
     st1 = evolve_gaussian(st0, h, 0.0)
     assert np.allclose(st1.cov, st0.cov)
@@ -166,7 +174,7 @@ def test_symplectic_condition(spring, mass, t):
 
 
 def test_purity_conserved():
-    pars = fig1_default_params()
+    pars = _fig1_params()
     h = quadratize_newton(10.0, pars, (1.0, 1.0), axis="transverse")
     st0 = _minimal_product(9.0)
     d0 = np.linalg.det(st0.cov)
@@ -176,7 +184,7 @@ def test_purity_conserved():
 
 
 def test_validity_preserved():
-    pars = fig1_default_params()
+    pars = _fig1_params()
     for axis in ("separation", "transverse"):
         h = quadratize_newton(10.0, pars, (1.0, 1.0), axis=axis)
         st0 = _minimal_product(4.0)
@@ -185,7 +193,7 @@ def test_validity_preserved():
 
 
 def test_substep_composition_oracle():
-    pars = fig1_default_params()
+    pars = _fig1_params()
     h = quadratize_newton(10.0, pars, (1.0, 1.0), axis="transverse")
     st_big = evolve_gaussian(_minimal_product(9.0), h, 6.0)
     st_small = _minimal_product(9.0)
@@ -200,7 +208,7 @@ def test_substep_composition_oracle():
 # ---------------------------------------------------------------------------
 
 def test_duan_saturated_by_matched_product():
-    # identical minimal Gaussians: Var(x-) Var(p+) = hbar^2 exactly
+    # identical minimal Gaussians: Var(x-) Var(p+) = 1 exactly (hbar = 1)
     for vx in (0.5, 1.0, 4.0):
         assert duan_witness(_minimal_product(vx)) == pytest.approx(1.0, rel=1e-14)
 
@@ -218,7 +226,10 @@ def test_duan_product_states_never_below_one(rng):
         vp = extra * 0.25 / vx
         c_max = np.sqrt(vx * vp - 0.25)
         c = rng.uniform(-1.0, 1.0, 2) * c_max
-        state = product_state(tuple(vx), tuple(vp), tuple(c))
+        cov = np.zeros((4, 4))
+        for i in range(2):
+            cov[2 * i:2 * i + 2, 2 * i:2 * i + 2] = [[vx[i], c[i]], [c[i], vp[i]]]
+        state = GaussianState(np.zeros(4), cov)
         assert duan_witness(state) >= 1.0 - 1e-12
 
 
@@ -240,9 +251,9 @@ def test_log_negativity_two_mode_squeezed():
 
 
 def test_duan_violation_implies_log_negativity():
-    pars = fig1_default_params()
+    pars = _fig1_params()
     h = quadratize_newton(10.0, pars, (1.0, 1.0), axis="transverse")
-    st0 = fig1_default_initial()
+    st0 = _initial()
     for t in np.linspace(0.5, 20.0, 30):
         st1 = evolve_gaussian(st0, h, float(t))
         if duan_witness(st1) < 1.0:
@@ -254,7 +265,7 @@ def test_duan_violation_implies_log_negativity():
 # ---------------------------------------------------------------------------
 
 def test_fig1_zero_time():
-    st = evolve_gaussian(fig1_default_initial(), _fig1_hamiltonian(), 0.0)
+    st = evolve_gaussian(_initial(), _fig1_hamiltonian(), 0.0)
     assert duan_witness(st) >= 1.0 - 1e-12
     assert log_negativity(st) == 0.0
 
@@ -262,7 +273,7 @@ def test_fig1_zero_time():
 def test_fig1_no_coupling_no_entanglement():
     h = _fig1_hamiltonian(ModelParams(g_newton=1e-30, m=1.0, mu=1e-6))
     for t in (1.0, 10.0):
-        assert log_negativity(evolve_gaussian(fig1_default_initial(), h, t)) <= 1e-12
+        assert log_negativity(evolve_gaussian(_initial(), h, t)) <= 1e-12
 
 
 def test_fig1_default_crossing_vs_substep_oracle():
@@ -270,11 +281,11 @@ def test_fig1_default_crossing_vs_substep_oracle():
     # crossing is detected against a threshold slightly below 1
     h = _fig1_hamiltonian()
     dt = 30.0 / 600
-    states = evolve_gaussian_grid(fig1_default_initial(), h, dt, 600)
+    states = evolve_gaussian_grid(_initial(), h, dt, 600)
     j = next(j for j, st in enumerate(states) if duan_witness(st) < 1.0 - 1e-3)
     t_star, duan_at = j * dt, duan_witness(states[j])
     # substep-composition oracle: dense small-step evolution to t_star
-    state = fig1_default_initial()
+    state = _initial()
     n = 1000
     for _ in range(n):
         state = evolve_gaussian(state, h, t_star / n)
@@ -286,14 +297,14 @@ def test_fig1_entanglement_monotone_onset():
     h = _fig1_hamiltonian()
     spring = h.hmat[0, 0]
     quarter = 0.25 * 2 * math.pi / math.sqrt(2 * spring / 1.0)
-    st0 = fig1_default_initial()
+    st0 = _initial()
     values = [log_negativity(evolve_gaussian(st0, h, float(t)))
               for t in np.linspace(0.0, quarter, 25)]
     assert all(b >= a - 1e-10 for a, b in zip(values, values[1:]))
 
 
 def test_fig1_default_drops_below_one():
-    st = evolve_gaussian(fig1_default_initial(), _fig1_hamiltonian(), 11.1)
+    st = evolve_gaussian(_initial(), _fig1_hamiltonian(), 11.1)
     assert duan_witness(st) < 0.2
     assert log_negativity(st) > 1.0
 

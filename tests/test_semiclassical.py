@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from gravitas.entanglement import (GaussianState, evolve_gaussian,
-                                   fig1_default_initial, fig1_default_params,
-                                   product_state, quadratize_newton)
+                                   product_state, quadratize_newton,
+                                   yukawa_derivatives)
 from gravitas.errors import StepSizeError
 from gravitas.params import ModelParams
-from gravitas.semiclassical import (FeedbackConfig, _riccati_apply,
-                                    _riccati_thetas, compare_channels,
+from gravitas.semiclassical import (RECORD_EVERY, FeedbackConfig,
+                                    _mean_drift, _riccati_apply,
+                                    _riccati_step_matrix, compare_channels,
                                     run_ensemble)
 
 
@@ -23,6 +24,13 @@ def _initial(vx=9.0):
     return product_state((vx, vx), (0.25 / vx, 0.25 / vx))
 
 
+def _separation_gains(cfg):
+    """(V'(d), V''(d)) of the unit-mass pair: the linear force and spring of
+    the separation-axis feedback potential."""
+    _, vp, vpp = yukawa_derivatives(cfg.d, cfg.params.g_newton, cfg.params.mu, 1, 1)
+    return vp, vpp
+
+
 def test_step_size_guard():
     with pytest.raises(StepSizeError):
         run_ensemble(_cfg(gamma=5.0), _initial(), n_traj=2, n_steps=1, dt=0.1,
@@ -31,17 +39,19 @@ def test_step_size_guard():
 
 def test_single_step_feedback_momentum_kick():
     # the pair's opposite-sign innovations cancel in the ensemble mean, which
-    # takes the dW = 0 step: momenta move by -dV_i/dx_i dt at the estimates
+    # takes the dW = 0 steps: momenta move by -dV_i/dx_i dt at the estimates
     cfg = _cfg()
-    lin, spring = cfg.feedback_gains
+    lin, spring = _separation_gains(cfg)
     mean0 = np.array([0.3, 0.0, -0.2, 0.0])
     dt = 1e-3
     ens = run_ensemble(cfg, GaussianState(mean0, _initial().cov), n_traj=2,
-                       n_steps=1, dt=dt, master_seed=1, record_every=1)
-    f1 = -lin - spring * (mean0[0] - mean0[2])
-    f2 = lin + spring * (mean0[0] - mean0[2])
-    assert ens.mean_means[1, 1] == pytest.approx(f1 * dt, rel=1e-12)
-    assert ens.mean_means[1, 3] == pytest.approx(f2 * dt, rel=1e-12)
+                       n_steps=RECORD_EVERY, dt=dt, master_seed=1)
+    z = mean0.copy()
+    for _ in range(RECORD_EVERY):  # explicit Euler steps of the same force
+        f1 = -lin - spring * (z[0] - z[2])
+        z = z + dt * np.array([z[1], f1, z[3], -f1])
+    assert ens.mean_means[1, 1] == pytest.approx(z[1], rel=1e-12)
+    assert ens.mean_means[1, 3] == pytest.approx(z[3], rel=1e-12)
 
 
 def test_weak_measurement_free_covariance_closed_form():
@@ -50,7 +60,7 @@ def test_weak_measurement_free_covariance_closed_form():
     cfg = _cfg(gamma=1e-12, g_newton=1e-300)
     dt, n = 0.01, 500
     ens = run_ensemble(cfg, _initial(1.0), n_traj=2, n_steps=n, dt=dt,
-                       master_seed=2, record_every=n)
+                       master_seed=2)
     cov = ens.cov_unconditional[-1]
     t = dt * n
     vx0, vp0 = 1.0, 0.25
@@ -63,11 +73,10 @@ def test_ito_consistency_of_noise():
     # into the spread of the means without changing their sum, exactly when
     # the increments have variance dt; so the unconditional Var(x) of free
     # masses follows the unmeasured spreading plus the backaction heating,
-    # vx0 + vp0 t^2 + (2/3) hbar^2 k t^3 (unit masses)
+    # vx0 + vp0 t^2 + (2/3) k t^3 (unit masses, hbar = 1)
     cfg = _cfg(g_newton=1e-300)
     n_traj, n_steps, dt = 2000, 400, 0.005
-    ens = run_ensemble(cfg, _initial(), n_traj, n_steps, dt, master_seed=42,
-                       record_every=n_steps)
+    ens = run_ensemble(cfg, _initial(), n_traj, n_steps, dt, master_seed=42)
     t, vx0, vp0 = n_steps * dt, 9.0, 0.25 / 9.0
     want = vx0 + vp0 * t * t + 2.0 / 3.0 * cfg.k_meas * t**3
     bound = 5.0 * math.sqrt(2.0 / (n_traj // 2))  # relative sigma of the spread
@@ -82,10 +91,10 @@ def test_conditional_cov_stays_block_diagonal():
     # one, while the unitary channel correlates the masses at this coupling
     cfg = _cfg(gamma=1e-20)
     ens = run_ensemble(cfg, _initial(), n_traj=2, n_steps=200, dt=0.01,
-                       master_seed=3, record_every=50)
+                       master_seed=3)
     h = quadratize_newton(cfg.d, cfg.params, cfg.masses, axis=cfg.axis)
     assert np.max(np.abs(evolve_gaussian(_initial(), h, 2.0).cov[:2, 2:])) > 1e-2
-    for cov in ens.cov_unconditional:
+    for cov in ens.cov_unconditional[::50 // RECORD_EVERY]:
         assert np.max(np.abs(cov[:2, 2:])) < 1e-12
 
 
@@ -100,14 +109,15 @@ def test_ensemble_mean_matches_classical_integrator():
     # noise-averaged trajectories against a velocity-Verlet integration of
     # the linearized two-body equations over one characteristic period
     cfg = _cfg()
-    lin, spring = cfg.feedback_gains
+    lin, spring = _separation_gains(cfg)
     horizon = 2 * math.pi * math.sqrt(cfg.d**3 / (cfg.params.g_newton * 2.0))
     n_steps = 4000
     dt = horizon / n_steps
     mean0 = np.array([0.5, 0.0, -0.1, 0.0])
     initial = GaussianState(mean0, _initial().cov)
     ens = run_ensemble(cfg, initial, n_traj=64, n_steps=n_steps, dt=dt,
-                       master_seed=5, record_every=n_steps // 8)
+                       master_seed=5)
+    stride = n_steps // 8 // RECORD_EVERY
 
     # classical oracle: symplectic leapfrog of the same linearized force
     x = np.array([mean0[0], mean0[2]])
@@ -130,21 +140,21 @@ def test_ensemble_mean_matches_classical_integrator():
     xs = np.array(xs)
 
     scale = np.max(np.abs(xs))
-    for k, t in enumerate(ens.times):
-        assert abs(ens.mean_means[k, 0] - xs[k, 0]) < 0.01 * scale
-        assert abs(ens.mean_means[k, 2] - xs[k, 1]) < 0.01 * scale
+    for k, mean in enumerate(ens.mean_means[::stride]):
+        assert abs(mean[0] - xs[k, 0]) < 0.01 * scale
+        assert abs(mean[2] - xs[k, 1]) < 0.01 * scale
 
 
 def test_momentum_heating_linear_in_gamma():
-    # unconditional Var(p) grows at the backaction rate 2 hbar^2 k per mass
+    # unconditional Var(p) grows at the backaction rate 2 k per mass (hbar = 1)
     slopes = []
     gammas = (0.2, 0.5, 1.0, 2.0)
     for i, gamma in enumerate(gammas):
         cfg = _cfg(gamma=gamma, g_newton=1e-300)
         ens = run_ensemble(cfg, _initial(), n_traj=128, n_steps=400,
-                           dt=0.05 / gamma, master_seed=100 + i,
-                           record_every=40)
-        fit = np.polyfit(ens.times, ens.var_p_mean, 1)
+                           dt=0.05 / gamma, master_seed=100 + i)
+        rows = slice(None, None, 40 // RECORD_EVERY)
+        fit = np.polyfit(ens.times[rows], ens.var_p_mean[rows], 1)
         slopes.append(fit[0])
         assert fit[0] == pytest.approx(2 * cfg.k_meas, rel=0.15)
     logs = np.polyfit(np.log(gammas), np.log(slopes), 1)
@@ -156,7 +166,7 @@ def test_conditional_cov_steady_state_independent_of_initial_width():
     # meas_length 0.6 puts the steady width near that scale
     cfg = _cfg(gamma=1.0, g_newton=1e-300, meas_length=0.6)
     dt, t_end = 0.01, 10.0 / cfg.gamma
-    theta = _riccati_thetas(cfg, dt)[0]
+    theta = _riccati_step_matrix(_mean_drift(cfg)[0][:2, :2], cfg.k_meas, dt)
     wide, narrow = _initial(9.0).cov[:2, :2], _initial(0.25).cov[:2, :2]
     for _ in range(int(t_end / dt)):
         wide = _riccati_apply(theta, wide)
@@ -176,14 +186,14 @@ def test_ensemble_bit_identical_reruns():
 
 def test_compare_channels_headline():
     cfg = _cfg()
-    comp = compare_channels(cfg, fig1_default_initial(), horizon=15.0,
+    comp = compare_channels(cfg, _initial(), horizon=15.0,
                             n_steps=1500, n_traj=128, master_seed=9)
     assert np.min(comp.duan_unitary) < 1.0
     assert np.max(comp.log_neg_unitary) > 0.0
     assert np.all(comp.duan_semiclassical >= 1.0 - 1e-9)
     assert np.all(comp.log_neg_semiclassical < 1e-10)
     # Newtonian attraction: both channels pull the means together identically
-    late = comp.times_attraction >= 5.0
+    late = comp.times >= 5.0
     u = comp.mean_sep_unitary[late]
     s = comp.mean_sep_semiclassical[late]
     assert np.all(np.abs(u - s) <= 0.01 * np.abs(u))
@@ -195,7 +205,7 @@ def test_compare_channels_free_theory_identical():
     cfg = FeedbackConfig(gamma=1e-6, d=10.0, masses=(1.0, 1.0),
                          params=ModelParams(g_newton=1e-300, m=1.0, mu=1e-6),
                          meas_length=3.0)
-    comp = compare_channels(cfg, fig1_default_initial(), horizon=5.0,
+    comp = compare_channels(cfg, _initial(), horizon=5.0,
                             n_steps=500, n_traj=64, master_seed=13)
     assert np.max(np.abs(comp.duan_semiclassical - comp.duan_unitary)) < 1e-3
     assert np.all(comp.log_neg_semiclassical < 1e-12)
