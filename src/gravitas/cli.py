@@ -14,10 +14,11 @@ configuration, the checks and the wall time.
 
 Exit codes: 0 when every check passes; 1 when a check fails (data and
 manifest are still written) or an ``ArithmeticError`` stops the computation
-(a ``NumericalCheckError``, or an overflow, division by zero or invalid
-operation, which numpy raises under the command's ``np.errstate``; one line
-on stderr, nothing written); 2 on a configuration error (bad flag, value,
-config file or seed), before any file is written.
+(a ``NumericalCheckError``, raised too for a nan or inf in the run's data,
+or an overflow, division by zero or invalid operation, which numpy raises
+under the command's ``np.errstate``; one line on stderr, nothing written);
+2 on a configuration error (bad flag, value, config file or seed), before
+any file is written.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from . import __version__
 from .entanglement import (FIG1_DEFAULTS, duan_variances, duan_witness,
                            evolve_gaussian_grid, log_negativity, product_state,
                            quadratize_newton)
-from .errors import GravitasError
+from .errors import GravitasError, NumericalCheckError
 from .estimators import BendingConfig, estimate_record
 from .kinematics import check_invariant_measure_identity, stream
 from .params import ModelParams
@@ -89,7 +90,9 @@ FLAGS = {
                        gt=0, nargs="+"),
     "tolerance": Flag("slack on |ratio - 1|: the pass/fail bound of optical-tree, "
                       "a floor under the z-sigma bound of box-cut (dimensionless)"),
-    "s_grid": Flag("s values in units of m^2", nargs="+"),
+    "s_grid": Flag("Mandelstam s values, absolute (mass^2 units, not scaled "
+                   "by m^2); points below 4 m^2 are flagged below-threshold",
+                   nargs="+"),
     "n_samples": Flag("Monte Carlo samples per estimator (per side in "
                       "phase-space-check)", type=int, gt=0),
     "threads": Flag("worker threads; results must not depend on them "
@@ -243,17 +246,21 @@ def _box_cut(cfg: dict):
                                     cfg["seed"], n_threads=cfg["threads"])
     gated = [r for r in rows if r.ratio_restored is not None]
     z = _sidak_z(max(len(gated), 1))
-    ok = all(abs(r.ratio_restored - 1.0)
-             <= max(z * (r.ratio_restored_err or 0.0), cfg["tolerance"])
-             for r in gated)
+    ok = bool(gated) and all(abs(r.ratio_restored - 1.0)
+                             <= max(z * (r.ratio_restored_err or 0.0), cfg["tolerance"])
+                             for r in gated)
     table = [[r.s, r.lhs, r.lhs_err, r.rhs_restored, r.rhs_err, r.rhs_elastic,
               r.ratio_restored, r.ratio_elastic, r.flag] for r in rows]
     header = ["s", "im_box", "mc_err", "rhs_annih", "mc_err_annih",
               "rhs_elastic", "ratio_restored", "ratio_elastic", "flag"]
     below = sum(r.flag == "below-threshold" for r in rows)
+    if gated:
+        verdict = (f"restored ratios {'within' if ok else 'outside'} "
+                   f"max({z:.2f} sigma, tolerance) of 1")
+    else:
+        verdict = "no point was gated (each is below threshold or has an undefined ratio)"
     return ((header, table), {"restored_ratios_within_sidak_z": ok},
-            f"{len(rows)} grid points ({below} below threshold), restored ratios "
-            f"{'within' if ok else 'outside'} max({z:.2f} sigma, tolerance) of 1")
+            f"{len(rows)} grid points ({below} below threshold), {verdict}")
 
 
 def _initial(cfg: dict):
@@ -287,7 +294,7 @@ def _semiclassical(cfg: dict):
     fb = _feedback(cfg, cfg["axis"])
     res = run_ensemble(fb, _initial(cfg), cfg["n_traj"], cfg["n_steps"],
                        cfg["horizon"] / cfg["n_steps"], cfg["seed"])
-    rows = [[float(t), float(en), float(dv), float(vp), res.n_traj]
+    rows = [[float(t), float(en), float(dv), float(vp), cfg["n_traj"]]
             for t, en, dv, vp in zip(res.times, res.log_neg, res.duan,
                                      res.var_p_mean)]
     checks = {
@@ -436,6 +443,27 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
+def _nonfinite(value) -> tuple[tuple, object] | None:
+    """(key path, value) of the first nan or +/-inf float in a run's data, or
+    None. Python float arithmetic overflows to inf without raising, and
+    ``np.errstate`` does not reach worker threads, so the data is checked."""
+    if isinstance(value, (float, np.floating)):
+        return None if math.isfinite(value) else ((), value)
+    if isinstance(value, np.ndarray):
+        return None if np.all(np.isfinite(value)) else ((), value)
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, (list, tuple)):
+        items = enumerate(value)
+    else:
+        return None
+    for key, item in items:
+        bad = _nonfinite(item)
+        if bad is not None:
+            return (key, *bad[0]), bad[1]
+    return None
+
+
 def _execute(cmd: Command, args: argparse.Namespace) -> int:
     cfg = _resolve(cmd, args)
     if "seed" in cfg:
@@ -445,6 +473,13 @@ def _execute(cmd: Command, args: argparse.Namespace) -> int:
         raise ConfigError(f"output directory {out.parent} does not exist")
     t0 = time.perf_counter()
     data, checks, message = cmd.run(cfg)
+    bad = _nonfinite(data if isinstance(data, dict) else data[1])
+    if bad is not None:
+        path, value = bad
+        if not isinstance(data, dict):
+            path = (f"row {path[0]}", data[0][path[1]])
+        raise NumericalCheckError(f"non-finite output value {'/'.join(map(str, path))}"
+                                  f" = {value}; nothing written")
     provenance = {}
     if isinstance(data, dict):
         _write_json(out, {"schema_version": SCHEMA_VERSION, **data})

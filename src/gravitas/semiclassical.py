@@ -16,6 +16,11 @@ comparing the two channels isolates the channel structure:
 * ensemble-mean positions follow the same linear Newtonian dynamics as the
   unitary channel.
 
+The ensemble is one filter state (mean, Sigma, delta): the noise-free mean
+path, the conditional covariance Sigma that every trajectory shares, and
+the deviation delta_j of each opposite-sign trajectory pair j, driven by
+row j of one normal draw from stream (master_seed, 0).
+
 Measurement convention (hbar = 1): continuous position measurement of
 strength k = gamma / (8 meas_length^2), record dy = <x> dt + dW / sqrt(8 k),
 conditional moment equations of the standard Kalman-Bucy form with
@@ -71,20 +76,23 @@ def _mean_drift(cfg: FeedbackConfig) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _riccati_step_matrix(a: np.ndarray, k: float, dt: float) -> np.ndarray:
-    """exp(dt * [[a, D], [C, -a^T]]) for the per-mass 2x2 Riccati flow
-    Sigma' = a Sigma + Sigma a^T + D - Sigma C Sigma, with D = diag(0, 2k)
-    the backaction heating and C = diag(8k, 0) the measurement."""
-    gen = np.zeros((4, 4))
-    gen[:2, :2] = a
-    gen[1, 3] = 2.0 * k
-    gen[2, 0] = 8.0 * k
-    gen[2:, 2:] = -a.T
+    """exp(dt * [[a, D], [C, -a^T]]) for the Riccati flow Sigma' = a Sigma +
+    Sigma a^T + D - Sigma C Sigma of n/2 masses in (x, p) order, with D the
+    backaction heating 2k on each momentum and C the measurement 8k on each
+    position."""
+    n = a.shape[0]
+    gen = np.zeros((2 * n, 2 * n))
+    gen[:n, :n] = a
+    gen[range(1, n, 2), range(n + 1, 2 * n, 2)] = 2.0 * k
+    gen[range(n, 2 * n, 2), range(0, n, 2)] = 8.0 * k
+    gen[n:, n:] = -a.T
     return expm(gen * dt)
 
 
 def _riccati_apply(theta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    num = theta[:2, :2] @ sigma + theta[:2, 2:]
-    den = theta[2:, :2] @ sigma + theta[2:, 2:]
+    n = sigma.shape[0]
+    num = theta[:n, :n] @ sigma + theta[:n, n:]
+    den = theta[n:, :n] @ sigma + theta[n:, n:]
     out = num @ np.linalg.inv(den)
     return 0.5 * (out + out.T)
 
@@ -108,63 +116,45 @@ class EnsembleResult:
     log_neg: np.ndarray
     duan: np.ndarray
     var_p_mean: np.ndarray          # average of Var(p1), Var(p2), unconditional
-    n_traj: int
 
 
 def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
                  n_steps: int, dt: float, master_seed: int) -> EnsembleResult:
     """Ensemble statistics of the measurement-feedback model, every
-    ``RECORD_EVERY`` steps from t = 0.
+    ``RECORD_EVERY`` steps from t = 0, from one filter state.
 
-    The conditional covariance path is deterministic and shared by all
-    trajectories; only the means are stochastic, and they follow a linear
-    recursion, so the whole ensemble is advanced with one matrix multiply
-    per step. ``n_traj`` must be even: trajectory j < n_traj/2 draws its
-    increments from stream (master_seed, j) and trajectory j + n_traj/2
-    takes them with opposite sign, which cancels the innovation noise in
-    ensemble means exactly for this linear model.
-
-    Unconditional covariance = shared conditional covariance + sample
-    covariance of the conditional means (a classically correlated, PSD
-    addition), from which the witnesses are evaluated.
+    ``n_traj`` must be even: trajectories j and j + n_traj/2 take
+    opposite-sign innovations, so the noise-free mean path is their exact
+    mean and pair j sits at mean +/- delta_j. Sigma, the 4x4 conditional
+    covariance shared by all trajectories, keeps the two per-mass 2x2 blocks
+    and takes one Riccati (Moebius) step per dt; delta_j takes the Kalman
+    kick dW_j @ (gain Sigma[[0, 2]]) and then the linear drift. dW_j is row j
+    of one draw of shape (n_traj/2, n_steps, 2) from stream (master_seed, 0),
+    so it does not depend on n_traj. The unconditional covariance, which the
+    witnesses read, is Sigma + (2/n_traj) delta^T delta: the conditional one
+    plus a classically correlated, PSD spread of the conditional means.
     """
     _guard_dt(cfg, dt)
     if n_traj % 2:
         raise ValueError("n_traj must be even (opposite-sign noise pairs)")
     gain = math.sqrt(8.0 * cfg.k_meas)
     a, b = _mean_drift(cfg)
+    blocks = np.kron(np.eye(2), np.ones((2, 2)))   # the two per-mass blocks
+    theta = _riccati_step_matrix(a * blocks, cfg.k_meas, dt)
+    dws = stream(master_seed).normal(0.0, math.sqrt(dt), size=(n_traj // 2, n_steps, 2))
 
-    dws = np.empty((n_traj // 2, n_steps, 2))
-    for j in range(n_traj // 2):
-        dws[j] = stream(master_seed, j).normal(0.0, math.sqrt(dt), size=(n_steps, 2))
-    dws = np.concatenate([dws, -dws], axis=0)
-
-    means = np.broadcast_to(initial.mean, (n_traj, 4)).copy()
-    cov_blocks = [initial.cov[0:2, 0:2].copy(), initial.cov[2:4, 2:4].copy()]
-    thetas = [_riccati_step_matrix(a[i:i + 2, i:i + 2], cfg.k_meas, dt) for i in (0, 2)]
-
+    mean, sigma = initial.mean, initial.cov * blocks
+    dev = np.zeros((n_traj // 2, 4))
     mean_means, covs = [], []
-
-    def snapshot() -> None:
-        cov_unc = np.zeros((4, 4))
-        cov_unc[0:2, 0:2], cov_unc[2:4, 2:4] = cov_blocks
-        mean = means.mean(axis=0)
-        centered = means - mean
-        mean_means.append(mean)
-        covs.append(cov_unc + centered.T @ centered / n_traj)
-
-    snapshot()
-    for j in range(n_steps):
-        gx1 = gain * cov_blocks[0][0, 0]
-        gp1 = gain * cov_blocks[0][0, 1]
-        gx2 = gain * cov_blocks[1][0, 0]
-        gp2 = gain * cov_blocks[1][0, 1]
-        means = means + np.stack([gx1 * dws[:, j, 0], gp1 * dws[:, j, 0],
-                                  gx2 * dws[:, j, 1], gp2 * dws[:, j, 1]], axis=1)
-        means = means + (means @ a.T + b) * dt
-        cov_blocks = [_riccati_apply(thetas[i], cov_blocks[i]) for i in range(2)]
-        if (j + 1) % RECORD_EVERY == 0:
-            snapshot()
+    for j in range(n_steps + 1):
+        if j % RECORD_EVERY == 0:
+            mean_means.append(mean)
+            covs.append(sigma + (2.0 / n_traj) * (dev.T @ dev))
+        if j < n_steps:
+            dev = dev + dws[:, j] @ (gain * sigma[[0, 2]])
+            dev = dev + dev @ a.T * dt
+            mean = mean + (a @ mean + b) * dt
+            sigma = _riccati_apply(theta, sigma)
 
     mean_means, covs = np.array(mean_means), np.array(covs)
     states = [GaussianState(mean, cov) for mean, cov in zip(mean_means, covs)]
@@ -175,7 +165,6 @@ def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
         log_neg=np.array([log_negativity(st) for st in states]),
         duan=np.array([duan_witness(st) for st in states]),
         var_p_mean=0.5 * (covs[:, 1, 1] + covs[:, 3, 3]),
-        n_traj=n_traj,
     )
 
 

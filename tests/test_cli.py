@@ -301,6 +301,18 @@ def test_box_cut_gate_rejects_elastic_only_rhs(tmp_path, monkeypatch):
     assert _read_manifest(out)["checks"] == {"restored_ratios_within_sidak_z": False}
 
 
+@pytest.mark.parametrize("flag", [["--m", "2"], ["--alpha-tilde", "0"]],
+                         ids=["every-point-below-threshold", "every-ratio-undefined"])
+def test_box_cut_gate_fails_when_no_point_is_gated(tmp_path, capsys, flag):
+    # s is absolute: at m = 2 both points sit below 4 m^2 = 16; at alpha~ = 0
+    # both sides vanish and no ratio is defined
+    out = tmp_path / "bc.csv"
+    assert main(["box-cut", *flag, "--seed", "1", "--n-samples", "128",
+                 "--s-grid", "4.1", "6", "--out", str(out)]) == 1
+    assert "no point was gated" in capsys.readouterr().err
+    assert _read_manifest(out)["checks"] == {"restored_ratios_within_sidak_z": False}
+
+
 @pytest.mark.parametrize("ladder, says", [
     (["1e-5"], "at least two entries"),
     (["0.05", "0.01"], "must be below 0.000245129"),
@@ -339,10 +351,16 @@ def test_numerical_check_failure_exits_1_without_traceback(tmp_path, monkeypatch
     assert not out.exists()
 
 
-# inputs whose arithmetic overflows or divides by zero part-way through a run
+# inputs whose arithmetic overflows or divides by zero part-way through a run;
+# at alpha~ = 1e76 only a Python float overflows, to -inf without raising, in
+# the scan's worker threads too, so only the check on the output data stops it
+BOX_CUT_INF = ["box-cut", "--alpha-tilde", "1e76", "--seed", "1", "--n-samples",
+               "128", "--s-grid", "4.1", "6"]
 ARITHMETIC_FAILURES = {
     "box-cut-huge-coupling": ["box-cut", "--alpha-tilde", "1e100", "--n-samples",
                               "128", "--s-grid", "4.1", *SEED],
+    "box-cut-inf-output-1-thread": [*BOX_CUT_INF, "--threads", "1"],
+    "box-cut-inf-output-2-threads": [*BOX_CUT_INF, "--threads", "2"],
     "phase-space-huge-mass": ["phase-space-check", "--mu", "1e200",
                               "--n-samples", "100", *SEED],
     "deflection-subnormal-mass": ["deflection", "--mass-g", "1e-320"],

@@ -35,16 +35,16 @@ RUNS = {
         "e4edaa22b248f35ea9c7c1ce8ec2ff4bc792574069f664ac413e1826f075e37c"),
     "semiclassical": (
         ["semiclassical", *STOCHASTIC_ENSEMBLE],
-        "6759854a6de8ef6e5313eb9fbd4d4b141d92610bc7303de9d7a80b89e5bb5ed5"),
+        "e00960ac6fb3a3596b6e6b749e5d4423fcc8eda164bf20a04828e06763411331"),
     "compare": (
         ["compare", *STOCHASTIC_ENSEMBLE],
-        "a7b660e36bdc71921ffa12f73e27bcff1126ab9b45441a5b096160038ade95cf"),
+        "5c2d860d5ca16da3cfb44b25060cfe96682999d11681538fbea901f8403718a5"),
     "phase-space-check": (
         ["phase-space-check", "--seed", "7", "--n-samples", "20000"],
         "2d6adbaa50aa35bc98f3e920c82253959bd7cc2b76cfb5265802642e5be54f06"),
     "self-test": (
         ["self-test", "--seed", "7", "--n-samples", "5000"],
-        "91e8787139f347d1fe5415334e158229a80fa7f53ef79aac62980d8addf75514"),
+        "cf118bf3866dd6c7d3cd95cc4c46be1de268152242e5c214e59357519dbff28e"),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -143,6 +144,52 @@ def test_ensemble_mean_matches_classical_integrator():
     for k, mean in enumerate(ens.mean_means[::stride]):
         assert abs(mean[0] - xs[k, 0]) < 0.01 * scale
         assert abs(mean[2] - xs[k, 1]) < 0.01 * scale
+
+
+def _lyapunov_moments(cfg, initial, n_steps, dt):
+    """Exact ensemble moments every RECORD_EVERY steps: the noise-free mean
+    recursion, the module's Riccati path Sigma_j and the covariance of the
+    conditional means, C <- M (C + G_j G_j^T dt) M^T with M = I + A dt and
+    G_j = gain Sigma_j[:, [0, 2]] (the unconditional master-equation picture)."""
+    a, b = _mean_drift(cfg)
+    blocks = np.kron(np.eye(2), np.ones((2, 2)))
+    theta = _riccati_step_matrix(a * blocks, cfg.k_meas, dt)
+    m = np.eye(4) + a * dt
+    gain = math.sqrt(8.0 * cfg.k_meas)
+    mean, sigma, c = initial.mean, initial.cov * blocks, np.zeros((4, 4))
+    means, sigmas, cs = [], [], []
+    for j in range(n_steps + 1):
+        if j % RECORD_EVERY == 0:
+            means.append(mean)
+            sigmas.append(sigma)
+            cs.append(c)
+        g = gain * sigma[:, [0, 2]]
+        c = m @ (c + g @ g.T * dt) @ m.T
+        mean = mean + (a @ mean + b) * dt
+        sigma = _riccati_apply(theta, sigma)
+    return np.array(means), np.array(sigmas), np.array(cs)
+
+
+def test_ensemble_moments_match_lyapunov_recursion():
+    # the pair mean is exactly the noise-free recursion; each diagonal entry
+    # of the sampled spread (2/n_traj) delta^T delta is C_ii chi2_P / P with
+    # P = n_traj/2 independent pairs, so it sits within z sqrt(2/P) C_ii of
+    # C_ii. z = 4.52 is the normal Bonferroni bound over every (snapshot,
+    # entry) for a family-wise false-failure rate of 1e-3; the exact chi2
+    # tails at P = 2000 make it at most 1.4e-3, and less, as the snapshots
+    # are correlated. Scaling the spread by 1/n_traj puts it C_ii/2 off,
+    # 3.5x the bound.
+    cfg = _cfg()
+    n_traj, n_steps, dt = 4000, 400, 0.01
+    initial = GaussianState(np.array([0.5, 0.0, -0.1, 0.0]), _initial().cov)
+    ens = run_ensemble(cfg, initial, n_traj, n_steps, dt, master_seed=21)
+    means, sigmas, cs = _lyapunov_moments(cfg, initial, n_steps, dt)
+    assert np.all(np.abs(ens.mean_means - means) <= 1e-12 * np.max(np.abs(means)))
+    z = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 4 * len(cs)))
+    rel_sigma = math.sqrt(2.0 / (n_traj // 2))
+    for got, sigma, c in zip(ens.cov_unconditional, sigmas, cs):
+        dev = np.abs(np.diag(got) - np.diag(sigma) - np.diag(c))
+        assert np.all(dev <= z * rel_sigma * np.diag(c) + 1e-12 * np.diag(sigma))
 
 
 def test_momentum_heating_linear_in_gamma():
