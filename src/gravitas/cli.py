@@ -39,14 +39,14 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .entanglement import (FIG1_DEFAULTS, duan_variances, duan_witness,
-                           evolve_gaussian_grid, log_negativity, product_state,
-                           quadratize_newton)
+from .entanglement import (FIG1_DEFAULTS, duan_variances, evolve_gaussian_grid,
+                           log_negativity, product_state, quadratize_newton)
 from .errors import GravitasError, NumericalCheckError
 from .estimators import BendingConfig, estimate_record
 from .kinematics import check_invariant_measure_identity, stream
 from .params import ModelParams
-from .semiclassical import FeedbackConfig, compare_channels, run_ensemble
+from .semiclassical import (RECORD_EVERY, FeedbackConfig, compare_channels,
+                            run_ensemble)
 from .unitarity import (N_STRATA, TreePoleFamily, max_smallest_eps,
                         optical_tree_check, unitarity_violation_scan)
 
@@ -105,7 +105,8 @@ FLAGS = {
                  choices=("separation", "transverse")),
     "gamma": Flag("measurement rate (1/time)", gt=0),
     "horizon": Flag("total evolution time (time units)", gt=0),
-    "n_steps": Flag("time steps", type=int, gt=0),
+    "n_steps": Flag(f"time steps, a multiple of the snapshot stride {RECORD_EVERY}",
+                    type=int, gt=0),
     "n_traj": Flag("trajectories, rounded up to an even count (pairs with "
                    "opposite-sign noise)", type=int, gt=0),
     "mass_g": Flag("source mass (grams)", gt=0),
@@ -132,7 +133,8 @@ class Command:
     check: Callable[[dict], None] | None = None
 
 
-def _load_config_file(path: str | None, section: str) -> dict:
+def _load_config_file(path: str | None, cmd: Command) -> dict:
+    """The subcommand's section of a JSON config file, else the whole document."""
     if path is None:
         return {}
     p = Path(path)
@@ -142,23 +144,31 @@ def _load_config_file(path: str | None, section: str) -> dict:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
-    if isinstance(doc, dict) and isinstance(doc.get(section), dict):
-        return doc[section]
+    if isinstance(doc, dict) and isinstance(doc.get(cmd.name), dict):
+        unknown = sorted(set(doc[cmd.name]) - set(cmd.defaults))
+        if unknown:
+            raise ConfigError(f"config file {p}: {cmd.name} does not read {unknown}")
+        return doc[cmd.name]
     return doc if isinstance(doc, dict) else {}
 
 
 def _from_file(key: str, value):
-    """A config-file value converted to the type its flag would give."""
+    """A config-file value converted to the type its flag would give; a
+    boolean, or a non-integral number for an integer, is rejected, not cut."""
     f = FLAGS[key]
+    if any(isinstance(v, bool) or (f.type is int and isinstance(v, float)
+                                   and not v.is_integer())
+           for v in (value if f.nargs and isinstance(value, list) else [value])):
+        raise ConfigError(f"config value {key}={value!r}: expected {f.type.__name__}")
     try:
         return [f.type(v) for v in value] if f.nargs else f.type(value)
-    except (TypeError, ValueError, OverflowError) as exc:  # int(inf) overflows
+    except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise ConfigError(f"config value {key}={value!r}: {exc}") from exc
 
 
 def _resolve(cmd: Command, args: argparse.Namespace) -> dict:
     """flag > config file > default; a flag or file value is set when not None."""
-    file_cfg = _load_config_file(args.config, cmd.name)
+    file_cfg = _load_config_file(args.config, cmd)
     cfg = dict(cmd.defaults)
     for key in cfg:
         if file_cfg.get(key) is not None:
@@ -274,12 +284,19 @@ def _entangle(cfg: dict):
                           axis=cfg["axis"])
     states = evolve_gaussian_grid(initial, h, cfg["delta_t"] / cfg["n_grid"],
                                   cfg["n_grid"])
-    rows = [[float(t), duan_witness(st), log_negativity(st), *duan_variances(st)]
-            for t, st in zip(np.linspace(0.0, cfg["delta_t"], cfg["n_grid"] + 1),
-                             states)]
+    grid = np.linspace(0.0, cfg["delta_t"], cfg["n_grid"] + 1)
+    # duan_witness is var_xm * var_pp: the quadratures are computed once
+    rows = [[float(t), var_xm * var_pp, log_negativity(st), var_xm, var_pp]
+            for t, st, (var_xm, var_pp) in zip(grid, states, map(duan_variances, states))]
     return ((["t", "duan", "E_N", "var_xminus", "var_pplus"], rows),
             {"final_state_valid": states[-1].is_valid()},
             f"min duan = {min(r[1] for r in rows):.6f} over [0, {cfg['delta_t']}]")
+
+
+def _check_n_steps(cfg: dict) -> None:
+    if cfg["n_steps"] % RECORD_EVERY:
+        raise ConfigError(f"--n-steps must be a multiple of the snapshot stride "
+                          f"{RECORD_EVERY}, got {cfg['n_steps']}")
 
 
 def _feedback(cfg: dict, axis: str = "separation") -> FeedbackConfig:
@@ -404,9 +421,9 @@ COMMANDS = (
                  out="entangle.csv"), _entangle),
     Command("semiclassical", "measurement-feedback ensemble time series",
             dict(ENSEMBLE, axis="separation", out="semiclassical.csv", seed=None),
-            _semiclassical),
+            _semiclassical, _check_n_steps),
     Command("compare", "unitary vs semiclassical channel comparison",
-            dict(ENSEMBLE, out="compare.csv", seed=None), _compare),
+            dict(ENSEMBLE, out="compare.csv", seed=None), _compare, _check_n_steps),
     Command("deflection", "SI light-bending design estimates",
             dict(mass_g=1.0, impact_um=100.0, separation_um=10.0,
                  wavelength_nm=1000.0, cavity_m=0.1, target_time_s=1.0,
@@ -451,13 +468,9 @@ def _nonfinite(value) -> tuple[tuple, object] | None:
         return None if math.isfinite(value) else ((), value)
     if isinstance(value, np.ndarray):
         return None if np.all(np.isfinite(value)) else ((), value)
-    if isinstance(value, dict):
-        items = value.items()
-    elif isinstance(value, (list, tuple)):
-        items = enumerate(value)
-    else:
+    if not isinstance(value, (dict, list, tuple)):
         return None
-    for key, item in items:
+    for key, item in value.items() if isinstance(value, dict) else enumerate(value):
         bad = _nonfinite(item)
         if bad is not None:
             return (key, *bad[0]), bad[1]

@@ -104,15 +104,6 @@ def product_state(var_x: tuple[float, float],
     return GaussianState(np.zeros(4), np.diag([var_x[0], var_p[0], var_x[1], var_p[1]]))
 
 
-def two_mode_squeezed_cov(r: float) -> np.ndarray:
-    """Standard two-mode squeezed covariance (vacuum variance 1/2)."""
-    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
-    return 0.5 * np.array([[c, 0, s, 0],
-                           [0, c, 0, -s],
-                           [s, 0, c, 0],
-                           [0, -s, 0, c]])
-
-
 @dataclass(frozen=True)
 class QuadraticHamiltonian:
     """H = z^T hmat z / 2 + linear . z (up to a constant)."""

@@ -220,6 +220,11 @@ BAD_VALUES = {
     "box-cut-nan-tolerance": ["box-cut", "--tolerance", "nan", *SEED],
     "box-cut-minus-inf-alpha-tilde": ["box-cut", "--alpha-tilde=-inf", *SEED],
     "entangle-inf-separation": ["entangle", "--d", "inf"],
+    # snapshots every 10 steps: a remainder would never be written
+    "semiclassical-steps-not-multiple-of-stride": ["semiclassical", "--n-steps", "29",
+                                                   "--horizon", "2", *SEED],
+    "compare-steps-below-stride": ["compare", "--n-steps", "5",
+                                   "--horizon", "0.5", *SEED],
 }
 
 
@@ -247,6 +252,12 @@ def test_out_into_missing_directory_exits_2_before_running(tmp_path, monkeypatch
     pytest.param("tolerance", math.nan, id="tolerance-NaN"),
     pytest.param("alpha_tilde", -math.inf, id="alpha_tilde--Infinity"),
     pytest.param("s_grid", [4.1, math.nan], id="s_grid-NaN-entry"),
+    # a file value is not truncated or coerced where the flag would refuse it
+    pytest.param("threads", 1.5, id="threads-non-integral"),
+    pytest.param("threads", True, id="threads-boolean"),
+    pytest.param("tolerance", True, id="tolerance-boolean"),
+    # a key of the subcommand's own section that it does not read
+    pytest.param("n_sample", 1000, id="n_sample-misspelt"),
 ])
 def test_bad_config_file_value_exits_2(tmp_path, capsys, key, value):
     cfgfile = tmp_path / "cfg.json"
@@ -256,6 +267,15 @@ def test_bad_config_file_value_exits_2(tmp_path, capsys, key, value):
     assert not out.exists()
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+def test_integral_float_config_value_accepted_as_int(tmp_path):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"entangle": {"n_grid": 4e1}}), encoding="utf-8")
+    out = tmp_path / "en.csv"
+    assert main(["entangle", "--config", str(cfgfile), "--out", str(out)]) == 0
+    n_grid = _read_manifest(out)["resolved_config"]["n_grid"]
+    assert n_grid == 40 and isinstance(n_grid, int)
 
 
 def test_odd_n_traj_recorded_as_run(tmp_path):

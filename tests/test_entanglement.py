@@ -11,11 +11,19 @@ from gravitas.entanglement import (FIG1_DEFAULTS, OMEGA, GaussianState,
                                    evolve_gaussian, evolve_gaussian_grid,
                                    expm, log_negativity,
                                    product_state, quadratize_newton,
-                                   symplectic_propagator,
-                                   two_mode_squeezed_cov, yukawa_derivatives)
+                                   symplectic_propagator, yukawa_derivatives)
 from gravitas.errors import NonpositiveSeparationError
 from gravitas.kinematics import stream
 from gravitas.params import ModelParams
+
+
+def _two_mode_squeezed_cov(r):
+    """Standard two-mode squeezed covariance (vacuum variance 1/2)."""
+    c, s = math.cosh(2.0 * r), math.sinh(2.0 * r)
+    return 0.5 * np.array([[c, 0, s, 0],
+                           [0, c, 0, -s],
+                           [s, 0, c, 0],
+                           [0, -s, 0, c]])
 
 
 def _minimal_product(vx):
@@ -215,7 +223,7 @@ def test_duan_saturated_by_matched_product():
 
 def test_duan_two_mode_squeezed_value():
     for r in (0.2, 0.7, 1.5):
-        st2 = GaussianState(np.zeros(4), two_mode_squeezed_cov(r))
+        st2 = GaussianState(np.zeros(4), _two_mode_squeezed_cov(r))
         assert duan_witness(st2) == pytest.approx(math.exp(-4 * r), rel=1e-12)
 
 
@@ -246,7 +254,7 @@ def test_log_negativity_product_zero():
 def test_log_negativity_two_mode_squeezed():
     # E_N = 2r in the natural-log convention (= 2r/ln 2 in log2 units)
     for r in (0.3, 1.0):
-        st2 = GaussianState(np.zeros(4), two_mode_squeezed_cov(r))
+        st2 = GaussianState(np.zeros(4), _two_mode_squeezed_cov(r))
         assert log_negativity(st2) == pytest.approx(2 * r, rel=1e-10)
 
 

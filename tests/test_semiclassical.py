@@ -4,6 +4,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
+from gravitas import semiclassical
 from gravitas.entanglement import (GaussianState, evolve_gaussian,
                                    product_state, quadratize_newton,
                                    yukawa_derivatives)
@@ -244,6 +245,24 @@ def test_compare_channels_headline():
     u = comp.mean_sep_unitary[late]
     s = comp.mean_sep_semiclassical[late]
     assert np.all(np.abs(u - s) <= 0.01 * np.abs(u))
+
+
+def test_compare_channels_runs_one_ensemble(monkeypatch):
+    # the separation axis needs only the noise-free mean path: one ensemble,
+    # on the transverse axis, and the same means a separation run would give
+    cfg, calls = _cfg(), []
+
+    def counted(fb, *args, **kwargs):
+        calls.append(fb.axis)
+        return run_ensemble(fb, *args, **kwargs)
+
+    monkeypatch.setattr(semiclassical, "run_ensemble", counted)
+    comp = compare_channels(cfg, _initial(), horizon=2.0, n_steps=200,
+                            n_traj=8, master_seed=5)
+    assert calls == ["transverse"]
+    ens = run_ensemble(cfg, _initial(), 8, 200, 0.01, master_seed=5)
+    assert np.array_equal(comp.mean_sep_semiclassical,
+                          ens.mean_means[:, 0] - ens.mean_means[:, 2])
 
 
 def test_compare_channels_free_theory_identical():
