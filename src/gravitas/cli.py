@@ -6,11 +6,12 @@ which calls the library directly. A row's default keys are exactly the
 settings it reads; each key has one ``FLAGS`` entry (flag, type, help with
 units, lower bound), and one loop builds the parser from the table, so a
 subcommand accepts only the flags it reads. One harness, ``_execute``,
-resolves every setting as flag over config file over default, checks the
-bounds, takes the seed of a stochastic subcommand (``--seed``, config file
-or GRAVITAS_SEED), runs, and writes the data file (JSON for a dict, CSV
-for a header and rows) and a manifest next to it with the resolved
-configuration, the checks and the wall time.
+resolves every setting as flag over the config file's subcommand section
+over its top level over default, checks the bounds, takes the seed of a
+stochastic subcommand (``--seed``, config file or GRAVITAS_SEED), runs,
+and writes the data file (JSON for a dict, CSV for a header and rows) and
+a manifest next to it with the resolved configuration, the checks and the
+wall time.
 
 Exit codes: 0 when every check passes; 1 when a check fails (data and
 manifest are still written) or an ``ArithmeticError`` stops the computation
@@ -134,7 +135,8 @@ class Command:
 
 
 def _load_config_file(path: str | None, cmd: Command) -> dict:
-    """The subcommand's section of a JSON config file, else the whole document."""
+    """The settings a JSON config file gives the subcommand: the top-level
+    keys it reads, overridden by those of its own section."""
     if path is None:
         return {}
     p = Path(path)
@@ -144,18 +146,33 @@ def _load_config_file(path: str | None, cmd: Command) -> dict:
         doc = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {p} is not valid JSON: {exc}") from exc
-    if isinstance(doc, dict) and isinstance(doc.get(cmd.name), dict):
-        unknown = sorted(set(doc[cmd.name]) - set(cmd.defaults))
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {p} must hold a JSON object, "
+                          f"got {type(doc).__name__}")
+    commands = {c.name: c for c in COMMANDS}
+    unknown = sorted(set(doc) - set(commands) - set(FLAGS))
+    if unknown:
+        raise ConfigError(f"config file {p}: no subcommand reads {unknown}")
+    for name, section in doc.items():
+        if name not in commands:
+            continue
+        if not isinstance(section, dict):
+            raise ConfigError(f"config file {p}: section {name!r} must be a JSON "
+                              f"object, got {section!r}")
+        unknown = sorted(set(section) - set(commands[name].defaults))
         if unknown:
-            raise ConfigError(f"config file {p}: {cmd.name} does not read {unknown}")
-        return doc[cmd.name]
-    return doc if isinstance(doc, dict) else {}
+            raise ConfigError(f"config file {p}: {name} does not read {unknown}")
+    cfg = {k: v for k, v in doc.items() if k in cmd.defaults}
+    cfg.update((k, v) for k, v in doc.get(cmd.name, {}).items() if v is not None)
+    return cfg
 
 
 def _from_file(key: str, value):
     """A config-file value converted to the type its flag would give; a
     boolean, or a non-integral number for an integer, is rejected, not cut."""
     f = FLAGS[key]
+    if f.nargs and value == []:
+        raise ConfigError(f"config value {key}=[]: expected at least one value")
     if any(isinstance(v, bool) or (f.type is int and isinstance(v, float)
                                    and not v.is_integer())
            for v in (value if f.nargs and isinstance(value, list) else [value])):
@@ -167,7 +184,8 @@ def _from_file(key: str, value):
 
 
 def _resolve(cmd: Command, args: argparse.Namespace) -> dict:
-    """flag > config file > default; a flag or file value is set when not None."""
+    """flag > config-file section > config-file top level > default; a flag
+    or file value is set when not None."""
     file_cfg = _load_config_file(args.config, cmd)
     cfg = dict(cmd.defaults)
     for key in cfg:
@@ -523,8 +541,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
         p = sub.add_parser(cmd.name, help=cmd.help, description=cmd.help)
-        p.add_argument("--config", help="JSON config file (values under the "
-                       "subcommand key or at top level)")
+        p.add_argument("--config", help="JSON config file (values at top level, "
+                       "overridden by those under the subcommand key)")
         for key in cmd.defaults:
             f = FLAGS[key]
             p.add_argument(f.flag or "--" + key.replace("_", "-"), dest=key,

@@ -17,10 +17,6 @@ class BelowThresholdError(GravitasError):
     """Total invariant mass is below the final-state mass threshold."""
 
 
-class PoleError(GravitasError):
-    """An amplitude was evaluated too close to a propagator pole."""
-
-
 class SpectatorMismatchError(GravitasError):
     """Spectator momenta differ where a disconnected delta requires equality."""
 

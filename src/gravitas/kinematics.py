@@ -1,4 +1,4 @@
-"""Four-momenta, Mandelstam invariants, boosts, and phase-space sampling.
+"""Four-momenta, boosts, kinematic configurations and phase-space sampling.
 
 A momentum is a float array of shape ``(..., 4)`` ordered ``(e, px, py, pz)``;
 every function here takes and returns such arrays, a single momentum being
@@ -6,9 +6,7 @@ shape ``(4,)`` and a batch ``(n, 4)``. :func:`FourVector` and :func:`on_shell`
 are constructors of ``(4,)`` arrays, not a separate type.
 
 Conventions: metric signature (-,+,+,+), so an on-shell momentum satisfies
-p.p = -m^2 and the invariants of elastic 2->2 scattering are
-
-    s = -(p1 + p2)^2,   t = -(p1' - p1)^2,   u = -(p2' - p1)^2.
+p.p = -m^2.
 
 Natural units hbar = c = 1. All samplers take an explicit
 ``numpy.random.Generator`` so ensembles can be split over independent,
@@ -27,8 +25,6 @@ from .errors import BelowThresholdError, ConfigShapeError, SuperluminalBoostErro
 
 TOL_ONSHELL = 1e-9
 TOL_CONSERVATION = 1e-10
-
-METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
 def stream(master_seed: int, index: int = 0) -> np.random.Generator:
@@ -142,32 +138,6 @@ class KinematicConfig:
             raise ConfigShapeError(
                 f"leg {i[-1]} = {legs[i]} off shell for declared mass "
                 f"{self.masses[i[-1]]}: p^2={p2[i]}")
-
-    def boosted(self, beta: Sequence[float]) -> "KinematicConfig":
-        return KinematicConfig(boost(self.incoming, beta),
-                               boost(self.outgoing, beta), self.masses)
-
-
-def mandelstam(cfg: KinematicConfig) -> tuple[float, float, float]:
-    """(s, t, u) of a 2->2 configuration; s + t + u = sum of squared masses."""
-    if len(cfg.incoming) != 2 or len(cfg.outgoing) != 2:
-        raise ConfigShapeError(
-            f"mandelstam needs 2->2, got {len(cfg.incoming)}->{len(cfg.outgoing)}")
-    p1, p2 = cfg.incoming
-    p1p, p2p = cfg.outgoing
-    v = np.stack([p1 + p2, p1p - p1, p2p - p1])
-    s, t, u = (-minkowski_dot(v, v)).tolist()
-    return s, t, u
-
-
-def elastic_cm_config(m: float, p: float, theta: float, phi: float = 0.0) -> KinematicConfig:
-    """Equal-mass elastic 2->2 scattering in the CM frame at angle theta."""
-    e = math.hypot(m, p)
-    st, ct = math.sin(theta), math.cos(theta)
-    cp, sp = math.cos(phi), math.sin(phi)
-    k = (p * st * cp, p * st * sp, p * ct)
-    return KinematicConfig([[e, 0.0, 0.0, p], [e, 0.0, 0.0, -p]],
-                           [[e, *k], [e, *(-c for c in k)]], (m, m, m, m))
 
 
 # ---------------------------------------------------------------------------

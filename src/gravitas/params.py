@@ -8,8 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-POLE_GUARD_REL = 1e-12  # pole_guard in units of max(m^2, mu^2)
-
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -48,8 +46,3 @@ class ModelParams:
     def eps_abs(self) -> float:
         """Absolute pole displacement: eps_rel * max(m^2, mu^2)."""
         return self.eps_rel * max(self.m**2, self.mu**2)
-
-    @property
-    def pole_guard(self) -> float:
-        """Distance from a pole below which evaluation raises PoleError."""
-        return POLE_GUARD_REL * max(self.m**2, self.mu**2)

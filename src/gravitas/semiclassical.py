@@ -99,11 +99,16 @@ def _riccati_apply(theta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.T)
 
 
-def _guard_dt(cfg: FeedbackConfig, dt: float) -> None:
+def _guard_steps(cfg: FeedbackConfig, n_steps: int, dt: float) -> None:
+    """StepSizeError for a step outside the accuracy guard; ValueError for an
+    ``n_steps`` whose last steps no snapshot would record."""
     if dt <= 0:
         raise StepSizeError("dt must be positive")
     if dt * cfg.gamma > 0.1:
         raise StepSizeError(f"dt*gamma = {dt * cfg.gamma} exceeds the 0.1 accuracy guard")
+    if n_steps % RECORD_EVERY:
+        raise ValueError(f"n_steps must be a multiple of the snapshot stride "
+                         f"{RECORD_EVERY}, got {n_steps}")
 
 
 def _mean_path(cfg: FeedbackConfig, initial: GaussianState, n_steps: int,
@@ -136,7 +141,8 @@ class EnsembleResult:
 def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
                  n_steps: int, dt: float, master_seed: int) -> EnsembleResult:
     """Ensemble statistics of the measurement-feedback model, every
-    ``RECORD_EVERY`` steps from t = 0, from one filter state.
+    ``RECORD_EVERY`` steps from t = 0, from one filter state; ``n_steps``
+    must be a multiple of ``RECORD_EVERY``, so that the last step is recorded.
 
     ``n_traj`` must be even: trajectories j and j + n_traj/2 take
     opposite-sign innovations, so the noise-free mean path is their exact
@@ -149,7 +155,7 @@ def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
     witnesses read, is Sigma + (2/n_traj) delta^T delta: the conditional one
     plus a classically correlated, PSD spread of the conditional means.
     """
-    _guard_dt(cfg, dt)
+    _guard_steps(cfg, n_steps, dt)
     if n_traj % 2:
         raise ValueError("n_traj must be even (opposite-sign noise pairs)")
     gain = math.sqrt(8.0 * cfg.k_meas)
@@ -200,14 +206,16 @@ def compare_channels(cfg: FeedbackConfig, initial: GaussianState,
                      master_seed: int) -> ChannelComparison:
     """Side-by-side witness curves (transverse axis) and mean Newtonian
     attraction (separation axis) for the unitary and feedback channels,
-    every ``RECORD_EVERY`` steps. The seed drives only the transverse
-    ensemble; the separation axis is the noise-free mean path alone.
+    every ``RECORD_EVERY`` steps (``n_steps`` a multiple of it). The seed
+    drives only the transverse ensemble; the separation axis is the
+    noise-free mean path alone.
 
     Headline behavior: the unitary curve crosses duan < 1 with E_N > 0; the
     semiclassical ensemble keeps E_N = 0 and duan >= 1; and the two
     channels' ensemble-mean positions agree.
     """
     dt = horizon / n_steps
+    _guard_steps(cfg, n_steps, dt)
 
     def unitary_states(axis: str) -> list[GaussianState]:
         h = quadratize_newton(cfg.d, cfg.params, cfg.masses, axis=axis)

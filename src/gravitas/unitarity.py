@@ -25,7 +25,7 @@ import numpy as np
 
 from .amplitudes import m_3to3_tree, m_graviton_emission, tree_denominators
 from .errors import BelowThresholdError, NoPoleCrossingError, NumericalCheckError
-from .kinematics import (FourVector, KinematicConfig, boost, cm_momentum,
+from .kinematics import (FourVector, KinematicConfig, cm_momentum,
                          minkowski_dot, on_shell)
 from .params import ModelParams
 
@@ -284,16 +284,16 @@ def _forward_p1(s: float, params: ModelParams) -> np.ndarray:
 
 
 def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
-                       rng: np.random.Generator,
-                       beta: Sequence[float] | None = None) -> tuple[float, float]:
+                       rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo estimate of the Cutkosky imaginary part of the crossed box.
 
     Im M = -pi^2 alpha~^4 int d^3k1/(2E1) d^3k2/(2E2)
            |1/((p1-k1)^2 + m^2 - i eps)|^2 delta^4(k1+k2-p1-p2)
 
     with the cut legs on shell at the mediator mass mu. Forward kinematics
-    p1' = p1, p2' = p2 are constructed internally in the CM frame (optionally
-    boosted by ``beta``). Returns (value, standard error).
+    p1' = p1, p2' = p2 are constructed internally in the CM frame, where the
+    sample is drawn; Im M is Lorentz invariant, so no other frame is
+    offered. Returns (value, standard error).
 
     In the CM frame the squared denominator is (A - B c)^2, with c the
     cosine of the angle between k1 and p1, A = sqrt(s) E_k - mu^2 and
@@ -302,8 +302,7 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
         pdf(c) = B / (L (A - B c)),   L = ln((A + B)/(A - B)),
 
     by its closed-form inverse CDF (uniform c at B = 0), and the azimuth is
-    uniform. k1 is built in the CM frame and boosted with the pair by
-    ``beta``; each sample carries the weight
+    uniform. Each sample carries the weight
 
         w = 2 pi k/(4 sqrt(s)) * L (A - B c)/B
 
@@ -327,8 +326,6 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
     measure = 2.0 * math.pi * kmag / (4.0 * roots)
     pref = math.pi**2 * params.alpha_tilde**4
     floor = 0.5 * (m * m - mu * mu)
-    if beta is not None:
-        p1 = boost(p1, beta)
 
     sums, sqs, count = [], [], 0
     while count < n_samples:
@@ -339,8 +336,6 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
         st = kmag * np.sqrt(np.maximum(1.0 - c * c, 0.0))
         k1 = np.stack([np.full(n, ek), st * np.cos(phi), st * np.sin(phi),
                        kmag * c], axis=1)
-        if beta is not None:
-            k1 = boost(k1, beta)
         diff = p1 - k1
         den = minkowski_dot(diff, diff) + m * m
         if float(np.min(den)) < floor:

@@ -252,6 +252,8 @@ def test_out_into_missing_directory_exits_2_before_running(tmp_path, monkeypatch
     pytest.param("tolerance", math.nan, id="tolerance-NaN"),
     pytest.param("alpha_tilde", -math.inf, id="alpha_tilde--Infinity"),
     pytest.param("s_grid", [4.1, math.nan], id="s_grid-NaN-entry"),
+    # the --s-grid flag takes one value or more; a file cannot take fewer
+    pytest.param("s_grid", [], id="s_grid-empty"),
     # a file value is not truncated or coerced where the flag would refuse it
     pytest.param("threads", 1.5, id="threads-non-integral"),
     pytest.param("threads", True, id="threads-boolean"),
@@ -267,6 +269,38 @@ def test_bad_config_file_value_exits_2(tmp_path, capsys, key, value):
     assert not out.exists()
     err = capsys.readouterr().err
     assert key in err and "Traceback" not in err
+
+
+def test_config_file_top_level_beside_section(tmp_path):
+    # flag > section > top level > default
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"n_grid": 4, "delta_t": 2.0,
+                                   "entangle": {"axis": "separation",
+                                                "delta_t": 3.0}}),
+                       encoding="utf-8")
+    out = tmp_path / "en.csv"
+    assert main(["entangle", "--config", str(cfgfile), "--out", str(out)]) == 0
+    got = _read_manifest(out)["resolved_config"]
+    assert (got["n_grid"], got["delta_t"], got["axis"]) == (4, 3.0, "separation")
+    assert main(["entangle", "--config", str(cfgfile), "--n-grid", "5",
+                 "--out", str(out)]) == 0
+    assert _read_manifest(out)["resolved_config"]["n_grid"] == 5
+
+
+@pytest.mark.parametrize("doc, named", [
+    pytest.param([1, 2], "cfg.json", id="not-an-object"),
+    pytest.param({"entangle": 5}, "entangle", id="section-not-an-object"),
+    pytest.param({"n_gird": 5}, "n_gird", id="top-level-key-no-subcommand-reads"),
+    pytest.param({"compare": {"n_gird": 5}}, "n_gird", id="other-section-unread-key"),
+])
+def test_malformed_config_file_exits_2(tmp_path, capsys, doc, named):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["entangle", "--config", str(cfgfile),
+                 "--out", str(tmp_path / "en.csv")]) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
 
 
 def test_integral_float_config_value_accepted_as_int(tmp_path):

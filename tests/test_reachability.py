@@ -4,34 +4,26 @@ A function, class or constant defined at module level must be reached from
 the command-line entry point ``cli.main`` through the bodies of other source
 definitions, or be an entry of ``ALLOWED`` with the reason it stays. The walk
 is transitive, so a helper only reached from an unreached function is itself
-unreached.
+unreached. Code that only tests read, such as the paper's 2->2 derivation,
+lives in ``tests/oracles.py``; the only reason left is a benchmark probe,
+and an entry stays allowed only while ``perfbench/`` still names it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import gravitas
 
 SRC = Path(gravitas.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 ENTRY = ("cli", "main")
 REASONS = {
     "bench-probe": "the benchmark's layer probes call it",
-    "test-oracle": "tests hold a runtime path against it",
-    "paper-amplitude": "a claim of the source paper, held by the tests",
-    "public-api": "part of the library interface beside the CLI",
 }
 ALLOWED = {
     ("kinematics", "two_body_batch"): "bench-probe",
     ("entanglement", "evolve_gaussian"): "bench-probe",
-    ("kinematics", "elastic_cm_config"): "test-oracle",
-    ("amplitudes", "spin2_numerator_contracted"): "test-oracle",
-    ("amplitudes", "spin0_numerator_contracted"): "test-oracle",
-    ("amplitudes", "m_2to2_newton"): "paper-amplitude",
-    ("amplitudes", "m_2to2_spin0"): "paper-amplitude",
-    ("amplitudes", "m_2to2_spin2"): "paper-amplitude",
-    ("amplitudes", "m_compton_probe"): "paper-amplitude",
-    ("amplitudes", "newton_potential_element"): "paper-amplitude",
-    ("kinematics", "mandelstam"): "public-api",
 }
 
 
@@ -82,7 +74,12 @@ def test_every_module_level_name_is_reached_or_allowed():
 def test_allow_list_is_current():
     defs, imports = _index()
     from_entry = _reached(defs, imports, [ENTRY])
+    bench = "\n".join(p.read_text(encoding="utf-8")
+                      for p in sorted(PERFBENCH.glob("*.py")))
     for key, reason in ALLOWED.items():
         assert key in defs, f"{'.'.join(key)} is not defined"
         assert reason in REASONS, f"{'.'.join(key)}: unknown reason {reason!r}"
         assert key not in from_entry, f"{'.'.join(key)} is reached from cli.main"
+        if reason == "bench-probe":
+            assert re.search(rf"\b{key[1]}\b", bench), \
+                f"{'.'.join(key)}: no file in perfbench/ names it"

@@ -250,13 +250,6 @@ def test_box_cut_importance_sampling_cuts_variance(box_params):
     assert float(np.var(uniform)) >= 4.0 * n * (err / pref) ** 2
 
 
-def test_box_cut_boost_invariant(box_params):
-    v0, e0 = box_cut_im_forward(4.1, box_params, 400000, stream(17, 0))
-    v1, e1 = box_cut_im_forward(4.1, box_params, 400000, stream(17, 1),
-                                beta=(0.0, 0.0, 0.3))
-    assert abs(v0 - v1) <= 3 * math.hypot(e0, e1)
-
-
 def test_box_cut_below_threshold(box_params, rng):
     with pytest.raises(BelowThresholdError):
         box_cut_im_forward(3.9, box_params, 100, rng)
