@@ -1,4 +1,5 @@
-"""The paper's 2->2 derivation, which no runtime path reads, and its kinematics.
+"""The paper's 2->2 derivation, which no runtime path reads, its kinematics,
+and the numerical reference for the closed-form tree-level pole.
 
 The bootstrapped elastic amplitude M_newton(t) = -16 pi G m^4 / (-t + mu^2)
 fixes the phase convention of ``gravitas.amplitudes``; the spin-2 and spin-0
@@ -12,7 +13,7 @@ import math
 
 import numpy as np
 
-from gravitas.amplitudes import feynman_propagator
+from gravitas.amplitudes import feynman_propagator, tree_denominators
 from gravitas.kinematics import KinematicConfig, boost, minkowski_dot
 
 METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
@@ -177,3 +178,14 @@ def m_compton_probe(cfg, params):
     return params.lambda_probe**2 / (2.0 * math.pi) ** 3 * (
         feynman_propagator(minkowski_dot(a, a) + m2, eps)
         + feynman_propagator(minkowski_dot(b, b) + m2, eps))
+
+
+# ---------------------------------------------------------------------------
+# tree-level pole
+# ---------------------------------------------------------------------------
+
+def ktil2_plus_mu2(family, omega):
+    """ktil^2 + mu^2 along a ``TreePoleFamily``, from the built configuration:
+    the brentq and finite-difference reference for ``family.pole()``."""
+    _, d2, _ = tree_denominators(family.config(omega), family.params)
+    return d2

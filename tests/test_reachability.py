@@ -1,10 +1,14 @@
-"""Every module-level name in ``src/gravitas`` is reached or justified.
+"""Every module-level name and method in ``src/gravitas`` is reached or justified.
 
 A function, class or constant defined at module level must be reached from
 the command-line entry point ``cli.main`` through the bodies of other source
 definitions, or be an entry of ``ALLOWED`` with the reason it stays. The walk
 is transitive, so a helper only reached from an unreached function is itself
-unreached. Code that only tests read, such as the paper's 2->2 derivation,
+unreached. Methods are indexed on their own, as ``Class.method``: a reached
+class does not reach them, and one is reached when its name appears as an
+attribute, ``x.method``, in a reached body. Dunder methods, which Python
+calls itself, count as part of their class. Code that only tests read, such
+as the paper's 2->2 derivation and the numerical reference for the tree pole,
 lives in ``tests/oracles.py``; the only reason left is a benchmark probe,
 and an entry stays allowed only while ``perfbench/`` still names it.
 """
@@ -27,9 +31,15 @@ ALLOWED = {
 }
 
 
+def _is_method(node):
+    return (isinstance(node, ast.FunctionDef)
+            and not (node.name.startswith("__") and node.name.endswith("__")))
+
+
 def _index():
-    """Module-level definitions {(module, name): node} and, per module, the
-    names its relative imports bind {name: (module, name)}."""
+    """Module-level definitions and methods {(module, name): node}, a method
+    named ``Class.method``, and, per module, the names its relative imports
+    bind {name: (module, name)}."""
     defs, imports = {}, {}
     for path in sorted(SRC.glob("*.py")):
         mod = path.stem
@@ -41,6 +51,9 @@ def _index():
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defs[mod, node.name] = node
+                if isinstance(node, ast.ClassDef):
+                    for item in filter(_is_method, node.body):
+                        defs[mod, f"{node.name}.{item.name}"] = item
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for t in targets:
@@ -49,7 +62,22 @@ def _index():
     return defs, imports
 
 
+def _own_nodes(definition):
+    """The nodes of a definition, less the methods that are indexed on their own."""
+    todo = [definition]
+    while todo:
+        node = todo.pop()
+        yield node
+        todo.extend(child for child in ast.iter_child_nodes(node)
+                    if not (node is definition and isinstance(node, ast.ClassDef)
+                            and _is_method(child)))
+
+
 def _reached(defs, imports, roots):
+    methods = {}
+    for mod, name in defs:
+        if "." in name:
+            methods.setdefault(name.split(".")[1], []).append((mod, name))
     seen, todo = set(), list(roots)
     while todo:
         key = todo.pop()
@@ -57,11 +85,13 @@ def _reached(defs, imports, roots):
             continue
         seen.add(key)
         mod = key[0]
-        for node in ast.walk(defs[key]):
+        for node in _own_nodes(defs[key]):
             if isinstance(node, ast.Name):
                 ref = (mod, node.id) if (mod, node.id) in defs else imports[mod].get(node.id)
                 if ref in defs:
                     todo.append(ref)
+            elif isinstance(node, ast.Attribute):
+                todo.extend(methods.get(node.attr, ()))
     return seen
 
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,11 +9,11 @@ from gravitas.errors import BelowThresholdError, NoPoleCrossingError
 from gravitas.kinematics import cm_momentum, stream
 from gravitas.params import ModelParams
 from gravitas.amplitudes import m_3to3_tree
-from gravitas.unitarity import (LHS_TAG, RHS_TAG, OpticalReport,
-                                TreePoleFamily, annihilation_rhs,
+from gravitas.unitarity import (LHS_TAG, RHS_TAG, TreePoleFamily, annihilation_rhs,
                                 box_cut_im_forward, bump_weight, elastic_only_rhs,
                                 max_smallest_eps, optical_tree_check,
                                 unitarity_violation_scan)
+from oracles import ktil2_plus_mu2
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +39,7 @@ def test_optical_tree_off_pole_weight_vanishes(params):
     lo, hi = fam.omega_window()
     from scipy.optimize import brentq
 
-    omega_star = brentq(fam.ktil2_plus_mu2, lo, hi, xtol=1e-12)
+    omega_star = brentq(lambda w: ktil2_plus_mu2(fam, w), lo, hi, xtol=1e-12)
     off_center = omega_star + 0.12
     w = bump_weight(off_center, 0.03)  # support entirely off the pole
     rep = optical_tree_check(fam, w, params, eps_ladder=(1e-3, 1e-4, 1e-5))
@@ -52,7 +53,7 @@ def test_optical_tree_off_pole_weight_vanishes(params):
     for eps_rel, value in rep.eps_ladder:
         pe = ModelParams(g_newton=params.g_newton, m=params.m, mu=params.mu,
                          lambda_probe=params.lambda_probe, eps_rel=eps_rel)
-        ref, _ = quad(lambda om: w(om) * m_3to3_tree(fam.config(om), pe).value.imag,
+        ref, _ = quad(lambda om: w(om) * m_3to3_tree(fam.config(om), pe).imag,
                       off_center - 0.03, off_center + 0.03, epsabs=0.0, epsrel=1e-12)
         assert value == pytest.approx(ref, rel=1e-6)
 
@@ -64,11 +65,39 @@ def test_pole_closed_form_matches_brentq(params):
 
     omega_star, slope = fam.pole()
     assert omega_star == pytest.approx(
-        brentq(fam.ktil2_plus_mu2, lo, hi, xtol=1e-300), rel=1e-14)
+        brentq(lambda w: ktil2_plus_mu2(fam, w), lo, hi, xtol=1e-300), rel=1e-14)
     h = 1e-6 * omega_star
-    fd = (fam.ktil2_plus_mu2(omega_star - h)
-          - fam.ktil2_plus_mu2(omega_star + h)) / (2.0 * h)
+    fd = (ktil2_plus_mu2(fam, omega_star - h)
+          - ktil2_plus_mu2(fam, omega_star + h)) / (2.0 * h)
     assert slope == pytest.approx(fd, rel=1e-8)
+
+
+def test_pole_needs_no_runtime_sign_check():
+    # why optical_tree_check re-checks nothing at the pole: ktil^2 + mu^2
+    # changes sign on the window, and the radiated quantum k + p1 - p1' has
+    # the positive closed-form energy ((E - m)(E - q) + mu^2/2)/(q + m - E)
+    for m, mu_over_m, q in itertools.product((1.0, 2.0), (0.01, 0.5, 0.99), (0.05, 0.4)):
+        mu = mu_over_m * m
+        fam = TreePoleFamily(ModelParams(g_newton=1.0, m=m, mu=mu), q_out=q)
+        lo, hi = fam.omega_window()
+        assert ktil2_plus_mu2(fam, lo) > 0.0 > ktil2_plus_mu2(fam, hi)
+        cfg = fam.config(fam.pole()[0])
+        k, p1, _ = cfg.incoming
+        energy = float((k + p1 - cfg.outgoing[1])[0])
+        e = math.hypot(m, q)
+        closed = ((e - m) * (e - q) + 0.5 * mu * mu) / (q + m - e)
+        assert closed > 0.0
+        assert energy == pytest.approx(closed, rel=1e-9)
+
+
+def test_optical_tree_default_bump_builds_only_its_cell(params):
+    # at q_out = 1 the window's low end leaves the physical region, but the
+    # default bump's support, the pole cell, does not
+    fam = TreePoleFamily(params, q_out=1.0)
+    with pytest.raises(ValueError, match="physical region"):
+        fam.config(fam.omega_window()[0])
+    rep = optical_tree_check(fam, None, params)
+    assert rep.ratio_restored == pytest.approx(1.0, abs=0.01)
 
 
 def test_optical_tree_ladder_matches_quad(params):
@@ -80,7 +109,7 @@ def test_optical_tree_ladder_matches_quad(params):
     for eps_rel, value in rep.eps_ladder:
         pe = ModelParams(g_newton=params.g_newton, m=params.m, mu=params.mu,
                          lambda_probe=params.lambda_probe, eps_rel=eps_rel)
-        ref, _ = quad(lambda om: w(om) * m_3to3_tree(fam.config(om), pe).value.imag,
+        ref, _ = quad(lambda om: w(om) * m_3to3_tree(fam.config(om), pe).imag,
                       omega_star - half, omega_star + half, points=[omega_star],
                       epsabs=0.0, epsrel=1e-12, limit=1000)
         assert value == pytest.approx(ref, rel=1e-7)
@@ -101,7 +130,7 @@ def test_optical_tree_user_weight_coarse_ladder_matches_quad(params):
     for eps_rel, value in rep.eps_ladder:
         pe = ModelParams(g_newton=params.g_newton, m=params.m, mu=params.mu,
                          lambda_probe=params.lambda_probe, eps_rel=eps_rel)
-        ref, _ = quad(lambda om: w(om) * m_3to3_tree(fam.config(om), pe).value.imag,
+        ref, _ = quad(lambda om: w(om) * m_3to3_tree(fam.config(om), pe).imag,
                       lo, hi, points=[omega_star], epsabs=0.0, epsrel=1e-12, limit=1000)
         assert value == pytest.approx(ref, rel=1e-7)
 
@@ -152,10 +181,6 @@ def test_optical_report_invariants(params):
     assert rep.lhs_provenance == LHS_TAG
     assert rep.rhs_provenance == RHS_TAG
     assert rep.lhs_provenance != rep.rhs_provenance
-    with pytest.raises(ValueError):
-        OpticalReport(1.0, 1.0, ((1e-2, 1.0),), (-1.0,), 1.0, 1.0)
-    with pytest.raises(ValueError):
-        OpticalReport(1.0, 1.0, ((1e-2, 1.0), (1e-3, 1.0)), (0.0,), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +278,18 @@ def test_box_cut_importance_sampling_cuts_variance(box_params):
 def test_box_cut_below_threshold(box_params, rng):
     with pytest.raises(BelowThresholdError):
         box_cut_im_forward(3.9, box_params, 100, rng)
+
+
+def test_box_cut_propagator_stays_off_its_pole():
+    # why the sampler checks no pole: den = A - B c >= A - B >= m^2 for every
+    # c in [-1, 1]; pinned on m in {1, 2}, mu up to 0.99 m and s from 4 m^2
+    # to 4e6 m^2, with A and B as the sampler forms them
+    for m in (1.0, 2.0):
+        for mu in m * np.linspace(0.01, 0.99, 12):
+            for s in m * m * np.geomspace(4.0, 4e6, 61):
+                p, k = cm_momentum(s, m, m), cm_momentum(s, mu, mu)
+                a = math.sqrt(s) * math.hypot(mu, k) - mu * mu
+                assert a - 2.0 * p * k >= m * m * (1.0 - 1e-6)
 
 
 def test_annihilation_matches_box(box_params):
