@@ -87,7 +87,7 @@ FLAGS = {
     "lambda_probe": Flag("photon-matter coupling lambda (mass units)",
                          flag="--lambda"),
     "alpha_tilde": Flag("particle-antiparticle box coupling alpha~ (dimensionless)"),
-    "eps_ladder": Flag("relative epsilon ladder, units of max(m^2, mu^2)",
+    "eps_ladder": Flag("relative epsilon ladder, units of m^2",
                        gt=0, nargs="+"),
     "tolerance": Flag("slack on |ratio - 1|: the pass/fail bound of optical-tree, "
                       "a floor under the z-sigma bound of box-cut (dimensionless)"),
@@ -459,15 +459,8 @@ COMMANDS = (
 # harness
 # ---------------------------------------------------------------------------
 
-def _json_default(obj):
-    if isinstance(obj, (np.generic, np.ndarray)):
-        return obj.tolist()  # numpy scalars become the matching Python scalar
-    raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True,
-                               default=_json_default) + "\n",
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 
 
@@ -482,10 +475,8 @@ def _nonfinite(value) -> tuple[tuple, object] | None:
     """(key path, value) of the first nan or +/-inf float in a run's data, or
     None. Python float arithmetic overflows to inf without raising, and
     ``np.errstate`` does not reach worker threads, so the data is checked."""
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return None if math.isfinite(value) else ((), value)
-    if isinstance(value, np.ndarray):
-        return None if np.all(np.isfinite(value)) else ((), value)
     if not isinstance(value, (dict, list, tuple)):
         return None
     for key, item in value.items() if isinstance(value, dict) else enumerate(value):

@@ -21,10 +21,6 @@ class SpectatorMismatchError(GravitasError):
     """Spectator momenta differ where a disconnected delta requires equality."""
 
 
-class NoPoleCrossingError(GravitasError):
-    """A kinematic path never crosses the mediator pole."""
-
-
 class NonpositiveSeparationError(GravitasError):
     """Mean separation for the quadratized potential must be positive."""
 

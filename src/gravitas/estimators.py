@@ -64,24 +64,14 @@ def integration_time(cfg: BendingConfig) -> float:
             / (G_NEWTON_SI * cfg.mass_kg * cfg.superposition_separation_m))
 
 
-@dataclass(frozen=True)
-class PhotonBudget:
-    n_gamma: float
-    photon_energy_ev: float
-    effective_mass_kg: float
-    effective_mass_planck: float
-    effective_mass_planck_loose_ev: float  # with the 0.2 eV photon convention
-    integration_time_s: float
-    target_time_s: float
-
-
-def photon_budget(cfg: BendingConfig, target_time: float) -> PhotonBudget:
+def photon_budget(cfg: BendingConfig, target_time: float) -> dict:
     """Photon number and effective cavity mass to reach ``target_time``.
 
     The sqrt(n_gamma) speedup gives n_gamma = (T / target_time)^2, with T
-    taken from cfg.t_integration_s if set, else derived. Effective mass is
-    n_gamma * E_photon / c^2, reported both with the exact photon energy and
-    with the source's 0.2 eV rounding.
+    (``integration_time_s``) taken from cfg.t_integration_s if set, else
+    derived. Effective mass is n_gamma * E_photon / c^2, reported both with
+    the exact photon energy and with the source's 0.2 eV rounding
+    (``effective_mass_planck_loose_ev``).
     """
     if target_time <= 0:
         raise ValueError("target_time must be positive")
@@ -91,7 +81,7 @@ def photon_budget(cfg: BendingConfig, target_time: float) -> PhotonBudget:
     e_photon = H_SI * C_SI / cfg.wavelength_m
     mass_kg = n_gamma * e_photon / C_SI**2
     mass_loose_kg = n_gamma * LOOSE_PHOTON_EV * EV_SI / C_SI**2
-    return PhotonBudget(
+    return dict(
         n_gamma=n_gamma,
         photon_energy_ev=e_photon / EV_SI,
         effective_mass_kg=mass_kg,
@@ -105,17 +95,15 @@ def photon_budget(cfg: BendingConfig, target_time: float) -> PhotonBudget:
 def estimate_record(cfg: BendingConfig, target_time: float = 1.0) -> dict:
     """Flat JSON-ready record of all derived quantities, with units and notes."""
     dtheta = deflection_diff(cfg)
-    t_int = integration_time(cfg)
     budget = photon_budget(cfg, target_time)
     return {
         "config": asdict(cfg),
         "deflection_diff_rad": dtheta,
-        "integration_time_s": t_int,
         "cavity_crossings": cfg.wavelength_m / (cfg.cavity_length_m * dtheta),
-        **asdict(budget),
+        **budget,
         "notes": [
             "photon energy at the configured wavelength is "
-            f"{budget.photon_energy_ev:.3f} eV; the 0.2 eV rounding used in "
+            f"{budget['photon_energy_ev']:.3f} eV; the 0.2 eV rounding used in "
             "the source estimate is reported separately",
             "the source's quoted 7.4e-27 differential deflection corresponds "
             "to G M/(c^2 b) without the Db/b factor of the displayed formula",

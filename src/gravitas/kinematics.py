@@ -246,11 +246,14 @@ def check_invariant_measure_identity(
     """
     widths = [w * mu * mu for w in WIDTH_LADDER]
 
-    # LHS: k3 uniform in a ball of radius kmax
-    u = rng.random(n) ** (1.0 / 3.0)
-    nhat = _uniform_directions(rng, n)
-    k3 = (kmax * u)[:, None] * nhat
-    e = np.sqrt(mu * mu + np.sum(k3 * k3, axis=1))
+    def ball() -> tuple[np.ndarray, np.ndarray]:
+        """k3 uniform in the ball of radius kmax, and its on-shell energy."""
+        u = rng.random(n) ** (1.0 / 3.0)
+        k3 = (kmax * u)[:, None] * _uniform_directions(rng, n)
+        return k3, np.sqrt(mu * mu + np.sum(k3 * k3, axis=1))
+
+    # LHS: k3 on shell
+    k3, e = ball()
     k4 = np.concatenate([e[:, None], k3], axis=1)
     vol3 = 4.0 / 3.0 * math.pi * kmax**3
     vals = test_fn(k4) * vol3 / ((2.0 * math.pi) ** 3 * 2.0 * e)
@@ -263,10 +266,7 @@ def check_invariant_measure_identity(
     # regularized delta; only the sampling density adapts.
     per_width = []
     for w in widths:
-        u = rng.random(n) ** (1.0 / 3.0)
-        nhat = _uniform_directions(rng, n)
-        k3 = (kmax * u)[:, None] * nhat
-        e_shell = np.sqrt(mu * mu + np.sum(k3 * k3, axis=1))
+        k3, e_shell = ball()
         prop_sigma = 4.0 * w / (2.0 * e_shell)
         k0 = e_shell + prop_sigma * rng.standard_normal(n)
         q = np.exp(-0.5 * ((k0 - e_shell) / prop_sigma) ** 2) \

@@ -19,8 +19,9 @@ class ModelParams:
     lambda_probe photon-matter coupling (mass dimension 1)
     alpha_tilde  coupling of the particle-antiparticle box; kept independent
                  of g_newton*m**4 (no identification is assumed)
-    eps_rel      pole displacement relative to max(m^2, mu^2); the absolute
-                 epsilon used in propagators is ``eps_abs``
+    eps_rel      pole displacement relative to m^2 (the larger mass, since
+                 mu < m); the absolute epsilon used in propagators is
+                 ``eps_abs``
     """
 
     g_newton: float = 1.0
@@ -44,5 +45,5 @@ class ModelParams:
 
     @property
     def eps_abs(self) -> float:
-        """Absolute pole displacement: eps_rel * max(m^2, mu^2)."""
-        return self.eps_rel * max(self.m**2, self.mu**2)
+        """Absolute pole displacement: eps_rel * m^2."""
+        return self.eps_rel * self.m**2

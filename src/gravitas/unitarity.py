@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .amplitudes import m_3to3_tree, m_graviton_emission
-from .errors import BelowThresholdError, NoPoleCrossingError
+from .errors import BelowThresholdError
 from .kinematics import (FourVector, KinematicConfig, cm_momentum,
                          minkowski_dot, on_shell)
 from .params import ModelParams
@@ -37,21 +37,33 @@ RHS_TAG = "rhs:graviton-emission-product/closed-form-pole"
 # canonical kinematic path for the tree-level check
 # ---------------------------------------------------------------------------
 
+# TreePoleFamily geometry, in units of m: the p_z of the outgoing p1' and of p2
+Q_OUT = 0.4
+SPECTATOR_PZ = 0.6
+
+
 @dataclass(frozen=True)
 class TreePoleFamily:
     """One-parameter family of 3->3 configurations crossing the mediator pole.
 
     The path parameter omega is the incoming photon energy. Mass 1 sits at
     rest and absorbs the photon (along +z); its outgoing momentum is fixed
-    at q_out along +z, so ktil^2 = (p1' - p1 - k)^2 is exactly linear in
-    omega and sweeps through -mu^2. The second photon and outgoing spectator
-    are built by a deterministic two-body split of the remaining total, so
-    every member conserves momentum and is fully on shell.
+    at Q_OUT * m along +z, so ktil^2 = (p1' - p1 - k)^2 is exactly linear in
+    omega and sweeps through -mu^2. The spectator p2 moves along +z with
+    SPECTATOR_PZ * m. The second photon and outgoing spectator are built by
+    a deterministic two-body split of the remaining total t2 = k + p1 + p2 - p1',
+    so every member conserves momentum and is fully on shell. The geometry
+    scales with m, so a dimensionless result depends on mu / m, not on the
+    mass scale.
+
+    Every omega > 0 is physical, so ``config`` tests nothing but omega > 0:
+    t2_e - t2_z = c = m (0.8 + sqrt(1.36) - sqrt(1.16)) ~ 0.889 m does not
+    depend on omega, t2_e = omega + m (1 + sqrt(1.36) - sqrt(1.16)) > 0, and
+    with 2 t2_z = 2 omega + 2 (SPECTATOR_PZ - Q_OUT) m = 2 omega + 0.4 m,
+    s2 = c (2 omega + c + 0.4 m) > c (c + 0.4 m) ~ 1.146 m^2 > m^2.
     """
 
     params: ModelParams
-    q_out: float = 0.4
-    spectator_pz: float = 0.6
 
     def config(self, omega: float | np.ndarray) -> KinematicConfig:
         """The member at photon energy ``omega``; an array of energies gives
@@ -62,15 +74,11 @@ class TreePoleFamily:
             raise ValueError("photon energy must be positive")
         zhat = np.array([1.0, 0.0, 0.0, 1.0])
         p1 = FourVector(m, 0.0, 0.0, 0.0)
-        p2 = on_shell(m, (0.0, 0.0, self.spectator_pz))
+        p2 = on_shell(m, (0.0, 0.0, SPECTATOR_PZ * m))
         k = w[..., None] * zhat
-        p1p = on_shell(m, (0.0, 0.0, self.q_out))
+        p1p = on_shell(m, (0.0, 0.0, Q_OUT * m))
         t2 = k + p1 + p2 - p1p
         s2 = -minkowski_dot(t2, t2)
-        bad = (s2 <= m * m) | (t2[..., 0] <= 0)
-        if bad.any():
-            raise ValueError("family leaves the physical region at "
-                             f"omega={np.broadcast_to(w, bad.shape)[bad][0]}")
         # deterministic split t2 -> photon (massless, +z in the t2 frame) + mass m;
         # t2 points along z, so the boost to the lab scales the photon by
         # gamma (1 + beta) = (E + pz) / sqrt(s2)
@@ -83,14 +91,12 @@ class TreePoleFamily:
                                (0.0, m, m, 0.0, m, m))
 
     def pole(self) -> tuple[float, float]:
-        """(omega*, |d(ktil^2)/d omega|), both exact: ktil^2 + mu^2 is linear in omega."""
+        """(omega*, |d(ktil^2)/d omega|), both exact: ktil^2 + mu^2 is linear
+        in omega, with slope 2 m (sqrt(1 + Q_OUT^2) - Q_OUT - 1) < 0."""
         m, mu = self.params.m, self.params.mu
-        ep = math.hypot(m, self.q_out)
-        slope = 2.0 * (ep - self.q_out - m)       # d(ktil^2)/d omega
-        if slope >= 0.0:
-            raise NoPoleCrossingError(
-                "ktil^2 does not decrease along the path; no pole is reachable "
-                f"(q_out={self.q_out})")
+        q = Q_OUT * m
+        ep = math.hypot(m, q)
+        slope = 2.0 * (ep - q - m)       # d(ktil^2)/d omega
         return (2.0 * m * (ep - m) + mu * mu) / (-slope), -slope
 
     def omega_window(self) -> tuple[float, float]:
@@ -127,7 +133,7 @@ class OpticalReport:
 
 
 # half-width of the default bump and of the pole cell, omega* +/- Delta, in
-# units of sqrt(eps * max(m^2, mu^2)) / |slope|
+# units of sqrt(eps) m^2 / |slope|: 1/sqrt(eps) Lorentzian half-widths eps m^2 / |slope|
 POLE_CELL_WIDTHS = 10.0
 # Gauss-Legendre nodes per panel of the fine rule; the coarse rule has half
 N_NODES = 512
@@ -137,7 +143,7 @@ def max_smallest_eps(family: TreePoleFamily, params: ModelParams) -> float:
     """Bound (exclusive) on the smallest ladder epsilon of the default bump:
     at and above it the pole cell reaches omega <= 0, where no photon is."""
     omega_star, slope = family.pole()
-    return (omega_star * slope / POLE_CELL_WIDTHS) ** 2 / max(params.m**2, params.mu**2)
+    return (omega_star * slope / (POLE_CELL_WIDTHS * params.m**2)) ** 2
 
 
 def optical_tree_check(
@@ -149,7 +155,7 @@ def optical_tree_check(
     """Integrated Im M against the collapsed emission-state sum.
 
     LHS: integral of weight * Im[m_3to3_tree] along the path, once per
-    epsilon in the ladder (relative epsilons, scaled by max(m^2, mu^2)),
+    epsilon in the ladder (relative epsilons, scaled by m^2),
     extrapolated linearly from the two smallest. The integral runs over the
     support of the default bump, or over the whole window [lo, hi] for a
     user ``weight_fn``. On the pole cell, omega* +/- Delta (Delta the
@@ -171,7 +177,12 @@ def optical_tree_check(
     No sign test re-checks the pole: ktil^2 + mu^2 is linear in omega with
     a negative slope and its root at omega*, and the radiated quantum
     k + p1 - p1' has energy ((E - m)(E - q) + mu^2/2) / (q + m - E) > 0
-    there, with q = q_out and E = sqrt(m^2 + q^2).
+    there, with q = Q_OUT * m and E = sqrt(m^2 + q^2).
+
+    Every length in omega (the pole, the cell half-width
+    POLE_CELL_WIDTHS sqrt(eps) m^2 / |slope|, the window) is m times a
+    number, so ``ratio_restored`` depends on mu / m and the ladder only,
+    not on the mass scale.
 
     ``weight_fn`` maps omega (a float or an array, elementwise) to weights.
     """
@@ -180,8 +191,8 @@ def optical_tree_check(
                          f"got {eps_ladder}")
     epss = sorted(eps_ladder, reverse=True)
     omega_star, slope = family.pole()
-    scale = max(params.m**2, params.mu**2)
-    half = POLE_CELL_WIDTHS * math.sqrt(min(epss) * scale) / slope
+    scale = params.m**2
+    half = POLE_CELL_WIDTHS * math.sqrt(min(epss)) * scale / slope
     if weight_fn is None:
         weight_fn = bump_weight(omega_star, half)
         support = (omega_star - half, omega_star + half)

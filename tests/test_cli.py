@@ -58,6 +58,17 @@ def test_optical_tree_default(tmp_path):
     assert man["resolved_config"]["mu"] == 0.05
 
 
+@pytest.mark.parametrize("masses", [["--m", "100", "--mu", "5"],
+                                    ["--m", "1e-6", "--mu", "5e-8"],
+                                    ["--m", "100"]])
+def test_optical_tree_passes_at_every_mass_scale(tmp_path, masses):
+    # the tree family and its pole cell are written in units of m
+    out = tmp_path / "ot.json"
+    assert main(["optical-tree", *masses, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert abs(doc["ratio_restored"] - 1.0) <= 1e-4
+
+
 def test_optical_tree_unachievable_tolerance(tmp_path, capsys):
     out = tmp_path / "ot.json"
     assert main(["optical-tree", "--out", str(out), "--tolerance", "1e-9"]) == 1

@@ -49,18 +49,18 @@ def test_photon_budget_inverts_sqrt_speedup():
     cfg = BendingConfig()
     t_total = integration_time(cfg)
     budget = photon_budget(cfg, target_time=t_total / math.sqrt(1e6))
-    assert budget.n_gamma == pytest.approx(1e6, rel=1e-12)
+    assert budget["n_gamma"] == pytest.approx(1e6, rel=1e-12)
     # target_time = T -> a single photon suffices
-    assert photon_budget(cfg, target_time=t_total).n_gamma == pytest.approx(1.0)
+    assert photon_budget(cfg, target_time=t_total)["n_gamma"] == pytest.approx(1.0)
 
 
 def test_photon_budget_uses_override_time():
     cfg = BendingConfig(t_integration_s=1e16)
     budget = photon_budget(cfg, target_time=1.0)
-    assert budget.n_gamma == pytest.approx(1e32, rel=1e-12)
-    assert budget.effective_mass_planck == pytest.approx(1.0e4, rel=0.05)
-    assert budget.effective_mass_planck_loose_ev == pytest.approx(1.6e3, rel=0.05)
-    assert budget.photon_energy_ev == pytest.approx(1.2398, rel=1e-3)
+    assert budget["n_gamma"] == pytest.approx(1e32, rel=1e-12)
+    assert budget["effective_mass_planck"] == pytest.approx(1.0e4, rel=0.05)
+    assert budget["effective_mass_planck_loose_ev"] == pytest.approx(1.6e3, rel=0.05)
+    assert budget["photon_energy_ev"] == pytest.approx(1.2398, rel=1e-3)
 
 
 def test_dimensional_audit_scaling_powers():
@@ -91,6 +91,8 @@ def test_record_carries_notes_and_both_conventions():
     assert any("0.2 eV" in note for note in rec["notes"])
     assert any("7.4e-27" in note for note in rec["notes"])
     assert rec["deflection_diff_rad"] == pytest.approx(7.43e-28, rel=1e-2)
+    # the record's integration time is the one the photon budget used
+    assert rec["integration_time_s"] == 1e16
 
 
 def test_planck_mass_constant():

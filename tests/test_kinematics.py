@@ -14,7 +14,7 @@ from gravitas.kinematics import (FourVector, KinematicConfig, boost,
                                  cm_momentum, minkowski_dot, on_shell, stream,
                                  two_body_batch)
 from gravitas.params import ModelParams
-from gravitas.unitarity import TreePoleFamily
+from gravitas.unitarity import Q_OUT, TreePoleFamily
 from oracles import boosted, elastic_cm_config, mandelstam
 
 momenta3 = st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3)
@@ -221,9 +221,10 @@ def test_benchmark_probe_api():
     # fed a FourVector
     params = ModelParams(g_newton=1.0, m=1.0, mu=0.05, lambda_probe=0.7)
     fam = TreePoleFamily(params)
-    ep = math.hypot(params.m, fam.q_out)  # closed-form mediator pole on the path
+    q = Q_OUT * params.m
+    ep = math.hypot(params.m, q)  # closed-form mediator pole on the path
     omega_star = ((2 * params.m * (ep - params.m) + params.mu**2)
-                  / (2 * (fam.q_out + params.m - ep)))
+                  / (2 * (q + params.m - ep)))
     cfg = fam.config(omega_star)
     k, p1, p2 = cfg.incoming
     _, p1p, _ = cfg.outgoing

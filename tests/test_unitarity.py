@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from gravitas.errors import BelowThresholdError, NoPoleCrossingError
-from gravitas.kinematics import cm_momentum, stream
+from gravitas.errors import BelowThresholdError
+from gravitas.kinematics import cm_momentum, minkowski_dot, stream
 from gravitas.params import ModelParams
 from gravitas.amplitudes import m_3to3_tree
-from gravitas.unitarity import (LHS_TAG, RHS_TAG, TreePoleFamily, annihilation_rhs,
+from gravitas.unitarity import (LHS_TAG, N_NODES, POLE_CELL_WIDTHS, Q_OUT, RHS_TAG,
+                                SPECTATOR_PZ, TreePoleFamily, annihilation_rhs,
                                 box_cut_im_forward, bump_weight, elastic_only_rhs,
                                 max_smallest_eps, optical_tree_check,
                                 unitarity_violation_scan)
@@ -72,31 +73,123 @@ def test_pole_closed_form_matches_brentq(params):
     assert slope == pytest.approx(fd, rel=1e-8)
 
 
+# masses and mu/m at which the family's closed-form guarantees are checked
+SCALES = list(itertools.product((1e-6, 1.0, 1e6), (1e-6, 0.5, 0.99)))
+
+
+def _family(m, mu_over_m):
+    params = ModelParams(g_newton=1.0, m=m, mu=mu_over_m * m)
+    return TreePoleFamily(params), params
+
+
 def test_pole_needs_no_runtime_sign_check():
     # why optical_tree_check re-checks nothing at the pole: ktil^2 + mu^2
     # changes sign on the window, and the radiated quantum k + p1 - p1' has
     # the positive closed-form energy ((E - m)(E - q) + mu^2/2)/(q + m - E)
-    for m, mu_over_m, q in itertools.product((1.0, 2.0), (0.01, 0.5, 0.99), (0.05, 0.4)):
-        mu = mu_over_m * m
-        fam = TreePoleFamily(ModelParams(g_newton=1.0, m=m, mu=mu), q_out=q)
+    for m, mu_over_m in SCALES:
+        fam, params = _family(m, mu_over_m)
         lo, hi = fam.omega_window()
         assert ktil2_plus_mu2(fam, lo) > 0.0 > ktil2_plus_mu2(fam, hi)
         cfg = fam.config(fam.pole()[0])
         k, p1, _ = cfg.incoming
         energy = float((k + p1 - cfg.outgoing[1])[0])
+        q, mu = Q_OUT * m, params.mu
         e = math.hypot(m, q)
         closed = ((e - m) * (e - q) + 0.5 * mu * mu) / (q + m - e)
         assert closed > 0.0
         assert energy == pytest.approx(closed, rel=1e-9)
 
 
-def test_optical_tree_default_bump_builds_only_its_cell(params):
-    # at q_out = 1 the window's low end leaves the physical region, but the
-    # default bump's support, the pole cell, does not
-    fam = TreePoleFamily(params, q_out=1.0)
-    with pytest.raises(ValueError, match="physical region"):
-        fam.config(fam.omega_window()[0])
+def test_pole_slope_is_negative_at_every_mass():
+    # why pole() has no no-crossing branch: d(ktil^2)/d omega is
+    # 2 m (sqrt(1 + Q_OUT^2) - Q_OUT - 1) < 0 for every m > 0
+    for m, mu_over_m in SCALES:
+        fam, _ = _family(m, mu_over_m)
+        omega_star, slope = fam.pole()
+        closed = 2.0 * m * (math.sqrt(1.0 + Q_OUT**2) - Q_OUT - 1.0)
+        assert closed < 0.0
+        assert slope == pytest.approx(-closed, rel=1e-12)
+        h = 1e-3 * omega_star
+        fd = (ktil2_plus_mu2(fam, omega_star + h)
+              - ktil2_plus_mu2(fam, omega_star - h)) / (2.0 * h)
+        assert fd == pytest.approx(closed, rel=1e-6)
+
+
+def test_tree_family_is_physical_for_every_positive_omega():
+    # why config() has no physical-region test: t2 = k + p1 + p2 - p1' has
+    # t2_e - t2_z = c independent of omega, so t2_e > 0 and, with
+    # 2 t2_z = 2 omega + b, s2 = c (2 omega + c + b) > c (c + b) > m^2 on all of (0, hi]
+    for m, mu_over_m in SCALES:
+        fam, _ = _family(m, mu_over_m)
+        hi = fam.omega_window()[1]
+        omega = np.concatenate([np.geomspace(1e-12 * hi, hi, 60),
+                                np.linspace(0.0, hi, 41)[1:]])
+        cfg = fam.config(omega)
+        t2 = cfg.outgoing[:, 0, :] + cfg.outgoing[:, 2, :]
+        s2 = -minkowski_dot(t2, t2)
+        c = m * (1.0 + math.hypot(1.0, SPECTATOR_PZ) - math.hypot(1.0, Q_OUT)
+                 - SPECTATOR_PZ + Q_OUT)
+        b = 2.0 * (SPECTATOR_PZ - Q_OUT) * m
+        assert c * (c + b) > 1.1 * m * m
+        assert np.all(t2[:, 0] > 0.0)
+        assert np.all(s2 > m * m)
+        np.testing.assert_allclose(t2[:, 0] - t2[:, 3], c, rtol=1e-9)
+        np.testing.assert_allclose(s2, c * (2.0 * omega + c + b), rtol=1e-9)
+
+
+def _record_configs(monkeypatch):
+    """The omega arguments of every ``TreePoleFamily.config`` call from now on."""
+    seen, build = [], TreePoleFamily.config
+
+    def recording(self, omega):
+        seen.append(np.asarray(omega))
+        return build(self, omega)
+
+    monkeypatch.setattr(TreePoleFamily, "config", recording)
+    return seen
+
+
+def test_user_weight_over_the_whole_window_builds_every_node(monkeypatch):
+    # a user weight integrates over all of omega_window(), whose low end
+    # is 0.2 omega*; every node there is a physical configuration
+    seen = _record_configs(monkeypatch)
+    for m, mu_over_m in SCALES:
+        fam, params = _family(m, mu_over_m)
+        lo, hi = fam.omega_window()
+        seen.clear()
+        rep = optical_tree_check(fam, lambda w: 1.0 / (1.0 + (w / m) ** 2), params)
+        nodes = seen[0]
+        assert nodes.min() >= lo and nodes.max() <= hi
+        # n and n/2 Gauss-Legendre nodes on the pole cell and on each panel
+        assert nodes.shape == (3, 3 * (N_NODES + N_NODES // 2))
+        assert rep.ratio_restored == pytest.approx(1.0, abs=1e-4)
+
+
+def test_optical_tree_ratio_is_the_same_at_every_mass_scale():
+    # ratio_restored is dimensionless and the family is written in units of
+    # m, so only mu/m moves it
+    for mu_over_m in (1e-6, 0.05, 0.99):
+        ratios = []
+        for m in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            _, params = _family(m, mu_over_m)
+            ratios.append(optical_tree_check(TreePoleFamily(params), None,
+                                             params).ratio_restored)
+        assert ratios == pytest.approx([ratios[2]] * len(ratios), rel=1e-10)
+        assert ratios[2] == pytest.approx(1.0, abs=1e-4)
+
+
+def test_optical_tree_default_bump_builds_only_its_cell(params, monkeypatch):
+    # the default bump's support is the pole cell omega* +/- Delta, with
+    # Delta = POLE_CELL_WIDTHS sqrt(eps) m^2 / |slope| at the smallest eps
+    fam = TreePoleFamily(params)
+    omega_star, slope = fam.pole()
+    half = POLE_CELL_WIDTHS * math.sqrt(1e-4) * params.m**2 / slope
+    seen = _record_configs(monkeypatch)
     rep = optical_tree_check(fam, None, params)
+    nodes = seen[0]
+    assert nodes.shape == (3, N_NODES + N_NODES // 2)
+    assert nodes.min() > omega_star - half and nodes.max() < omega_star + half
+    assert [float(x) for x in seen[1:]] == [omega_star]
     assert rep.ratio_restored == pytest.approx(1.0, abs=0.01)
 
 
@@ -104,7 +197,7 @@ def test_optical_tree_ladder_matches_quad(params):
     fam = TreePoleFamily(params)
     rep = optical_tree_check(fam, None, params)
     omega_star, slope = fam.pole()
-    half = 10.0 * math.sqrt(1e-4 * max(params.m**2, params.mu**2)) / slope
+    half = 10.0 * math.sqrt(1e-4) * params.m**2 / slope
     w = bump_weight(omega_star, half)
     for eps_rel, value in rep.eps_ladder:
         pe = ModelParams(g_newton=params.g_newton, m=params.m, mu=params.mu,
@@ -121,7 +214,7 @@ def test_optical_tree_user_weight_coarse_ladder_matches_quad(params):
     fam = TreePoleFamily(params)
     lo, hi = fam.omega_window()
     omega_star, slope = fam.pole()
-    assert 10.0 * math.sqrt(1e-3 * max(params.m**2, params.mu**2)) / slope > omega_star
+    assert 10.0 * math.sqrt(1e-3) * params.m**2 / slope > omega_star
 
     def w(om):
         return 1.0 / (1.0 + om * om)
@@ -154,11 +247,6 @@ def test_optical_tree_lambda_rescaling_invariance(params):
     assert rep2.rhs_with_gravitons == pytest.approx(4 * rep1.rhs_with_gravitons,
                                                     rel=1e-12)
     assert rep2.ratio_restored == pytest.approx(rep1.ratio_restored, rel=1e-6)
-
-
-def test_optical_tree_no_crossing_raises(params):
-    with pytest.raises(NoPoleCrossingError):
-        optical_tree_check(TreePoleFamily(params, q_out=0.0), None, params)
 
 
 def test_optical_tree_rejects_bad_ladder_before_any_config(params, monkeypatch):
