@@ -15,18 +15,23 @@ wall time.
 
 Exit codes: 0 when every check passes; 1 when a check fails (data and
 manifest are still written) or an ``ArithmeticError`` stops the computation
-(a ``NumericalCheckError``, raised too for a nan or inf in the run's data,
-or an overflow, division by zero or invalid operation, which numpy raises
-under the command's ``np.errstate``; one line on stderr, nothing written);
-2 on a configuration error (bad flag, value, config file or seed), before
-any file is written.
+(one line on stderr, nothing written); 2 on a configuration error (bad flag,
+value, config file or seed), before any file is written. The
+``ArithmeticError`` is a ``NumericalCheckError``, raised too for a nan or
+inf in the run's data, or a floating-point failure. A command that computes
+with numpy runs under ``np.errstate``, which raises numpy's overflow,
+division by zero and invalid operation. ``deflection`` computes with Python
+floats alone: it relies on Python's own ``OverflowError`` and
+``ZeroDivisionError`` and on the check of its data for an inf.
+
+Each run imports the library modules it calls when it starts, so
+``import gravitas.cli`` loads no numpy and a ``deflection`` run never does.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
@@ -34,22 +39,11 @@ import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from statistics import NormalDist
 from typing import Callable
 
-import numpy as np
-
 from . import __version__
-from .entanglement import (FIG1_DEFAULTS, duan_variances, evolve_gaussian_grid,
-                           log_negativity, product_state, quadratize_newton)
 from .errors import GravitasError, NumericalCheckError
-from .estimators import BendingConfig, estimate_record
-from .kinematics import check_invariant_measure_identity, stream
-from .params import ModelParams
-from .semiclassical import (RECORD_EVERY, FeedbackConfig, compare_channels,
-                            run_ensemble)
-from .unitarity import (N_STRATA, TreePoleFamily, max_smallest_eps,
-                        optical_tree_check, unitarity_violation_scan)
+from .params import FIG1_DEFAULTS, N_STRATA, RECORD_EVERY, ModelParams
 
 SCHEMA_VERSION = 1
 
@@ -229,6 +223,8 @@ def _params(cfg: dict) -> ModelParams:
 
 def _sidak_z(n: int, alpha: float = GATE_ALPHA) -> float:
     """Two-sided z bound so that n independent gates fail together at rate alpha."""
+    from statistics import NormalDist
+
     per_test = -math.expm1(math.log1p(-alpha) / n)
     return NormalDist().inv_cdf(1.0 - per_test / 2.0)
 
@@ -237,7 +233,21 @@ def _sidak_z(n: int, alpha: float = GATE_ALPHA) -> float:
 # subcommands: run(cfg) -> (data, checks, message)
 # ---------------------------------------------------------------------------
 
+def _numpy_errors_raise(run: Callable[[dict], tuple]) -> Callable[[dict], tuple]:
+    """``run`` under ``np.errstate``, so that a numpy overflow, division by
+    zero or invalid operation raises ``FloatingPointError``, an
+    ``ArithmeticError``, instead of warning; numpy loads when it starts."""
+    def under_errstate(cfg: dict) -> tuple:
+        import numpy as np
+
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return run(cfg)
+    return under_errstate
+
+
 def _check_eps_ladder(cfg: dict) -> None:
+    from .unitarity import TreePoleFamily, max_smallest_eps
+
     ladder = cfg["eps_ladder"]
     if len(ladder) < 2 or len(set(ladder)) < len(ladder):
         raise ConfigError("--eps-ladder needs at least two entries, all distinct "
@@ -258,7 +268,10 @@ def _check_n_samples(cfg: dict) -> None:
                           f"stratum of the annihilation sum, got {cfg['n_samples']}")
 
 
+@_numpy_errors_raise
 def _optical_tree(cfg: dict):
+    from .unitarity import TreePoleFamily, optical_tree_check
+
     params = _params(cfg)
     report = optical_tree_check(TreePoleFamily(params), None, params,
                                 eps_ladder=cfg["eps_ladder"])
@@ -269,7 +282,10 @@ def _optical_tree(cfg: dict):
             f"1 +/- {cfg['tolerance']}")
 
 
+@_numpy_errors_raise
 def _box_cut(cfg: dict):
+    from .unitarity import unitarity_violation_scan
+
     rows = unitarity_violation_scan(_params(cfg), cfg["s_grid"], cfg["n_samples"],
                                     cfg["seed"], n_threads=cfg["threads"])
     gated = [r for r in rows if r.ratio_restored is not None]
@@ -292,11 +308,19 @@ def _box_cut(cfg: dict):
 
 
 def _initial(cfg: dict):
+    from .entanglement import product_state
+
     vx = cfg["var_x"]
     return product_state((vx, vx), (1.0 / (4.0 * vx), 1.0 / (4.0 * vx)))
 
 
+@_numpy_errors_raise
 def _entangle(cfg: dict):
+    import numpy as np
+
+    from .entanglement import (duan_variances, evolve_gaussian_grid,
+                               log_negativity, quadratize_newton)
+
     initial = _initial(cfg)
     h = quadratize_newton(cfg["d"], _params(cfg), (cfg["m"], cfg["m"]),
                           axis=cfg["axis"])
@@ -317,15 +341,22 @@ def _check_n_steps(cfg: dict) -> None:
                           f"{RECORD_EVERY}, got {cfg['n_steps']}")
 
 
-def _feedback(cfg: dict, axis: str = "separation") -> FeedbackConfig:
+def _feedback(cfg: dict, axis: str = "separation"):
     """Feedback model of both ensemble subcommands; rounds n_traj up to even."""
+    from .semiclassical import FeedbackConfig
+
     cfg["n_traj"] += cfg["n_traj"] % 2
     return FeedbackConfig(cfg["gamma"], cfg["d"], (cfg["m"], cfg["m"]),
                           _params(cfg), axis=axis,
                           meas_length=math.sqrt(cfg["var_x"]))
 
 
+@_numpy_errors_raise
 def _semiclassical(cfg: dict):
+    import numpy as np
+
+    from .semiclassical import run_ensemble
+
     fb = _feedback(cfg, cfg["axis"])
     res = run_ensemble(fb, _initial(cfg), cfg["n_traj"], cfg["n_steps"],
                        cfg["horizon"] / cfg["n_steps"], cfg["seed"])
@@ -341,7 +372,12 @@ def _semiclassical(cfg: dict):
                     f"min duan = {float(np.min(res.duan)):.6f}")
 
 
+@_numpy_errors_raise
 def _compare(cfg: dict):
+    import numpy as np
+
+    from .semiclassical import compare_channels
+
     fb = _feedback(cfg)
     comp = compare_channels(fb, _initial(cfg), cfg["horizon"], cfg["n_steps"],
                             cfg["n_traj"], cfg["seed"])
@@ -363,6 +399,8 @@ def _compare(cfg: dict):
 
 
 def _deflection(cfg: dict):
+    from .estimators import BendingConfig, estimate_record, schwarzschild_radius
+
     bc = BendingConfig(
         mass_kg=cfg["mass_g"] * 1e-3,
         impact_parameter_m=cfg["impact_um"] * 1e-6,
@@ -372,11 +410,18 @@ def _deflection(cfg: dict):
         t_integration_s=cfg["t_integration_s"],
     )
     record = estimate_record(bc, target_time=cfg["target_time_s"])
-    return (record, {"computed": True},
-            f"dtheta = {record['deflection_diff_rad']:.3e} rad")
+    r_s_over_b = schwarzschild_radius(bc) / bc.impact_parameter_m
+    return (record, {"weak_field": r_s_over_b < 1.0},
+            f"dtheta = {record['deflection_diff_rad']:.3e} rad, "
+            f"r_s/b = {r_s_over_b:.1e}")
 
 
+@_numpy_errors_raise
 def _phase_space_check(cfg: dict):
+    import numpy as np
+
+    from .kinematics import check_invariant_measure_identity, stream
+
     mu = cfg["mu"]
 
     def k2(k4: np.ndarray) -> np.ndarray:
@@ -400,8 +445,14 @@ def _phase_space_check(cfg: dict):
             f"worst discrepancy {worst:.2f} sigma against a bound of {z:.2f}")
 
 
+@_numpy_errors_raise
 def _self_test(cfg: dict):
     """Determinism check: identical seeds must give bit-identical outputs."""
+    import hashlib
+
+    from .semiclassical import run_ensemble
+    from .unitarity import unitarity_violation_scan
+
     params = ModelParams(mu=1e-3)
     fb, initial = _feedback(dict(ENSEMBLE)), _initial(ENSEMBLE)
 
@@ -473,8 +524,10 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _nonfinite(value) -> tuple[tuple, object] | None:
     """(key path, value) of the first nan or +/-inf float in a run's data, or
-    None. Python float arithmetic overflows to inf without raising, and
-    ``np.errstate`` does not reach worker threads, so the data is checked."""
+    None. A numpy command runs under ``np.errstate``, but that does not reach
+    worker threads, and ``deflection`` runs on Python floats alone, whose
+    multiplication and division overflow to inf without raising; so the data
+    is checked."""
     if isinstance(value, float):
         return None if math.isfinite(value) else ((), value)
     if not isinstance(value, (dict, list, tuple)):
@@ -546,8 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _execute(args.cmd, args)
+        return _execute(args.cmd, args)
     except ArithmeticError as exc:
         print(f"{args.cmd.name}: numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)

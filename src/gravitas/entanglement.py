@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveSeparationError, NumericalCheckError
-from .params import ModelParams
+# FIG1_DEFAULTS lives in the numpy-free params and is importable from here too
+from .params import FIG1_DEFAULTS, ModelParams
 
 OMEGA = np.array([[0.0, 1.0, 0.0, 0.0],
                   [-1.0, 0.0, 0.0, 0.0],
@@ -229,9 +230,3 @@ def log_negativity(state: GaussianState) -> float:
     nus = np.abs(np.linalg.eigvals(1j * OMEGA @ cov_pt))
     nu_min = float(np.min(nus))
     return max(0.0, -math.log(2.0 * nu_min))
-
-
-# The Fig.-1 demonstration model: two bodies of mass m at separation d, each
-# prepared at position variance var_x, with a coupling strong enough that the
-# relative-mode period is O(50) natural time units
-FIG1_DEFAULTS = dict(g_newton=10.0, m=1.0, mu=1e-6, d=10.0, var_x=9.0)

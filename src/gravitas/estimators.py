@@ -54,6 +54,12 @@ def deflection_diff(cfg: BendingConfig) -> float:
             / (C_SI**2 * cfg.impact_parameter_m**2))
 
 
+def schwarzschild_radius(cfg: BendingConfig) -> float:
+    """r_s = 2 G M / c^2 of the source mass, meters: ``deflection_diff`` is
+    the weak-field angle and holds only for an impact parameter b >> r_s."""
+    return 2.0 * G_NEWTON_SI * cfg.mass_kg / C_SI**2
+
+
 def integration_time(cfg: BendingConfig) -> float:
     """Single-photon integration time T = b^2 lambda c / (G M Db), seconds.
 

@@ -1,7 +1,9 @@
-"""Coupling and mass ledger shared by every amplitude.
+"""Coupling and mass ledger shared by every amplitude, and the constants
+that the command-line parser reads when it is built.
 
 Natural units hbar = c = 1 throughout; SI conversions live in
-``gravitas.estimators`` only.
+``gravitas.estimators`` only. This module imports no numpy, so
+``import gravitas.cli`` does not either.
 """
 
 from __future__ import annotations
@@ -47,3 +49,15 @@ class ModelParams:
     def eps_abs(self) -> float:
         """Absolute pole displacement: eps_rel * m^2."""
         return self.eps_rel * self.m**2
+
+
+# The Fig.-1 demonstration model: two bodies of mass m at separation d, each
+# prepared at position variance var_x, with a coupling strong enough that the
+# relative-mode period is O(50) natural time units
+FIG1_DEFAULTS = dict(g_newton=10.0, m=1.0, mu=1e-6, d=10.0, var_x=9.0)
+
+# ensemble snapshot stride, in steps, of run_ensemble and compare_channels
+RECORD_EVERY = 10
+
+# polar-angle strata of the annihilation sum
+N_STRATA = 64

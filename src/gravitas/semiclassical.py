@@ -41,10 +41,7 @@ from .entanglement import (OMEGA, GaussianState, duan_witness,
                            quadratize_newton)
 from .errors import StepSizeError
 from .kinematics import stream
-from .params import ModelParams
-
-# ensemble snapshot stride, in steps, of run_ensemble and compare_channels
-RECORD_EVERY = 10
+from .params import RECORD_EVERY, ModelParams
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .amplitudes import m_3to3_tree, m_graviton_emission
 from .errors import BelowThresholdError
 from .kinematics import (FourVector, KinematicConfig, cm_momentum,
                          minkowski_dot, on_shell)
-from .params import ModelParams
+from .params import N_STRATA, ModelParams
 
 LHS_TAG = "lhs:im-m3to3-tree/quadrature"
 RHS_TAG = "rhs:graviton-emission-product/closed-form-pole"
@@ -259,8 +259,7 @@ def optical_tree_check(
 
 # samples per array pass of the LHS; fixed so results do not depend on scheduling
 CHUNK_SIZE = 1 << 17
-# polar-angle strata of the annihilation sum
-N_STRATA = 64
+
 
 def _forward_p1(s: float, params: ModelParams) -> np.ndarray:
     """Incoming p1 of the forward pair at this s, in the CM frame along +z."""

@@ -136,6 +136,19 @@ def test_deflection_record(tmp_path):
     assert doc["photon_energy_ev"] == pytest.approx(1.24, rel=0.01)
 
 
+def test_deflection_check_is_the_weak_field_premise(tmp_path, capsys):
+    # G M Db / (c^2 b^2) needs b >> r_s = 2 G M / c^2: r_s/b = 1.5e-26 at the
+    # defaults, 1.5e274 at 1e300 g
+    out = tmp_path / "d.json"
+    assert main(["deflection", "--out", str(out)]) == 0
+    assert _read_manifest(out)["checks"] == {"weak_field": True}
+    heavy = tmp_path / "heavy.json"
+    assert main(["deflection", "--mass-g", "1e300", "--out", str(heavy)]) == 1
+    assert "r_s/b = 1.5e+274" in capsys.readouterr().err
+    assert _read_manifest(heavy)["checks"] == {"weak_field": False}
+    assert json.loads(heavy.read_text(encoding="utf-8"))["deflection_diff_rad"] > 1e272
+
+
 def test_phase_space_check(tmp_path):
     out = tmp_path / "ps.json"
     assert main(["phase-space-check", "--out", str(out), "--n-samples",
@@ -249,7 +262,7 @@ def test_out_into_missing_directory_exits_2_before_running(tmp_path, monkeypatch
     def never(*args, **kwargs):
         raise AssertionError("computed before the output path was checked")
 
-    monkeypatch.setattr("gravitas.cli.estimate_record", never)
+    monkeypatch.setattr("gravitas.estimators.estimate_record", never)
     out = tmp_path / "missing_dir" / "x.json"
     assert main(["deflection", "--out", str(out)]) == 2
     assert list(tmp_path.iterdir()) == []
@@ -429,6 +442,10 @@ ARITHMETIC_FAILURES = {
     "phase-space-huge-mass": ["phase-space-check", "--mu", "1e200",
                               "--n-samples", "100", *SEED],
     "deflection-subnormal-mass": ["deflection", "--mass-g", "1e-320"],
+    # deflection runs on Python floats, without np.errstate: (T/t)**2 raises
+    # OverflowError at 1e-150 s, and T/t overflows to n_gamma = inf at 1e-300 s
+    "deflection-photon-count-overflows": ["deflection", "--target-time-s", "1e-150"],
+    "deflection-inf-photon-count": ["deflection", "--target-time-s", "1e-300"],
     "entangle-tiny-separation": ["entangle", "--d", "1e-300"],
     "entangle-huge-coupling": ["entangle", "--g-newton", "1e300", "--n-grid", "2"],
     "semiclassical-huge-coupling": ["semiclassical", "--g-newton", "1e300",
@@ -448,15 +465,35 @@ def test_arithmetic_failure_exits_1_without_traceback(tmp_path, capsys, case):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_import_loads_no_scipy():
+# modules that a fresh interpreter must not have loaded after each step: the
+# command-line module imports no numpy, the arithmetic-only deflection
+# estimate runs without it, and a numpy command loads only the library
+# modules it runs
+COLD_START = {
+    "import": (None, ["numpy", "scipy"]),
+    "deflection": (["deflection"], ["numpy"]),
+    "optical-tree": (["optical-tree"], ["gravitas.entanglement",
+                                        "gravitas.semiclassical",
+                                        "gravitas.estimators"]),
+    "entangle": (["entangle", "--n-grid", "4"], ["gravitas.unitarity",
+                                                 "gravitas.kinematics"]),
+}
+
+
+@pytest.mark.parametrize("step", sorted(COLD_START))
+def test_cold_start_loads_only_what_it_runs(tmp_path, step):
+    argv, absent = COLD_START[step]
     src = str(Path(gravitas.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, gravitas.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = "import sys, gravitas.cli\n"
+    if argv is not None:
+        argv = [*argv, "--out", str(tmp_path / "x.out")]
+        code += f"assert gravitas.cli.main({argv!r}) == 0\n"
+    code += f"print(sorted(set(sys.modules) & set({absent!r})))"
     proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True, timeout=60)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 # every settable value of each subcommand, --config included: adding or
