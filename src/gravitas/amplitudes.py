@@ -29,10 +29,8 @@ def feynman_propagator(x: float | np.ndarray, eps: float) -> complex | np.ndarra
     """1/(x - i eps) = x/(x^2+eps^2) + i eps/(x^2+eps^2), elementwise on arrays.
 
     The imaginary part is a normalized Lorentzian: against a smooth test
-    function it integrates to pi * g(0) as eps -> 0.
+    function it integrates to pi * g(0) as eps -> 0. Needs eps > 0.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     d = x * x + eps * eps
     return x / d + 1j * (eps / d)
 

@@ -4,14 +4,20 @@ Each subcommand is one ``Command`` row of the ``COMMANDS`` table: name,
 help, default configuration and ``run(cfg) -> (data, checks, message)``,
 which calls the library directly. A row's default keys are exactly the
 settings it reads; each key has one ``FLAGS`` entry (flag, type, help with
-units, lower bound), and one loop builds the parser from the table, so a
-subcommand accepts only the flags it reads. One harness, ``_execute``,
+units, bound or choices), and one loop builds the parser from the table, so
+a subcommand accepts only the flags it reads. One harness, ``_execute``,
 resolves every setting as flag over the config file's subcommand section
-over its top level over default, checks the bounds, takes the seed of a
-stochastic subcommand (``--seed``, config file or GRAVITAS_SEED), runs,
-and writes the data file (JSON for a dict, CSV for a header and rows) and
-a manifest next to it with the resolved configuration, the checks and the
-wall time.
+over its top level over default (the seed over GRAVITAS_SEED below the
+file), checks the bounds, runs, and writes the data file (JSON for a dict,
+CSV for a header and rows) and a manifest next to it with the resolved
+configuration, the checks and the wall time.
+
+Every configuration rule is checked once, here, before any file is written:
+a ``FLAGS`` bound or choice, or a command's ``check`` for a rule that joins
+several values. The library assumes validated input. It rejects only what
+no rule here covers: mu >= m (``ModelParams``), a length that a valid
+setting underflows to zero (``BendingConfig``), and a time step dt <= 0 or
+dt * gamma > 0.1 (``semiclassical._guard_steps``).
 
 Exit codes: 0 when every check passes; 1 when a check fails (data and
 manifest are still written) or an ``ArithmeticError`` stops the computation
@@ -84,7 +90,8 @@ FLAGS = {
     "eps_ladder": Flag("relative epsilon ladder, units of m^2",
                        gt=0, nargs="+"),
     "tolerance": Flag("slack on |ratio - 1|: the pass/fail bound of optical-tree, "
-                      "a floor under the z-sigma bound of box-cut (dimensionless)"),
+                      "a floor under the z-sigma bound of box-cut (dimensionless)",
+                      ge=0),
     "s_grid": Flag("Mandelstam s values, absolute (mass^2 units, not scaled "
                    "by m^2); points below 4 m^2 are flagged below-threshold",
                    nargs="+"),
@@ -114,7 +121,7 @@ FLAGS = {
                             "time (seconds)", gt=0),
     "kmax": Flag("sampling radius, units of mu", gt=0),
     "out": Flag("output data file path", type=str),
-    "seed": Flag("64-bit master seed (fallback: GRAVITAS_SEED)", type=int),
+    "seed": Flag("64-bit master seed (fallback: GRAVITAS_SEED)", type=int, ge=0),
 }
 
 
@@ -161,36 +168,44 @@ def _load_config_file(path: str | None, cmd: Command) -> dict:
     return cfg
 
 
-def _from_file(key: str, value):
-    """A config-file value converted to the type its flag would give; a
-    boolean, or a non-integral number for an integer, is rejected, not cut."""
+def _convert(key: str, value, source: str):
+    """A config-file or environment value converted to the type its flag
+    would give; a boolean, a non-integral number for an integer, or a
+    single value for a list setting is rejected, not cut or split."""
     f = FLAGS[key]
-    if f.nargs and value == []:
-        raise ConfigError(f"config value {key}=[]: expected at least one value")
+    if f.nargs and not (isinstance(value, list) and value):
+        raise ConfigError(f"{key}={value!r} from {source}: expected a list of "
+                          "at least one value")
     if any(isinstance(v, bool) or (f.type is int and isinstance(v, float)
                                    and not v.is_integer())
-           for v in (value if f.nargs and isinstance(value, list) else [value])):
-        raise ConfigError(f"config value {key}={value!r}: expected {f.type.__name__}")
+           for v in (value if f.nargs else [value])):
+        raise ConfigError(f"{key}={value!r} from {source}: expected {f.type.__name__}")
     try:
         return [f.type(v) for v in value] if f.nargs else f.type(value)
     except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
-        raise ConfigError(f"config value {key}={value!r}: {exc}") from exc
+        raise ConfigError(f"{key}={value!r} from {source}: {exc}") from exc
 
 
 def _resolve(cmd: Command, args: argparse.Namespace) -> dict:
-    """flag > config-file section > config-file top level > default; a flag
-    or file value is set when not None."""
+    """flag > config-file section > config-file top level > GRAVITAS_SEED
+    (the seed only) > default; a flag, file or environment value is set when
+    not None. Every value, whatever its source, then meets its flag's bound
+    or choices, and the command's ``check`` meets the resolved set."""
     file_cfg = _load_config_file(args.config, cmd)
     cfg = dict(cmd.defaults)
     for key in cfg:
         if file_cfg.get(key) is not None:
-            cfg[key] = _from_file(key, file_cfg[key])
+            cfg[key] = _convert(key, file_cfg[key], "the config file")
         if getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
+        elif key == "seed" and cfg[key] is None and "GRAVITAS_SEED" in os.environ:
+            cfg[key] = _convert(key, os.environ["GRAVITAS_SEED"], "GRAVITAS_SEED")
         f, value = FLAGS[key], cfg[key]
         if value is None:
             continue
         values = value if isinstance(value, list) else [value]
+        if f.choices is not None and value not in f.choices:
+            raise ConfigError(f"{key} must be one of {list(f.choices)}, got {value!r}")
         # nan and +/-inf pass every bound below: nan <= gt is False
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
             raise ConfigError(f"{key} must be finite, got {value}")
@@ -201,18 +216,6 @@ def _resolve(cmd: Command, args: argparse.Namespace) -> dict:
     if cmd.check is not None:
         cmd.check(cfg)
     return cfg
-
-
-def _need_seed(seed: int | None) -> int:
-    if seed is not None:
-        return seed
-    env = os.environ.get("GRAVITAS_SEED")
-    if env is None:
-        raise ConfigError("a seed is required (flag --seed, config file, or GRAVITAS_SEED)")
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ConfigError(f"GRAVITAS_SEED={env!r} is not an integer") from exc
 
 
 def _params(cfg: dict) -> ModelParams:
@@ -541,8 +544,8 @@ def _nonfinite(value) -> tuple[tuple, object] | None:
 
 def _execute(cmd: Command, args: argparse.Namespace) -> int:
     cfg = _resolve(cmd, args)
-    if "seed" in cfg:
-        cfg["seed"] = _need_seed(cfg["seed"])
+    if "seed" in cfg and cfg["seed"] is None:
+        raise ConfigError("a seed is required (flag --seed, config file, or GRAVITAS_SEED)")
     out = Path(cfg["out"])
     if not out.parent.is_dir():
         raise ConfigError(f"output directory {out.parent} does not exist")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveSeparationError, NumericalCheckError
+from .errors import NumericalCheckError
 # FIG1_DEFAULTS lives in the numpy-free params and is importable from here too
 from .params import FIG1_DEFAULTS, ModelParams
 
@@ -124,9 +124,7 @@ class QuadraticHamiltonian:
 
 def yukawa_derivatives(d: float, g_newton: float, mu: float,
                        m1: float, m2: float) -> tuple[float, float, float]:
-    """(V, V', V'') of V(r) = -G m1 m2 exp(-mu r)/r at r = d."""
-    if d <= 0:
-        raise NonpositiveSeparationError(f"separation d={d} must be positive")
+    """(V, V', V'') of V(r) = -G m1 m2 exp(-mu r)/r at r = d > 0."""
     a = g_newton * m1 * m2
     e = math.exp(-mu * d)
     v = -a * e / d
@@ -155,10 +153,8 @@ def quadratize_newton(d: float, params: ModelParams,
     _, vp, vpp = yukawa_derivatives(d, params.g_newton, params.mu, m1, m2)
     if axis == "separation":
         spring, linear_coeff = vpp, vp
-    elif axis == "transverse":
-        spring, linear_coeff = vp / d, 0.0
     else:
-        raise ValueError(f"axis must be 'separation' or 'transverse', got {axis!r}")
+        spring, linear_coeff = vp / d, 0.0
 
     h = np.zeros((4, 4))
     h[1, 1] = 1.0 / m1

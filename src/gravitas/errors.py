@@ -21,10 +21,6 @@ class SpectatorMismatchError(GravitasError):
     """Spectator momenta differ where a disconnected delta requires equality."""
 
 
-class NonpositiveSeparationError(GravitasError):
-    """Mean separation for the quadratized potential must be positive."""
-
-
 class StepSizeError(GravitasError):
     """Stochastic integration step violates the accuracy guard."""
 

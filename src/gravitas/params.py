@@ -34,14 +34,6 @@ class ModelParams:
     eps_rel: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.g_newton <= 0:
-            raise ValueError("g_newton must be positive")
-        if self.m <= 0:
-            raise ValueError("m must be positive")
-        if self.mu <= 0:
-            raise ValueError("mu must be positive")
-        if self.eps_rel <= 0:
-            raise ValueError("eps_rel must be positive")
         if not self.mu < self.m:
             raise ValueError("require mu < m: the regulator is the light scale")
 

@@ -52,10 +52,6 @@ def test_propagator_imag_integrates_to_pi_g0():
     assert extrapolated == pytest.approx(math.pi * g(0.0), rel=5e-3)
 
 
-def test_propagator_requires_positive_eps():
-    with pytest.raises(ValueError):
-        feynman_propagator(1.0, 0.0)
-
 # ---------------------------------------------------------------------------
 # 6-point tree amplitude
 # ---------------------------------------------------------------------------

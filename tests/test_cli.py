@@ -11,7 +11,7 @@ import pytest
 
 import gravitas
 from gravitas import entanglement, unitarity
-from gravitas.cli import build_parser, main
+from gravitas.cli import COMMANDS, FLAGS, build_parser, main
 
 SEED = ["--seed", "20260810"]
 
@@ -39,6 +39,25 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
 def test_bad_env_seed_rejected(tmp_path, monkeypatch):
     monkeypatch.setenv("GRAVITAS_SEED", "not-a-number")
     assert main(["box-cut", "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("route", ["flag", "file", "env"])
+def test_negative_seed_exits_2_naming_seed(tmp_path, capsys, monkeypatch, route):
+    # flag, config file and GRAVITAS_SEED meet the same bound
+    monkeypatch.delenv("GRAVITAS_SEED", raising=False)
+    argv = ["box-cut", "--out", str(tmp_path / "bc.csv")]
+    if route == "flag":
+        argv.append("--seed=-1")
+    elif route == "file":
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"box-cut": {"seed": -1}}), encoding="utf-8")
+        argv += ["--config", str(cfgfile)]
+    else:
+        monkeypatch.setenv("GRAVITAS_SEED", "-3")
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "seed" in err and "Traceback" not in err
+    assert not (tmp_path / "bc.csv").exists()
 
 
 def test_missing_config_file_rejected(tmp_path):
@@ -239,6 +258,7 @@ BAD_VALUES = {
     "box-cut-negative-threads": ["box-cut", "--threads", "-3", *SEED],
     "self-test-zero-threads": ["self-test", "--threads", "0", *SEED],
     "entangle-negative-delta-t": ["entangle", "--delta-t", "-30"],
+    "optical-tree-negative-tolerance": ["optical-tree", "--tolerance", "-1"],
     # nan and +/-inf pass every bound (nan <= 0 is False) unless rejected
     "deflection-nan-mass": ["deflection", "--mass-g", "nan"],
     "box-cut-nan-tolerance": ["box-cut", "--tolerance", "nan", *SEED],
@@ -256,6 +276,50 @@ BAD_VALUES = {
 def test_bad_value_exits_2_without_output(tmp_path, case):
     assert main([*BAD_VALUES[case], "--out", str(tmp_path / "x.out")]) == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def _bound_breaking_values():
+    """(command, key, value) for each key a subcommand reads that has a
+    bound or choices, with a value on the wrong side of it."""
+    for cmd in COMMANDS:
+        for key in cmd.defaults:
+            f = FLAGS[key]
+            if f.choices is not None:
+                bad = "diagonal"
+            elif f.gt is not None:
+                bad = f.type(f.gt)
+            elif f.ge is not None:
+                bad = f.type(f.ge - 1)
+            else:
+                continue
+            yield pytest.param(cmd.name, key, bad, id=f"{cmd.name}-{key}")
+
+
+@pytest.mark.parametrize("route", ["flag", "file"])
+@pytest.mark.parametrize("command, key, bad", list(_bound_breaking_values()))
+def test_every_bound_and_choice_is_checked_by_the_cli(tmp_path, capsys, monkeypatch,
+                                                       command, key, bad, route):
+    # the library assumes these rules hold: the command line is their one home
+    monkeypatch.delenv("GRAVITAS_SEED", raising=False)
+    f = FLAGS[key]
+    flag = f.flag or "--" + key.replace("_", "-")
+    argv = [command, "--out", str(tmp_path / "x.out")]
+    if route == "flag":
+        argv.append(f"{flag}={bad}")
+    else:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({command: {key: [bad] if f.nargs else bad}}),
+                           encoding="utf-8")
+        argv += ["--config", str(cfgfile)]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag outside its choices
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: {key} " in err or f"error: argument {flag}:" in err
+    assert "Traceback" not in err
+    assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if route == "file" else [])
 
 
 def test_out_into_missing_directory_exits_2_before_running(tmp_path, monkeypatch):
@@ -278,6 +342,8 @@ def test_out_into_missing_directory_exits_2_before_running(tmp_path, monkeypatch
     pytest.param("s_grid", [4.1, math.nan], id="s_grid-NaN-entry"),
     # the --s-grid flag takes one value or more; a file cannot take fewer
     pytest.param("s_grid", [], id="s_grid-empty"),
+    # nor a single value: a string is not split into characters
+    pytest.param("s_grid", "45", id="s_grid-string"),
     # a file value is not truncated or coerced where the flag would refuse it
     pytest.param("threads", 1.5, id="threads-non-integral"),
     pytest.param("threads", True, id="threads-boolean"),
@@ -397,7 +463,11 @@ def test_box_cut_gate_fails_when_no_point_is_gated(tmp_path, capsys, flag):
     (["1e-4", "1e-4"], "all distinct"),
 ])
 def test_optical_tree_bad_ladder_exits_2_naming_the_flag(tmp_path, capsys,
-                                                         ladder, says):
+                                                         monkeypatch, ladder, says):
+    def never(self, omega):
+        raise AssertionError("built a configuration before checking the ladder")
+
+    monkeypatch.setattr(unitarity.TreePoleFamily, "config", never)
     out = tmp_path / "ot.json"
     assert main(["optical-tree", "--eps-ladder", *ladder, "--out", str(out)]) == 2
     assert list(tmp_path.iterdir()) == []

@@ -12,7 +12,6 @@ from gravitas.entanglement import (FIG1_DEFAULTS, OMEGA, GaussianState,
                                    expm, log_negativity,
                                    product_state, quadratize_newton,
                                    symplectic_propagator, yukawa_derivatives)
-from gravitas.errors import NonpositiveSeparationError
 from gravitas.kinematics import stream
 from gravitas.params import ModelParams
 
@@ -89,12 +88,6 @@ def test_quadratize_free_limit_block_diagonal():
     free = np.diag([0.0, 1.0, 0.0, 1.0])
     assert np.max(np.abs(h.hmat - free)) < 1e-290
     assert np.max(np.abs(h.linear)) < 1e-290
-
-
-def test_quadratize_rejects_nonpositive_separation():
-    pars = ModelParams()
-    with pytest.raises(NonpositiveSeparationError):
-        quadratize_newton(0.0, pars, (1.0, 1.0))
 
 
 def test_transverse_spring_is_stable():

@@ -39,19 +39,6 @@ def test_step_size_guard():
                      master_seed=0)
 
 
-def test_run_ensemble_rejects_steps_after_the_last_snapshot():
-    # 29 steps would record t = 0, 10 dt, 20 dt and drop the last nine
-    with pytest.raises(ValueError, match="multiple of the snapshot stride"):
-        run_ensemble(_cfg(), _initial(), n_traj=2, n_steps=29, dt=0.01,
-                     master_seed=0)
-
-
-def test_compare_channels_rejects_steps_after_the_last_snapshot():
-    with pytest.raises(ValueError, match="multiple of the snapshot stride"):
-        compare_channels(_cfg(), _initial(), horizon=0.05, n_steps=5, n_traj=2,
-                         master_seed=0)
-
-
 def test_single_step_feedback_momentum_kick():
     # the pair's opposite-sign innovations cancel in the ensemble mean, which
     # takes the dW = 0 steps: momenta move by -dV_i/dx_i dt at the estimates
