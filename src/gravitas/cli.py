@@ -169,15 +169,16 @@ def _load_config_file(path: str | None, cmd: Command) -> dict:
 
 
 def _convert(key: str, value, source: str):
-    """A config-file or environment value converted to the type its flag
-    would give; a boolean, a non-integral number for an integer, or a
-    single value for a list setting is rejected, not cut or split."""
+    """A config-file or environment value converted to its flag's type; a
+    boolean, a non-integral number for an int, a non-string for a str or a
+    single value for a list setting is rejected, not cut, cast or split."""
     f = FLAGS[key]
     if f.nargs and not (isinstance(value, list) and value):
         raise ConfigError(f"{key}={value!r} from {source}: expected a list of "
                           "at least one value")
     if any(isinstance(v, bool) or (f.type is int and isinstance(v, float)
                                    and not v.is_integer())
+           or (f.type is str and not isinstance(v, str))
            for v in (value if f.nargs else [value])):
         raise ConfigError(f"{key}={value!r} from {source}: expected {f.type.__name__}")
     try:
@@ -330,12 +331,12 @@ def _entangle(cfg: dict):
     states = evolve_gaussian_grid(initial, h, cfg["delta_t"] / cfg["n_grid"],
                                   cfg["n_grid"])
     grid = np.linspace(0.0, cfg["delta_t"], cfg["n_grid"] + 1)
-    # duan_witness is var_xm * var_pp: the quadratures are computed once
-    rows = [[float(t), var_xm * var_pp, log_negativity(st), var_xm, var_pp]
-            for t, st, (var_xm, var_pp) in zip(grid, states, map(duan_variances, states))]
+    var_xm, var_pp = duan_variances(states)  # duan_witness is their product
+    duan = var_xm * var_pp
+    rows = np.column_stack((grid, duan, log_negativity(states), var_xm, var_pp)).tolist()
     return ((["t", "duan", "E_N", "var_xminus", "var_pplus"], rows),
-            {"final_state_valid": states[-1].is_valid()},
-            f"min duan = {min(r[1] for r in rows):.6f} over [0, {cfg['delta_t']}]")
+            {"final_state_valid": bool(states[-1].is_valid())},
+            f"min duan = {duan.min():.6f} over [0, {cfg['delta_t']}]")
 
 
 def _check_n_steps(cfg: dict) -> None:
@@ -363,9 +364,8 @@ def _semiclassical(cfg: dict):
     fb = _feedback(cfg, cfg["axis"])
     res = run_ensemble(fb, _initial(cfg), cfg["n_traj"], cfg["n_steps"],
                        cfg["horizon"] / cfg["n_steps"], cfg["seed"])
-    rows = [[float(t), float(en), float(dv), float(vp), cfg["n_traj"]]
-            for t, en, dv, vp in zip(res.times, res.log_neg, res.duan,
-                                     res.var_p_mean)]
+    n_traj = np.full(res.times.shape, cfg["n_traj"], dtype=object)  # stays an int
+    rows = np.column_stack((res.times, res.log_neg, res.duan, res.var_p_mean, n_traj)).tolist()
     checks = {
         "no_entanglement": bool(np.all(res.log_neg < 1e-10)),
         "duan_never_below_1": bool(np.all(res.duan >= 1.0 - 1e-9)),
@@ -387,7 +387,7 @@ def _compare(cfg: dict):
     columns = (comp.times, comp.duan_unitary, comp.log_neg_unitary,
                comp.duan_semiclassical, comp.log_neg_semiclassical,
                comp.mean_sep_unitary, comp.mean_sep_semiclassical)
-    rows = [[float(v) for v in row] for row in zip(*columns)]
+    rows = np.column_stack(columns).tolist()
     header = ["t", "duan_unitary", "E_N_unitary", "duan_semiclassical",
               "E_N_semiclassical", "mean_sep_unitary", "mean_sep_semiclassical"]
     checks = {
@@ -464,7 +464,7 @@ def _self_test(cfg: dict):
                                         cfg["seed"], n_threads=threads)
         ens = run_ensemble(fb, initial, 16, 50, 0.01, cfg["seed"])
         blob = json.dumps([[r.s, r.lhs, r.rhs_restored] for r in rows]).encode()
-        blob += ens.mean_means.tobytes() + ens.cov_unconditional.tobytes()
+        blob += ens.unconditional.mean.tobytes() + ens.unconditional.cov.tobytes()
         return hashlib.sha256(blob).hexdigest()
 
     base = digest(1)
@@ -547,6 +547,8 @@ def _execute(cmd: Command, args: argparse.Namespace) -> int:
     if "seed" in cfg and cfg["seed"] is None:
         raise ConfigError("a seed is required (flag --seed, config file, or GRAVITAS_SEED)")
     out = Path(cfg["out"])
+    if out.is_dir():  # "" resolves to "." too
+        raise ConfigError(f"output path {str(out)!r} is a directory, not a file")
     if not out.parent.is_dir():
         raise ConfigError(f"output directory {out.parent} does not exist")
     t0 = time.perf_counter()

@@ -4,14 +4,14 @@ Phase-space ordering is z = (x1, p1, x2, p2). A quadratic Hamiltonian
 H = z^T h z / 2 + linear . z generates the affine symplectic flow
 S(t) = exp(Omega h t); Gaussian states close under it, so the Fig.-1-style
 circuit (prepare product state, interact for Delta t, read out witnesses)
-is exact here. Time series on a uniform grid from t = 0 come from
-:func:`evolve_gaussian_grid`, which computes one step propagator and
-applies it repeatedly; :func:`evolve_gaussian` is its one-step case. The
-matrix exponential is the numpy Pade-13 scaling-and-squaring :func:`expm`.
+is exact here. A time series is one :class:`GaussianState` on a leading
+time axis: :func:`evolve_gaussian_grid` maps the initial state with the
+powers of one step propagator at once, and :func:`evolve_gaussian` is its
+one-step case. :func:`expm` is a numpy Pade-13 scaling and squaring.
 
-The entanglement witnesses are the product form of the Duan inequality,
-Var(x1 - x2) Var(p1 + p2) >= 1 for separable states, and the Gaussian
-logarithmic negativity (natural-log convention); hbar = 1.
+The entanglement witnesses, per state over any leading axes, are the
+product form of the Duan inequality, Var(x1 - x2) Var(p1 + p2) >= 1 for
+separable states, and the Gaussian logarithmic negativity (natural log); hbar = 1.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ def expm(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GaussianState:
-    """First and second moments of the two-mass system."""
+    """First and second moments of the two-mass system, mean (..., 4) and
+    cov (..., 4, 4): leading axes hold a batch, such as a time series."""
 
     mean: np.ndarray
     cov: np.ndarray
@@ -83,20 +84,19 @@ class GaussianState:
     def __post_init__(self) -> None:
         object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         object.__setattr__(self, "cov", np.asarray(self.cov, dtype=float))
-        if self.mean.shape != (4,) or self.cov.shape != (4, 4):
-            raise ValueError("mean must be (4,), cov must be (4, 4)")
-        scale = max(float(np.max(np.abs(self.cov))), 1e-300)
-        if float(np.max(np.abs(self.cov - self.cov.T))) > TOL_SYMMETRY * scale:
+        if self.mean.shape[-1:] != (4,) or self.cov.shape != (*self.mean.shape, 4):
+            raise ValueError("mean must be (..., 4), cov (..., 4, 4), on the same leading axes")
+        asym = np.abs(self.cov - self.cov.swapaxes(-2, -1)).max(axis=(-2, -1))
+        if np.any(asym > TOL_SYMMETRY * np.abs(self.cov).max(axis=(-2, -1))):  # per state
             raise ValueError("covariance must be symmetric")
 
-    def validity_margin(self) -> float:
-        """Min eigenvalue of cov + i Omega / 2; >= -TOL_VALIDITY for a bona
-        fide state."""
-        return float(np.min(np.linalg.eigvalsh(self.cov + 0.5j * OMEGA)))
+    def __getitem__(self, index) -> GaussianState:
+        return GaussianState(self.mean[index], self.cov[index])
 
-    def is_valid(self) -> bool:
-        scale = max(float(np.max(np.abs(self.cov))), 1.0)
-        return self.validity_margin() >= -TOL_VALIDITY * scale
+    def is_valid(self) -> np.ndarray:
+        """Per state, bona fide: min eig(cov + i Omega/2) >= -TOL_VALIDITY max(1, max|cov|)."""
+        margin = np.linalg.eigvalsh(self.cov + 0.5j * OMEGA).min(axis=-1)
+        return margin >= -TOL_VALIDITY * np.maximum(np.abs(self.cov).max(axis=(-2, -1)), 1.0)
 
 
 def product_state(var_x: tuple[float, float],
@@ -180,23 +180,23 @@ def symplectic_propagator(h: QuadraticHamiltonian, t: float) -> tuple[np.ndarray
 
 
 def evolve_gaussian_grid(state: GaussianState, h: QuadraticHamiltonian,
-                         dt: float, n: int) -> list[GaussianState]:
-    """States at t = 0, dt, ..., n dt: one step propagator, applied n times.
+                         dt: float, n: int) -> GaussianState:
+    """The states at t = 0, dt, ..., n dt, stacked on a leading axis of n + 1.
 
-    The accumulated affine propagator (S_j, drift_j) = step^j maps the
-    initial state: mean -> S_j mean + drift_j, cov -> S_j cov S_j^T. Every
-    S_j must pass the symplectic-residual check.
+    The accumulated affine propagators (S_j, drift_j) = step^j, stacked, map
+    the initial state at once: mean -> S_j mean + drift_j, cov -> S_j cov
+    S_j^T. Every S_j must pass the symplectic-residual check.
     """
     step, step_drift = symplectic_propagator(h, dt)
-    s, drift = np.eye(4), np.zeros(4)
-    states = [state]
-    for _ in range(n):
-        s, drift = step @ s, step @ drift + step_drift
-        resid = float(np.abs(s.T @ OMEGA @ s - OMEGA).max())
-        if resid > TOL_SYMPLECTIC * max(1.0, float(np.abs(s).max()) ** 2):
-            raise NumericalCheckError("propagator lost symplecticity; reduce t or rescale")
-        states.append(GaussianState(s @ state.mean + drift, s @ state.cov @ s.T))
-    return states
+    s, drift = np.empty((n + 1, 4, 4)), np.empty((n + 1, 4))
+    s[0], drift[0] = np.eye(4), 0.0
+    for j in range(n):
+        s[j + 1], drift[j + 1] = step @ s[j], step @ drift[j] + step_drift
+    s_t = s.swapaxes(-2, -1)
+    resid = np.abs(s_t @ OMEGA @ s - OMEGA).max(axis=(-2, -1))
+    if np.any(resid > TOL_SYMPLECTIC * np.maximum(1.0, np.abs(s).max(axis=(-2, -1)) ** 2)):
+        raise NumericalCheckError("propagator lost symplecticity; reduce t or rescale")
+    return GaussianState(s @ state.mean + drift, s @ state.cov @ s_t)
 
 
 def evolve_gaussian(state: GaussianState, h: QuadraticHamiltonian,
@@ -205,24 +205,23 @@ def evolve_gaussian(state: GaussianState, h: QuadraticHamiltonian,
     return evolve_gaussian_grid(state, h, t, 1)[-1]
 
 
-def duan_variances(state: GaussianState) -> tuple[float, float]:
-    """(Var(x1 - x2), Var(p1 + p2)), the Duan quadratures."""
+def duan_variances(state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
+    """(Var(x1 - x2), Var(p1 + p2)), the Duan quadratures, per state."""
     xm, pp = np.array([1.0, 0.0, -1.0, 0.0]), np.array([0.0, 1.0, 0.0, 1.0])
-    return float(xm @ state.cov @ xm), float(pp @ state.cov @ pp)
+    return xm @ state.cov @ xm, pp @ state.cov @ pp
 
 
-def duan_witness(state: GaussianState) -> float:
-    """Var(x1 - x2) Var(p1 + p2); below 1 witnesses entanglement."""
+def duan_witness(state: GaussianState) -> np.ndarray:
+    """Var(x1 - x2) Var(p1 + p2) per state; below 1 witnesses entanglement."""
     var_xminus, var_pplus = duan_variances(state)
     return var_xminus * var_pplus
 
 
-def log_negativity(state: GaussianState) -> float:
-    """Gaussian E_N = max(0, -ln(2 nu_-)), nu_- the smaller symplectic
-    eigenvalue of the partially transposed covariance. Divide by ln 2 for
-    the log2 convention."""
+def log_negativity(state: GaussianState) -> np.ndarray:
+    """Gaussian E_N = max(0, -ln(2 nu_-)) per state, nu_- the smaller
+    symplectic eigenvalue of the partially transposed covariance; +0.0, not
+    -0.0, at 2 nu_- = 1. Divide by ln 2 for the log2 convention."""
     pt = np.diag([1.0, 1.0, 1.0, -1.0])
     cov_pt = pt @ state.cov @ pt
-    nus = np.abs(np.linalg.eigvals(1j * OMEGA @ cov_pt))
-    nu_min = float(np.min(nus))
-    return max(0.0, -math.log(2.0 * nu_min))
+    two_nu = 2.0 * np.abs(np.linalg.eigvals(1j * OMEGA @ cov_pt)).min(axis=-1)
+    return np.where(two_nu < 1.0, -np.log(two_nu), 0.0)

@@ -118,9 +118,9 @@ def _mean_path(cfg: FeedbackConfig, initial: GaussianState, n_steps: int,
 
 @dataclass(frozen=True)
 class EnsembleResult:
+    """The snapshots of :func:`run_ensemble`, each series on one time axis."""
     times: np.ndarray
-    mean_means: np.ndarray          # (n_times, 4) ensemble average of cond. means
-    cov_unconditional: np.ndarray   # (n_times, 4, 4)
+    unconditional: GaussianState    # ensemble mean, unconditional covariance
     log_neg: np.ndarray
     duan: np.ndarray
     var_p_mean: np.ndarray          # average of Var(p1), Var(p2), unconditional
@@ -129,7 +129,8 @@ class EnsembleResult:
 def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
                  n_steps: int, dt: float, master_seed: int) -> EnsembleResult:
     """Ensemble statistics of the measurement-feedback model, every
-    ``RECORD_EVERY`` steps from t = 0, from one filter state; ``n_steps``
+    ``RECORD_EVERY`` steps from t = 0, from one filter state: the
+    unconditional state as one time series, and its witnesses; ``n_steps``
     must be a multiple of ``RECORD_EVERY``, so that the last step is recorded.
 
     ``n_traj`` must be even: trajectories j and j + n_traj/2 take
@@ -161,15 +162,13 @@ def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
             dev = dev + dev @ a.T * dt
             sigma = _riccati_apply(theta, sigma)
 
-    mean_means, covs = _mean_path(cfg, initial, n_steps, dt), np.array(covs)
-    states = [GaussianState(mean, cov) for mean, cov in zip(mean_means, covs)]
+    unconditional = GaussianState(_mean_path(cfg, initial, n_steps, dt), covs)
     return EnsembleResult(
         times=np.arange(0, n_steps + 1, RECORD_EVERY) * dt,
-        mean_means=mean_means,
-        cov_unconditional=covs,
-        log_neg=np.array([log_negativity(st) for st in states]),
-        duan=np.array([duan_witness(st) for st in states]),
-        var_p_mean=0.5 * (covs[:, 1, 1] + covs[:, 3, 3]),
+        unconditional=unconditional,
+        log_neg=log_negativity(unconditional),
+        duan=duan_witness(unconditional),
+        var_p_mean=0.5 * (unconditional.cov[:, 1, 1] + unconditional.cov[:, 3, 3]),
     )
 
 
@@ -204,7 +203,7 @@ def compare_channels(cfg: FeedbackConfig, initial: GaussianState,
     dt = horizon / n_steps
     _guard_steps(cfg, dt)
 
-    def unitary_states(axis: str) -> list[GaussianState]:
+    def unitary_states(axis: str) -> GaussianState:
         h = quadratize_newton(cfg.d, cfg.params, cfg.masses, axis=axis)
         return evolve_gaussian_grid(initial, h, RECORD_EVERY * dt,
                                     n_steps // RECORD_EVERY)
@@ -220,10 +219,10 @@ def compare_channels(cfg: FeedbackConfig, initial: GaussianState,
 
     return ChannelComparison(
         times=np.arange(0, n_steps + 1, RECORD_EVERY) * dt,
-        duan_unitary=np.array([duan_witness(st) for st in witness_u]),
-        log_neg_unitary=np.array([log_negativity(st) for st in witness_u]),
+        duan_unitary=duan_witness(witness_u),
+        log_neg_unitary=log_negativity(witness_u),
         duan_semiclassical=ens_t.duan,
         log_neg_semiclassical=ens_t.log_neg,
-        mean_sep_unitary=np.array([st.mean[0] - st.mean[2] for st in attraction_u]),
+        mean_sep_unitary=attraction_u.mean[:, 0] - attraction_u.mean[:, 2],
         mean_sep_semiclassical=mean_s[:, 0] - mean_s[:, 2],
     )

@@ -322,13 +322,18 @@ def test_every_bound_and_choice_is_checked_by_the_cli(tmp_path, capsys, monkeypa
     assert [p.name for p in tmp_path.iterdir()] == (["cfg.json"] if route == "file" else [])
 
 
-def test_out_into_missing_directory_exits_2_before_running(tmp_path, monkeypatch):
+@pytest.mark.parametrize("out", [
+    pytest.param("missing_dir/x.json", id="missing-directory"),
+    pytest.param(".", id="directory"),
+    pytest.param("", id="empty"),  # resolves to "."
+])
+def test_out_into_missing_directory_exits_2_before_running(tmp_path, monkeypatch, out):
     def never(*args, **kwargs):
         raise AssertionError("computed before the output path was checked")
 
     monkeypatch.setattr("gravitas.estimators.estimate_record", never)
-    out = tmp_path / "missing_dir" / "x.json"
-    assert main(["deflection", "--out", str(out)]) == 2
+    monkeypatch.chdir(tmp_path)
+    assert main(["deflection", "--out", out]) == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -350,8 +355,12 @@ def test_out_into_missing_directory_exits_2_before_running(tmp_path, monkeypatch
     pytest.param("tolerance", True, id="tolerance-boolean"),
     # a key of the subcommand's own section that it does not read
     pytest.param("n_sample", 1000, id="n_sample-misspelt"),
+    # a string setting is not stringified: {"out": 5} would name a file "5"
+    pytest.param("out", 5, id="out-number"),
+    pytest.param("out", [1], id="out-list"),
 ])
-def test_bad_config_file_value_exits_2(tmp_path, capsys, key, value):
+def test_bad_config_file_value_exits_2(tmp_path, capsys, monkeypatch, key, value):
+    monkeypatch.chdir(tmp_path)
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"box-cut": {key: value}}), encoding="utf-8")
     out = tmp_path / "bc.csv"

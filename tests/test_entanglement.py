@@ -134,7 +134,9 @@ def test_grid_matches_per_point_scipy_route():
     initial = _initial()
     gen = _affine_generator(h)
     states = evolve_gaussian_grid(initial, h, 30.0 / 40, 40)
-    assert len(states) == 41 and states[0] is initial
+    assert states.mean.shape == (41, 4) and states.cov.shape == (41, 4, 4)
+    assert np.array_equal(states[0].mean, initial.mean)
+    assert np.array_equal(states[0].cov, initial.cov)
     for j, st in enumerate(states):
         full = scipy_expm(gen * (j * 30.0 / 40))
         s, drift = full[:4, :4], full[:4, 4]
@@ -315,3 +317,36 @@ def test_state_validity_definition():
     assert st0.is_valid()
     bad = GaussianState(np.zeros(4), 0.01 * np.eye(4))  # sub-Heisenberg
     assert not bad.is_valid()
+
+
+# ---------------------------------------------------------------------------
+# a time series is one state with a leading axis
+# ---------------------------------------------------------------------------
+
+def test_batch_witnesses_match_single_states_bit_for_bit():
+    states = evolve_gaussian_grid(_initial(), _fig1_hamiltonian(), 30.0 / 40, 40)
+    log_neg, duan, valid = log_negativity(states), duan_witness(states), states.is_valid()
+    assert log_neg.shape == duan.shape == valid.shape == (41,)
+    for j in range(41):
+        assert log_neg[j] == log_negativity(states[j])
+        assert duan[j] == duan_witness(states[j])
+        assert valid[j] == states[j].is_valid()
+
+
+def test_log_negativity_of_product_state_is_positive_zero():
+    # 2 nu_- = 1 exactly: -ln(1) is -0.0, which the clamp must not pass on
+    assert not np.signbit(log_negativity(_minimal_product(1.0)))
+
+
+def test_state_rejects_disagreeing_leading_shapes():
+    with pytest.raises(ValueError, match="leading axes"):
+        GaussianState(np.zeros((3, 4)), np.zeros((2, 4, 4)))
+
+
+def test_symmetry_is_checked_against_each_state_scale():
+    # the small state's asymmetry is below TOL_SYMMETRY times the batch's
+    # max |cov| but far above its own scale
+    small = np.eye(4)
+    small[0, 1] += 1e-9
+    with pytest.raises(ValueError, match="symmetric"):
+        GaussianState(np.zeros((2, 4)), np.stack([1e6 * np.eye(4), small]))

@@ -52,8 +52,8 @@ def test_single_step_feedback_momentum_kick():
     for _ in range(RECORD_EVERY):  # explicit Euler steps of the same force
         f1 = -lin - spring * (z[0] - z[2])
         z = z + dt * np.array([z[1], f1, z[3], -f1])
-    assert ens.mean_means[1, 1] == pytest.approx(z[1], rel=1e-12)
-    assert ens.mean_means[1, 3] == pytest.approx(z[3], rel=1e-12)
+    assert ens.unconditional.mean[1, 1] == pytest.approx(z[1], rel=1e-12)
+    assert ens.unconditional.mean[1, 3] == pytest.approx(z[3], rel=1e-12)
 
 
 def test_weak_measurement_free_covariance_closed_form():
@@ -63,7 +63,7 @@ def test_weak_measurement_free_covariance_closed_form():
     dt, n = 0.01, 500
     ens = run_ensemble(cfg, _initial(1.0), n_traj=2, n_steps=n, dt=dt,
                        master_seed=2)
-    cov = ens.cov_unconditional[-1]
+    cov = ens.unconditional.cov[-1]
     t = dt * n
     vx0, vp0 = 1.0, 0.25
     assert cov[0, 0] == pytest.approx(vx0 + t * t * vp0, rel=1e-6)
@@ -83,7 +83,7 @@ def test_ito_consistency_of_noise():
     want = vx0 + vp0 * t * t + 2.0 / 3.0 * cfg.k_meas * t**3
     bound = 5.0 * math.sqrt(2.0 / (n_traj // 2))  # relative sigma of the spread
     for i in (0, 2):
-        assert abs(ens.cov_unconditional[-1, i, i] / want - 1.0) < bound
+        assert abs(ens.unconditional.cov[-1, i, i] / want - 1.0) < bound
 
 
 def test_conditional_cov_stays_block_diagonal():
@@ -96,7 +96,7 @@ def test_conditional_cov_stays_block_diagonal():
                        master_seed=3)
     h = quadratize_newton(cfg.d, cfg.params, cfg.masses, axis=cfg.axis)
     assert np.max(np.abs(evolve_gaussian(_initial(), h, 2.0).cov[:2, 2:])) > 1e-2
-    for cov in ens.cov_unconditional[::50 // RECORD_EVERY]:
+    for cov in ens.unconditional.cov[::50 // RECORD_EVERY]:
         assert np.max(np.abs(cov[:2, 2:])) < 1e-12
 
 
@@ -142,7 +142,7 @@ def test_ensemble_mean_matches_classical_integrator():
     xs = np.array(xs)
 
     scale = np.max(np.abs(xs))
-    for k, mean in enumerate(ens.mean_means[::stride]):
+    for k, mean in enumerate(ens.unconditional.mean[::stride]):
         assert abs(mean[0] - xs[k, 0]) < 0.01 * scale
         assert abs(mean[2] - xs[k, 1]) < 0.01 * scale
 
@@ -185,10 +185,10 @@ def test_ensemble_moments_match_lyapunov_recursion():
     initial = GaussianState(np.array([0.5, 0.0, -0.1, 0.0]), _initial().cov)
     ens = run_ensemble(cfg, initial, n_traj, n_steps, dt, master_seed=21)
     means, sigmas, cs = _lyapunov_moments(cfg, initial, n_steps, dt)
-    assert np.all(np.abs(ens.mean_means - means) <= 1e-12 * np.max(np.abs(means)))
+    assert np.all(np.abs(ens.unconditional.mean - means) <= 1e-12 * np.max(np.abs(means)))
     z = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 4 * len(cs)))
     rel_sigma = math.sqrt(2.0 / (n_traj // 2))
-    for got, sigma, c in zip(ens.cov_unconditional, sigmas, cs):
+    for got, sigma, c in zip(ens.unconditional.cov, sigmas, cs):
         dev = np.abs(np.diag(got) - np.diag(sigma) - np.diag(c))
         assert np.all(dev <= z * rel_sigma * np.diag(c) + 1e-12 * np.diag(sigma))
 
@@ -227,8 +227,8 @@ def test_ensemble_bit_identical_reruns():
     cfg = _cfg()
     a = run_ensemble(cfg, _initial(), 32, 100, 0.01, master_seed=77)
     b = run_ensemble(cfg, _initial(), 32, 100, 0.01, master_seed=77)
-    assert np.array_equal(a.mean_means, b.mean_means)
-    assert np.array_equal(a.cov_unconditional, b.cov_unconditional)
+    assert np.array_equal(a.unconditional.mean, b.unconditional.mean)
+    assert np.array_equal(a.unconditional.cov, b.unconditional.cov)
     assert np.array_equal(a.duan, b.duan)
 
 
@@ -262,7 +262,7 @@ def test_compare_channels_runs_one_ensemble(monkeypatch):
     assert calls == ["transverse"]
     ens = run_ensemble(cfg, _initial(), 8, 200, 0.01, master_seed=5)
     assert np.array_equal(comp.mean_sep_semiclassical,
-                          ens.mean_means[:, 0] - ens.mean_means[:, 2])
+                          ens.unconditional.mean[:, 0] - ens.unconditional.mean[:, 2])
 
 
 def test_compare_channels_free_theory_identical():
