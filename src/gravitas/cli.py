@@ -95,8 +95,8 @@ FLAGS = {
     "s_grid": Flag("Mandelstam s values, absolute (mass^2 units, not scaled "
                    "by m^2); points below 4 m^2 are flagged below-threshold",
                    nargs="+"),
-    "n_samples": Flag("Monte Carlo samples per estimator (per side in "
-                      "phase-space-check)", type=int, gt=0),
+    "n_samples": Flag(f"Monte Carlo samples per estimator; box-cut and self-test "
+                      f"draw {N_STRATA}*floor(n/{N_STRATA}) per side", type=int, gt=0),
     "threads": Flag("worker threads; results must not depend on them "
                     "(self-test compares this count with 1)", type=int, gt=0),
     "d": Flag("mean separation (length units)", gt=0),
@@ -269,7 +269,8 @@ def _check_eps_ladder(cfg: dict) -> None:
 def _check_n_samples(cfg: dict) -> None:
     if cfg["n_samples"] < 2 * N_STRATA:
         raise ConfigError(f"--n-samples must be at least {2 * N_STRATA}, two per "
-                          f"stratum of the annihilation sum, got {cfg['n_samples']}")
+                          "stratum of both the box-cut and the annihilation "
+                          f"estimator, got {cfg['n_samples']}")
 
 
 @_numpy_errors_raise

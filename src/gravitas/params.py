@@ -51,5 +51,5 @@ FIG1_DEFAULTS = dict(g_newton=10.0, m=1.0, mu=1e-6, d=10.0, var_x=9.0)
 # ensemble snapshot stride, in steps, of run_ensemble and compare_channels
 RECORD_EVERY = 10
 
-# polar-angle strata of the annihilation sum
+# strata of both box-cut estimators: cells of u on the LHS, of cos(theta) on the RHS
 N_STRATA = 64

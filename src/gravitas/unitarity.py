@@ -8,8 +8,9 @@ Two regimes:
   the collapsed graviton-emission final state at the closed-form pole;
 
 * the particle-antiparticle box cut: the Cutkosky imaginary part of the
-  crossed box at forward kinematics against the two-mediator annihilation
-  sum, with the elastic-only cross-section as the mismatched alternative.
+  crossed box at forward kinematics, stratified in its importance variable,
+  against the two-mediator annihilation sum, stratified in cos(theta), with
+  the elastic-only cross-section as the mismatched alternative.
 
 LHS and RHS of every check are computed by code paths that share no
 integrand evaluation and carry provenance tags saying so.
@@ -253,10 +254,6 @@ def optical_tree_check(
 # box cut at forward kinematics
 # ---------------------------------------------------------------------------
 
-# samples per array pass of the LHS; fixed so results do not depend on scheduling
-CHUNK_SIZE = 1 << 17
-
-
 def _forward_p1(s: float, params: ModelParams) -> np.ndarray:
     """Incoming p1 of the forward pair at this s, in the CM frame along +z."""
     m = params.m
@@ -274,10 +271,9 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
     Im M = -pi^2 alpha~^4 int d^3k1/(2E1) d^3k2/(2E2)
            |1/((p1-k1)^2 + m^2 - i eps)|^2 delta^4(k1+k2-p1-p2)
 
-    with the cut legs on shell at the mediator mass mu. Forward kinematics
-    p1' = p1, p2' = p2 are constructed internally in the CM frame, where the
-    sample is drawn; Im M is Lorentz invariant, so no other frame is
-    offered. Returns (value, standard error).
+    with the cut legs on shell at the mediator mass mu and forward
+    kinematics p1' = p1, p2' = p2, built in the CM frame where the sample
+    is drawn (Im M is Lorentz invariant). Returns (value, standard error).
 
     In the CM frame the squared denominator is (A - B c)^2, with c the
     cosine of the angle between k1 and p1, A = sqrt(s) E_k - mu^2 and
@@ -285,8 +281,8 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
 
         pdf(c) = B / (L (A - B c)),   L = ln((A + B)/(A - B)),
 
-    by its closed-form inverse CDF (uniform c at B = 0), and the azimuth is
-    uniform. Each sample carries the weight
+    by its closed-form inverse CDF of a uniform u (uniform c at B = 0), and
+    the azimuth is uniform. Each sample carries the weight
 
         w = 2 pi k/(4 sqrt(s)) * L (A - B c)/B
 
@@ -294,6 +290,13 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
     full quadratic form (p1 - k1)^2 + m^2. The density is deliberately not
     the integrand's own (A - B c)^-2, so w times the integrand varies and a
     wrong density shows as a bias against the closed form 2/(A^2 - B^2).
+
+    u is stratified: ``per`` = floor(n_samples / N_STRATA) draws in each of
+    N_STRATA equal cells. In u, w times the integrand is smooth and monotone,
+    so this removes nearly all of its variance. The estimate is the mean of
+    the stratum means, with standard error sqrt(sum var_i/per) / N_STRATA;
+    the sample variances var_i need ``n_samples`` at least 2 * N_STRATA,
+    and nothing here checks it. Memory scales with ``per`` rows.
 
     The matter propagator has no pole on the cut: A - B c >= A - B >= m^2,
     as A = s/2 - mu^2 and B = 2 p k <= p^2 + k^2 = s/2 - m^2 - mu^2.
@@ -313,26 +316,22 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
     measure = 2.0 * math.pi * kmag / (4.0 * roots)
     pref = math.pi**2 * params.alpha_tilde**4
 
-    sums, sqs, count = [], [], 0
-    while count < n_samples:
-        n = min(CHUNK_SIZE, n_samples - count)
-        u = rng.random(n)
-        phi = rng.uniform(0.0, 2.0 * math.pi, n)
+    per = n_samples // N_STRATA
+    strat_means, strat_vars = [], []
+    for i in range(N_STRATA):
+        u = (i + rng.random(per)) / N_STRATA
+        phi = rng.uniform(0.0, 2.0 * math.pi, per)
         c = -1.0 - ((a + b) / b) * np.expm1(u * log_ratio) if b > 0.0 else 2.0 * u - 1.0
         st = kmag * np.sqrt(np.maximum(1.0 - c * c, 0.0))
-        k1 = np.stack([np.full(n, ek), st * np.cos(phi), st * np.sin(phi),
+        k1 = np.stack([np.full(per, ek), st * np.cos(phi), st * np.sin(phi),
                        kmag * c], axis=1)
         diff = p1 - k1
         den = minkowski_dot(diff, diff) + m * m
         f = (measure * l_over_b) * (a - b * c) / den**2
-        sums.append(float(np.sum(f)))
-        sqs.append(float(np.sum(f * f)))
-        count += n
-    total_sum = math.fsum(sums)
-    total_sq = math.fsum(sqs)
-    mean = total_sum / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    return -pref * mean, pref * math.sqrt(var / count)
+        strat_means.append(float(np.mean(f)))
+        strat_vars.append(float(np.var(f) / per))
+    return (-pref * math.fsum(strat_means) / N_STRATA,
+            pref * math.sqrt(math.fsum(strat_vars)) / N_STRATA)
 
 
 def annihilation_rhs(s: float, params: ModelParams, n_samples: int,
@@ -340,9 +339,9 @@ def annihilation_rhs(s: float, params: ModelParams, n_samples: int,
     """Two-mediator annihilation sum on the optical-theorem right-hand side.
 
     Same phase-space measure as :func:`box_cut_im_forward` but estimated by a
-    structurally independent route: the polar angle is stratified, the
-    azimuth is drawn first, and the squared t-channel matter denominator is
-    assembled as -2 p1.k1 - mu^2 instead of the full quadratic form.
+    structurally independent route: it is stratified uniform in cos(theta),
+    the azimuth is drawn first, and the squared t-channel matter denominator
+    is assembled as -2 p1.k1 - mu^2 instead of the full quadratic form.
 
     It draws N_STRATA * floor(n_samples / N_STRATA) samples, the same number
     in each of the N_STRATA equal cells of cos(theta). The standard error

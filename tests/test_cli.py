@@ -422,7 +422,7 @@ def test_odd_n_traj_recorded_as_run(tmp_path):
 
 @pytest.mark.parametrize("seed", [1, 13, 16, 17, 21])
 def test_box_cut_gate_passes_correct_runs(tmp_path, seed):
-    # the restored ratio farthest from 1 is 1.80, 2.07, 1.89, 1.45 and 1.75
+    # the restored ratio farthest from 1 is 0.92, 1.19, 2.99, 2.06 and 0.91
     # sigma from it for these seeds, against a bound of z(5) = 3.72
     out = tmp_path / "bc.csv"
     assert main(["box-cut", "--seed", str(seed), "--n-samples", "100000",
@@ -440,6 +440,21 @@ def test_box_cut_gate_rejects_rhs_off_by_one_percent(tmp_path, monkeypatch):
     monkeypatch.setattr(unitarity, "annihilation_rhs", scaled)
     out = tmp_path / "bc.csv"
     assert main(["box-cut", "--s-grid", "4.1", "--out", str(out), *SEED]) == 1
+    assert _read_manifest(out)["checks"] == {"restored_ratios_within_sidak_z": False}
+
+
+def test_box_cut_gate_rejects_rhs_off_by_a_tenth_of_a_percent(tmp_path, monkeypatch):
+    # at s = 10 and the default n_samples the ratio's sigma is about 8e-5,
+    # so a 1.001 RHS sits about 12 sigma from 1 against z(1) = 3.29
+    real = unitarity.annihilation_rhs
+
+    def scaled(*args, **kwargs):
+        value, err = real(*args, **kwargs)
+        return 1.001 * value, 1.001 * err
+
+    monkeypatch.setattr(unitarity, "annihilation_rhs", scaled)
+    out = tmp_path / "bc.csv"
+    assert main(["box-cut", "--s-grid", "10", "--out", str(out), *SEED]) == 1
     assert _read_manifest(out)["checks"] == {"restored_ratios_within_sidak_z": False}
 
 

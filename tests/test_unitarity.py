@@ -324,13 +324,15 @@ def test_box_cut_threshold_limit(box_params, s):
     assert val == pytest.approx(ref, rel=3e-8)
 
 
-def test_box_cut_calibrated_against_closed_form(box_params):
+@pytest.mark.parametrize("s", [4.1, 10.0])
+def test_box_cut_calibrated_against_closed_form(box_params, s):
     # z = (estimate - closed form)/reported error over 200 seeds. For N(0, 1)
     # draws, |mean z| > 0.3 (4.2 sigma of the mean) has probability 2.2e-5
     # and a sample SD outside [0.8, 1.2] has 6.7e-5 (chi^2 with 199 dof):
-    # together a false-failure rate below 1e-4. A density that is off by a
-    # few per cent biases the mean; a wrong error bar moves the SD.
-    s, ref = 10.0, _box_closed_form(10.0, box_params)
+    # below 1e-4 per case, so a false-failure rate below 2e-4 for both. A
+    # density that is off by a few per cent biases the mean; a wrong error
+    # bar, such as one that ignores the strata, moves the SD.
+    ref = _box_closed_form(s, box_params)
     z = []
     for seed in range(200):
         val, err = box_cut_im_forward(s, box_params, 20000, stream(43, seed))
@@ -352,6 +354,23 @@ def test_box_cut_importance_sampling_cuts_variance(box_params):
     pref = math.pi**2 * box_params.alpha_tilde**4
     _, err = box_cut_im_forward(s, box_params, n, stream(47, 0))
     assert float(np.var(uniform)) >= 4.0 * n * (err / pref) ** 2
+
+
+def test_box_cut_stratification_cuts_variance(box_params):
+    # err^2 against var(w f)/n of the same importance density and weight with
+    # u uniform on [0, 1], not stratified: at least a 10x smaller sigma
+    s, n = 10.0, 200000
+    m, mu = box_params.m, box_params.mu
+    p, k = cm_momentum(s, m, m), cm_momentum(s, mu, mu)
+    a = math.sqrt(s) * math.hypot(mu, k) - mu * mu
+    b = 2.0 * p * k
+    u = stream(53, 1).random(n)
+    c = -1.0 + ((a + b) / b) * (1.0 - ((a - b) / (a + b)) ** u)
+    log_ab = math.log((a + b) / (a - b))
+    wf = (2 * math.pi * k / (4 * math.sqrt(s))) * log_ab / (b * (a - b * c))
+    pref = math.pi**2 * box_params.alpha_tilde**4
+    _, err = box_cut_im_forward(s, box_params, n, stream(53, 0))
+    assert (err / pref) ** 2 <= float(np.var(wf)) / n / 100.0
 
 
 def test_box_cut_below_threshold(box_params, rng):
@@ -380,8 +399,9 @@ def test_annihilation_matches_box(box_params):
 
 def test_annihilation_rhs_needs_two_samples_per_stratum(box_params, rng):
     # one sample in a stratum has no sample variance, so the command line
-    # asks for two per stratum; at that floor the error is above 0
+    # asks for two per stratum; at that floor both errors are above 0
     assert annihilation_rhs(4.1, box_params, 128, rng)[1] > 0.0
+    assert box_cut_im_forward(10.0, box_params, 128, rng)[1] > 0.0
 
 
 def test_elastic_only_mismatch_near_threshold(box_params, rng):
