@@ -10,7 +10,8 @@ Two regimes:
 * the particle-antiparticle box cut: the Cutkosky imaginary part of the
   crossed box at forward kinematics, stratified in its importance variable,
   against the two-mediator annihilation sum, stratified in cos(theta), with
-  the elastic-only cross-section as the mismatched alternative.
+  the elastic-only cross-section as the mismatched alternative. Neither
+  forward integrand depends on the azimuth: each side draws one variable.
 
 LHS and RHS of every check are computed by code paths that share no
 integrand evaluation and carry provenance tags saying so.
@@ -254,14 +255,14 @@ def optical_tree_check(
 # box cut at forward kinematics
 # ---------------------------------------------------------------------------
 
-def _forward_p1(s: float, params: ModelParams) -> np.ndarray:
-    """Incoming p1 of the forward pair at this s, in the CM frame along +z."""
+def _forward_p1(s: float, params: ModelParams) -> tuple[float, float]:
+    """(E, p) of the incoming p1 of the forward pair, in the CM frame along +z."""
     m = params.m
     if s < 4.0 * m * m * (1.0 - 1e-12):
         raise BelowThresholdError(f"s={s} below the incoming-pair threshold 4m^2")
     if s <= 4.0 * params.mu**2:
         raise BelowThresholdError(f"s={s} below the two-mediator cut 4mu^2")
-    return FourVector(math.sqrt(s) / 2.0, 0.0, 0.0, cm_momentum(s, m, m))
+    return math.sqrt(s) / 2.0, cm_momentum(s, m, m)
 
 
 def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
@@ -281,13 +282,15 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
 
         pdf(c) = B / (L (A - B c)),   L = ln((A + B)/(A - B)),
 
-    by its closed-form inverse CDF of a uniform u (uniform c at B = 0), and
-    the azimuth is uniform. Each sample carries the weight
+    by its closed-form inverse CDF of a uniform u (uniform c at B = 0), one
+    draw per sample. Each sample carries the weight
 
         w = 2 pi k/(4 sqrt(s)) * L (A - B c)/B
 
-    (the measure density over the sampling density) and is evaluated on the
-    full quadratic form (p1 - k1)^2 + m^2. The density is deliberately not
+    (the measure density over the sampling density; its 2 pi is the azimuth
+    integral done in closed form) and is evaluated on the full quadratic form
+    (p1 - k1)^2 + m^2 = k^2 (1 - c^2) + (p - k c)^2 - (E - E_k)^2 + m^2,
+    transverse, longitudinal and time parts. The density is deliberately not
     the integrand's own (A - B c)^-2, so w times the integrand varies and a
     wrong density shows as a bias against the closed form 2/(A^2 - B^2).
 
@@ -301,13 +304,13 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
     The matter propagator has no pole on the cut: A - B c >= A - B >= m^2,
     as A = s/2 - mu^2 and B = 2 p k <= p^2 + k^2 = s/2 - m^2 - mu^2.
     """
-    p1 = _forward_p1(s, params)
+    e, p = _forward_p1(s, params)
     m, mu = params.m, params.mu
     kmag = cm_momentum(s, mu, mu)
     roots = math.sqrt(s)
     ek = math.hypot(mu, kmag)
     a = roots * ek - mu * mu
-    b = 2.0 * p1[3] * kmag
+    b = 2.0 * p * kmag
     # inverse CDF c = -1 + ((A+B)/B) (1 - ((A-B)/(A+B))^u), with log1p/expm1
     # so that B -> 0 degrades to uniform c without cancellation; at B = 0
     # (s = 4m^2) the density is uniform and L/B = 2/A
@@ -320,13 +323,8 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
     strat_means, strat_vars = [], []
     for i in range(N_STRATA):
         u = (i + rng.random(per)) / N_STRATA
-        phi = rng.uniform(0.0, 2.0 * math.pi, per)
         c = -1.0 - ((a + b) / b) * np.expm1(u * log_ratio) if b > 0.0 else 2.0 * u - 1.0
-        st = kmag * np.sqrt(np.maximum(1.0 - c * c, 0.0))
-        k1 = np.stack([np.full(per, ek), st * np.cos(phi), st * np.sin(phi),
-                       kmag * c], axis=1)
-        diff = p1 - k1
-        den = minkowski_dot(diff, diff) + m * m
+        den = kmag * kmag * (1.0 - c * c) + (p - kmag * c) ** 2 - (e - ek) ** 2 + m * m
         f = (measure * l_over_b) * (a - b * c) / den**2
         strat_means.append(float(np.mean(f)))
         strat_vars.append(float(np.var(f) / per))
@@ -339,16 +337,17 @@ def annihilation_rhs(s: float, params: ModelParams, n_samples: int,
     """Two-mediator annihilation sum on the optical-theorem right-hand side.
 
     Same phase-space measure as :func:`box_cut_im_forward` but estimated by a
-    structurally independent route: it is stratified uniform in cos(theta),
-    the azimuth is drawn first, and the squared t-channel matter denominator
-    is assembled as -2 p1.k1 - mu^2 instead of the full quadratic form.
+    route independent by its variable and by its denominator: one draw per
+    sample, stratified uniform in cos(theta) rather than in u, and the squared
+    t-channel matter denominator -2 p1.k1 - mu^2 = 2 (E E_k - p k c) - mu^2
+    instead of the full quadratic form. The azimuth is the measure's 2 pi.
 
     It draws N_STRATA * floor(n_samples / N_STRATA) samples, the same number
     in each of the N_STRATA equal cells of cos(theta). The standard error
     sums the per-stratum sample variances, so it needs ``n_samples`` at
     least 2 * N_STRATA, two per stratum; nothing here checks it.
     """
-    p1 = _forward_p1(s, params)
+    e, p = _forward_p1(s, params)
     mu = params.mu
     kmag = cm_momentum(s, mu, mu)
     roots = math.sqrt(s)
@@ -359,12 +358,8 @@ def annihilation_rhs(s: float, params: ModelParams, n_samples: int,
     edges = np.linspace(-1.0, 1.0, N_STRATA + 1)
     strat_means, strat_vars = [], []
     for i in range(N_STRATA):
-        phi = rng.uniform(0.0, 2.0 * math.pi, per)
         c = rng.uniform(edges[i], edges[i + 1], per)
-        st = np.sqrt(1.0 - c * c)
-        k1 = np.stack([np.full(per, ek), kmag * st * np.cos(phi),
-                       kmag * st * np.sin(phi), kmag * c], axis=1)
-        den = -2.0 * minkowski_dot(p1, k1) - mu * mu
+        den = 2.0 * (e * ek - p * kmag * c) - mu * mu
         f = 1.0 / den**2
         strat_means.append(float(np.mean(f)))
         strat_vars.append(float(np.var(f) / per))

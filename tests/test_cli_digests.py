@@ -26,7 +26,7 @@ RUNS = {
     "box-cut": (
         ["box-cut", "--seed", "7", "--n-samples", "20000",
          "--s-grid", "3.5", "4.1", "6"],
-        "a57aaad3394023e14e7eb80d16964c81023b493015631b09a41328a1e143ba9b"),
+        "dd045838da4771c1a16058fa5d0dc98501e72c555e14c7e8b298a0350d5cdbff"),
     "entangle-transverse": (
         ["entangle", "--n-grid", "40", "--axis", "transverse"],
         "2b9b975a63c2b5a1a7b8edbd5bcbf6e97f81740d14d2be53f235356935b2f739"),
@@ -44,7 +44,7 @@ RUNS = {
         "2d6adbaa50aa35bc98f3e920c82253959bd7cc2b76cfb5265802642e5be54f06"),
     "self-test": (
         ["self-test", "--seed", "7", "--n-samples", "5000"],
-        "e626640e65bc813ddae6bc001a96451d5c0a7994763b6ccdf50707e420441198"),
+        "3ea19f531d67b8778cbec48414ff781714f9f491863596ff2608385d351c3719"),
 }
 
 

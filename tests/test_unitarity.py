@@ -7,7 +7,7 @@ from scipy.integrate import quad
 
 from gravitas.errors import BelowThresholdError, ConfigShapeError
 from gravitas.kinematics import cm_momentum, minkowski_dot, stream
-from gravitas.params import ModelParams
+from gravitas.params import N_STRATA, ModelParams
 from gravitas.amplitudes import m_3to3_tree
 from gravitas.unitarity import (LHS_TAG, N_NODES, POLE_CELL_WIDTHS, Q_OUT, RHS_TAG,
                                 SPECTATOR_PZ, TreePoleFamily, annihilation_rhs,
@@ -324,18 +324,22 @@ def test_box_cut_threshold_limit(box_params, s):
     assert val == pytest.approx(ref, rel=3e-8)
 
 
-@pytest.mark.parametrize("s", [4.1, 10.0])
-def test_box_cut_calibrated_against_closed_form(box_params, s):
-    # z = (estimate - closed form)/reported error over 200 seeds. For N(0, 1)
-    # draws, |mean z| > 0.3 (4.2 sigma of the mean) has probability 2.2e-5
-    # and a sample SD outside [0.8, 1.2] has 6.7e-5 (chi^2 with 199 dof):
-    # below 1e-4 per case, so a false-failure rate below 2e-4 for both. A
-    # density that is off by a few per cent biases the mean; a wrong error
-    # bar, such as one that ignores the strata, moves the SD.
+@pytest.mark.parametrize("estimator", [box_cut_im_forward, annihilation_rhs],
+                         ids=["lhs", "rhs"])
+@pytest.mark.parametrize("s", [4.1, 7.0, 10.0])
+def test_box_cut_calibrated_against_closed_form(box_params, s, estimator):
+    # z = (estimate - closed form)/reported error over 200 seeds, for each
+    # side of the box-cut check. For N(0, 1) draws, |mean z| > 0.3 (4.2
+    # sigma of the mean) has probability 2.2e-5 and a sample SD outside
+    # [0.8, 1.2] has 6.7e-5 (chi^2 with 199 dof): below 1e-4 per case, so a
+    # false-failure rate below 6e-4 for the six. A density or denominator
+    # that is off by a few per cent biases the mean; a wrong error bar, such
+    # as one that ignores the strata, moves the SD. Both sides meet the same
+    # closed form, so this also holds the LHS and the RHS to each other.
     ref = _box_closed_form(s, box_params)
     z = []
     for seed in range(200):
-        val, err = box_cut_im_forward(s, box_params, 20000, stream(43, seed))
+        val, err = estimator(s, box_params, 20000, stream(43, seed))
         z.append((val - ref) / err)
     mean = math.fsum(z) / len(z)
     sd = math.sqrt(math.fsum((x - mean) ** 2 for x in z) / (len(z) - 1))
@@ -390,11 +394,39 @@ def test_box_cut_propagator_stays_off_its_pole():
                 assert a - 2.0 * p * k >= m * m * (1.0 - 1e-6)
 
 
-def test_annihilation_matches_box(box_params):
-    for i, s in enumerate((4.1, 7.0)):
-        v1, e1 = box_cut_im_forward(s, box_params, 400000, stream(19, 2 * i))
-        v2, e2 = annihilation_rhs(s, box_params, 400000, stream(19, 2 * i + 1))
-        assert abs(v1 - v2) <= 2 * math.hypot(e1, e2)
+def test_forward_denominators_need_no_azimuth():
+    # why neither estimator draws an azimuth: at forward kinematics both
+    # denominators, written in c alone as the estimators write them, equal
+    # their four-vector forms for every phi
+    rng = stream(61, 0)
+    for m, mu, s in ((1.0, 1e-3, 4.1), (1.0, 1e-3, 10.0), (2.0, 0.7, 30.0)):
+        e, p = math.sqrt(s) / 2.0, cm_momentum(s, m, m)
+        k = cm_momentum(s, mu, mu)
+        ek = math.hypot(mu, k)
+        p1 = np.array([e, 0.0, 0.0, p])
+        c = rng.uniform(-1.0, 1.0, 50)
+        lhs = k * k * (1.0 - c * c) + (p - k * c) ** 2 - (e - ek) ** 2 + m * m
+        rhs = 2.0 * (e * ek - p * k * c) - mu * mu
+        for phi in (0.0, 0.7, 2.0, 4.5):
+            st = k * np.sqrt(1.0 - c * c)
+            k1 = np.stack([np.full_like(c, ek), st * math.cos(phi),
+                           st * math.sin(phi), k * c], axis=1)
+            np.testing.assert_allclose(
+                lhs, minkowski_dot(p1 - k1, p1 - k1) + m * m, rtol=1e-12)
+            np.testing.assert_allclose(
+                rhs, -2.0 * minkowski_dot(p1, k1) - mu * mu, rtol=1e-12)
+
+
+@pytest.mark.parametrize("estimator", [box_cut_im_forward, annihilation_rhs],
+                         ids=["lhs", "rhs"])
+def test_box_cut_estimators_draw_one_double_per_sample(box_params, estimator):
+    # each estimator uses 64 floor(n/64) doubles of its stream and no more,
+    # so a dead draw (an azimuth, say) that comes back shows here
+    for s, n in ((4.0, 128), (10.0, 1000), (10.0, 20000)):
+        rng, twin = stream(67, n), stream(67, n)
+        estimator(s, box_params, n, rng)
+        twin.random(N_STRATA * (n // N_STRATA))
+        np.testing.assert_equal(rng.bit_generator.state, twin.bit_generator.state)
 
 
 def test_annihilation_rhs_needs_two_samples_per_stratum(box_params, rng):
