@@ -4,7 +4,7 @@ Two regimes:
 
 * the 6-point tree pole: Im M of the probe-Newton-probe amplitude,
   integrated against a smooth weight over a kinematic path crossing
-  ktil^2 = -mu^2 by Gauss-Legendre quadrature in one array pass, against
+  ktil^2 = -mu^2 by nested Clenshaw-Curtis quadrature in one array pass, against
   the collapsed graviton-emission final state at the closed-form pole;
 
 * the particle-antiparticle box cut: the Cutkosky imaginary part of the
@@ -125,7 +125,7 @@ class OpticalReport:
     lhs: float
     rhs_with_gravitons: float
     eps_ladder: tuple[tuple[float, float], ...]
-    lhs_quadrature_error: tuple[float, ...]   # |I_n - I_n/2| per ladder entry
+    lhs_quadrature_error: tuple[float, ...]   # |I_513 - I_257|, nested Clenshaw-Curtis
     extrapolated_lhs: float
     ratio_restored: float
     lhs_provenance: str = LHS_TAG
@@ -135,8 +135,21 @@ class OpticalReport:
 # half-width of the default bump and of the pole cell, omega* +/- Delta, in
 # units of sqrt(eps) m^2 / |slope|: 1/sqrt(eps) Lorentzian half-widths eps m^2 / |slope|
 POLE_CELL_WIDTHS = 10.0
-# Gauss-Legendre nodes per panel of the fine rule; the coarse rule has half
+# nested Clenshaw-Curtis: N_NODES + 1 nodes per panel, the coarse rule on every other
 N_NODES = 512
+
+
+def clenshaw_curtis_weights(n: int) -> np.ndarray:
+    """Weights of the (n + 1)-point Clenshaw-Curtis rule on [-1, 1], nodes
+    cos(pi k / n) for k = 0..n and n even: the cosine sum over 1 / (1 - 4 j^2)
+    of Trefethen, SIAM Rev. 50 (2008), evaluated by one real FFT."""
+    j = np.arange(n)
+    d = 1.0 / (1.0 - 4.0 * np.minimum(j, n - j) ** 2)
+    d[0] = 0.0
+    w = 2.0 / n * (1.0 + np.fft.rfft(d).real)
+    w = np.concatenate([w, w[-2::-1]])
+    w[[0, -1]] *= 0.5
+    return w
 
 
 def max_smallest_eps(family: TreePoleFamily, params: ModelParams) -> float:
@@ -159,15 +172,17 @@ def optical_tree_check(
     extrapolated linearly from the two smallest. The integral runs over the
     support of the default bump, or over the whole window [lo, hi] for a
     user ``weight_fn``. On the pole cell, omega* +/- Delta (Delta the
-    half-width of the default bump) clipped to that support, the
-    Gauss-Legendre nodes are uniform in theta, omega = omega* + (eps/slope)
-    tan(theta), which flattens the Lorentzian; the support outside the cell
-    gets plain Gauss-Legendre panels.
-    Every node of every rule and epsilon is evaluated in one batched
-    ``family.config`` call. Each ladder entry uses ``N_NODES`` per panel,
-    and |I_n - I_n/2| is its measured quadrature error. The ladder needs at
-    least two entries, all distinct, and with the default bump a smallest
-    entry below :func:`max_smallest_eps`; nothing here checks either.
+    half-width of the default bump) clipped to that support, the nodes are
+    uniform in theta, omega = omega* + (eps/slope) tan(theta), which
+    flattens the Lorentzian; the support outside the cell gets plain panels.
+    Every panel takes the ``N_NODES`` + 1 nested Clenshaw-Curtis nodes, ends
+    included, for every epsilon in one batched ``family.config`` call: I_513
+    uses them all, I_257 every other one. |I_513 - I_257| is a conservative
+    estimate of I_513's quadrature error: it exceeds the distance to an
+    adaptive reference at every ladder entry of
+    ``test_optical_tree_quadrature_error_bounds_the_true_error``. The ladder
+    needs at least two entries, all distinct, and with the default bump a
+    smallest entry below :func:`max_smallest_eps`; nothing here checks either.
 
     RHS: pi * (emission amplitude) * (emission amplitude)* * weight at the
     pole / |d(ktil^2)/d omega|, with the pole and the slope in closed form
@@ -190,7 +205,8 @@ def optical_tree_check(
     epss = sorted(eps_ladder, reverse=True)
     omega_star, slope = family.pole()
     scale = params.m**2
-    half = POLE_CELL_WIDTHS * math.sqrt(min(epss)) * scale / slope
+    # below max_smallest_eps, half < omega* in floating point too: the ends are nodes
+    half = omega_star * math.sqrt(min(epss) / max_smallest_eps(family, params))
     if weight_fn is None:
         weight_fn = bump_weight(omega_star, half)
         support = (omega_star - half, omega_star + half)
@@ -199,32 +215,31 @@ def optical_tree_check(
     cell = (max(support[0], omega_star - half), min(support[1], omega_star + half))
     panels = [(a, b) for a, b in ((support[0], cell[0]), (cell[1], support[1])) if b > a]
 
-    # one row of (omega, quadrature weight) per ladder entry: the n-node
-    # rule on every panel, then the n/2-node rule
-    rules = [np.polynomial.legendre.leggauss(n) for n in (N_NODES, N_NODES // 2)]
+    # one row of (omega, d omega / dx) per ladder entry: the pole cell, then
+    # each panel, on the nodes x; the rows of w are the fine and coarse weights
+    x = np.cos(np.pi * np.arange(N_NODES + 1) / N_NODES)
+    w = np.zeros((2, N_NODES + 1))
+    w[0], w[1, ::2] = clenshaw_curtis_weights(N_NODES), clenshaw_curtis_weights(N_NODES // 2)
     rows = []
     for eps_rel in epss:
         c = eps_rel * scale / slope
-        th_a, th_b = (math.atan((x - omega_star) / c) for x in cell)
-        parts = []
-        for x, w in rules:
-            t = np.tan(0.5 * (th_a + th_b) + 0.5 * (th_b - th_a) * x)
-            parts.append((omega_star + c * t, 0.5 * (th_b - th_a) * c * w * (1.0 + t * t)))
-            parts += [(0.5 * (a + b) + 0.5 * (b - a) * x, 0.5 * (b - a) * w)
-                      for a, b in panels]
+        th_a, th_b = (math.atan((end - omega_star) / c) for end in cell)
+        t = np.tan(0.5 * (th_a + th_b) + 0.5 * (th_b - th_a) * x)
+        parts = [(omega_star + c * t, 0.5 * (th_b - th_a) * c * (1.0 + t * t))]
+        parts += [(0.5 * (a + b) + 0.5 * (b - a) * x, np.full_like(x, 0.5 * (b - a)))
+                  for a, b in panels]
         rows.append([np.concatenate(z) for z in zip(*parts)])
-    omega, dw = (np.array(z) for z in zip(*rows))
+    omega, jac = (np.array(z) for z in zip(*rows))
+    omega = np.clip(omega, *support)  # the ends are nodes: no rounding past them
     cfg = family.config(omega)
-    f = dw * weight_fn(omega)
-    split = N_NODES * (1 + len(panels))
+    f = jac * weight_fn(omega)
     ladder, quad_err = [], []
     for i, eps_rel in enumerate(epss):
         amp = m_3to3_tree(KinematicConfig(cfg.incoming[i], cfg.outgoing[i], cfg.masses),
                           replace(params, eps_rel=eps_rel))
-        fi = f[i] * amp.imag
-        fine, coarse = float(np.sum(fi[:split])), float(np.sum(fi[split:]))
-        ladder.append((eps_rel, fine))
-        quad_err.append(abs(fine - coarse))
+        fine, coarse = w @ (f[i] * amp.imag).reshape(-1, N_NODES + 1).sum(axis=0)
+        ladder.append((eps_rel, float(fine)))
+        quad_err.append(abs(float(fine - coarse)))
 
     (e1, l1), (e2, l2) = ladder[-2], ladder[-1]
     extrapolated = l2 + (l2 - l1) * e2 / (e1 - e2)

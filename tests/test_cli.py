@@ -12,6 +12,7 @@ import pytest
 import gravitas
 from gravitas import entanglement, unitarity
 from gravitas.cli import COMMANDS, FLAGS, build_parser, main
+from gravitas.params import ModelParams
 
 SEED = ["--seed", "20260810"]
 
@@ -86,6 +87,20 @@ def test_optical_tree_passes_at_every_mass_scale(tmp_path, masses):
     assert main(["optical-tree", *masses, "--out", str(out)]) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
     assert abs(doc["ratio_restored"] - 1.0) <= 1e-4
+
+
+@pytest.mark.parametrize("m, mu", [(1.0, 0.05), (100.0, 0.05), (1e-6, 5e-8),
+                                   (100.0, 1e-4), (0.3, 0.015)])
+def test_optical_tree_cell_ends_at_the_largest_accepted_eps(tmp_path, m, mu):
+    # the pole cell's ends are quadrature nodes; at the largest smallest-eps
+    # the check accepts, the low end lies just above zero photon energy
+    params = ModelParams(g_newton=1.0, m=m, mu=mu)
+    eps = math.nextafter(unitarity.max_smallest_eps(unitarity.TreePoleFamily(params),
+                                                    params), 0.0)
+    out = tmp_path / "ot.json"
+    assert main(["optical-tree", "--m", repr(m), "--mu", repr(mu), "--eps-ladder",
+                 "1e-2", repr(eps), "--out", str(out)]) == 0
+    assert abs(json.loads(out.read_text(encoding="utf-8"))["ratio_restored"] - 1.0) <= 0.01
 
 
 def test_optical_tree_unachievable_tolerance(tmp_path, capsys):

@@ -19,7 +19,7 @@ STOCHASTIC_ENSEMBLE = ["--seed", "7", "--n-traj", "16", "--n-steps", "100",
 RUNS = {
     "optical-tree": (
         ["optical-tree"],
-        "3e328a0724d9074ec5b30b01f36a4805bb2ca46ff9f2363bd78cee7f72d213f4"),
+        "3ae00ebc021e74813a89e70a20439dd9e0de104d2044b211f49c48c267436b8a"),
     "deflection": (
         ["deflection"],
         "a718726c3b2002bd566edc4dc599dba202e33ad73f8511fdfba0c94de0cd1329"),

@@ -11,7 +11,8 @@ from gravitas.params import N_STRATA, ModelParams
 from gravitas.amplitudes import m_3to3_tree
 from gravitas.unitarity import (LHS_TAG, N_NODES, POLE_CELL_WIDTHS, Q_OUT, RHS_TAG,
                                 SPECTATOR_PZ, TreePoleFamily, annihilation_rhs,
-                                box_cut_im_forward, bump_weight, elastic_only_rhs,
+                                box_cut_im_forward, bump_weight,
+                                clenshaw_curtis_weights, elastic_only_rhs,
                                 max_smallest_eps, optical_tree_check,
                                 unitarity_violation_scan)
 from oracles import ktil2_plus_mu2
@@ -160,8 +161,9 @@ def test_user_weight_over_the_whole_window_builds_every_node(monkeypatch):
         rep = optical_tree_check(fam, lambda w: 1.0 / (1.0 + (w / m) ** 2), params)
         nodes = seen[0]
         assert nodes.min() >= lo and nodes.max() <= hi
-        # n and n/2 Gauss-Legendre nodes on the pole cell and on each panel
-        assert nodes.shape == (3, 3 * (N_NODES + N_NODES // 2))
+        # N_NODES + 1 nested Clenshaw-Curtis nodes on the pole cell and on
+        # each panel, shared by the fine and the coarse rule
+        assert nodes.shape == (3, 3 * (N_NODES + 1))
         assert rep.ratio_restored == pytest.approx(1.0, abs=1e-4)
 
 
@@ -187,8 +189,12 @@ def test_optical_tree_default_bump_builds_only_its_cell(params, monkeypatch):
     seen = _record_configs(monkeypatch)
     rep = optical_tree_check(fam, None, params)
     nodes = seen[0]
-    assert nodes.shape == (3, N_NODES + N_NODES // 2)
-    assert nodes.min() > omega_star - half and nodes.max() < omega_star + half
+    assert nodes.shape == (3, N_NODES + 1)
+    # the closed cell: both ends are nodes, where the bump is 0
+    lo, hi = omega_star - half, omega_star + half
+    assert nodes.min() >= lo * (1 - 1e-15) and nodes.max() <= hi * (1 + 1e-15)
+    np.testing.assert_allclose(nodes[:, [-1, 0]], [[lo, hi]] * 3, rtol=1e-15)
+    assert not bump_weight(omega_star, half)(nodes[:, [0, -1]]).any()
     assert [float(x) for x in seen[1:]] == [omega_star]
     assert rep.ratio_restored == pytest.approx(1.0, abs=0.01)
 
@@ -226,6 +232,63 @@ def test_optical_tree_user_weight_coarse_ladder_matches_quad(params):
         ref, _ = quad(lambda om: w(om) * m_3to3_tree(fam.config(om), pe).imag,
                       lo, hi, points=[omega_star], epsabs=0.0, epsrel=1e-12, limit=1000)
         assert value == pytest.approx(ref, rel=1e-7)
+
+
+def test_nested_clenshaw_curtis_rules_integrate_polynomials_exactly():
+    # the fine rule on the nodes x, the coarse one on its even-indexed nodes
+    x = np.cos(np.pi * np.arange(N_NODES + 1) / N_NODES)
+    fine = clenshaw_curtis_weights(N_NODES)
+    coarse = np.zeros_like(fine)
+    coarse[::2] = clenshaw_curtis_weights(N_NODES // 2)
+    for rule, degree in ((fine, N_NODES), (coarse, N_NODES // 2)):
+        assert rule.sum() == pytest.approx(2.0, abs=1e-14)
+        for k in range(degree + 1):
+            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+            assert rule @ x**k == pytest.approx(exact, abs=1e-14), k
+    assert np.all(fine > 0.0)
+    assert not coarse[1::2].any()
+    # the even-indexed nodes are the coarse rule's own, cos(pi k / (N_NODES / 2))
+    np.testing.assert_allclose(x[::2], np.cos(np.pi * np.arange(N_NODES // 2 + 1)
+                                              / (N_NODES // 2)), atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, N_NODES // 2, N_NODES])
+def test_clenshaw_curtis_fft_weights_equal_the_cosine_sum(n):
+    # w_k = (c_k / n) (1 - sum_{j=1}^{n/2} b_j cos(2 pi j k / n) / (4 j^2 - 1)),
+    # with c_k = 1 at k = 0, n (else 2) and b_j = 1 at j = n/2 (else 2)
+    k = np.arange(n + 1)[:, None]
+    j = np.arange(1, n // 2 + 1)
+    b = np.where(j == n // 2, 1.0, 2.0)
+    c = np.where((k[:, 0] == 0) | (k[:, 0] == n), 1.0, 2.0)
+    explicit = c / n * (1.0 - (b * np.cos(2.0 * np.pi * j * k / n) / (4.0 * j * j - 1.0))
+                        .sum(axis=1))
+    np.testing.assert_allclose(clenshaw_curtis_weights(n), explicit, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("weight", ["default-bump", "user"])
+def test_optical_tree_quadrature_error_bounds_the_true_error(params, weight):
+    # |I_513 - I_257| against an adaptive reference: at eps = 1e-4 the bump's
+    # true error is about 2e-7, the reported one about 8e-7; the reference's
+    # own tolerance, 1e-13 relative, is added for entries at rounding level
+    fam = TreePoleFamily(params)
+    omega_star, slope = fam.pole()
+    if weight == "user":
+        lo, hi = fam.omega_window()
+
+        def w(om):
+            return 1.0 / (1.0 + om * om)
+
+        rep = optical_tree_check(fam, w, params, eps_ladder=(1e-2, 1e-3))
+    else:
+        half = POLE_CELL_WIDTHS * math.sqrt(1e-4) * params.m**2 / slope
+        w, lo, hi = bump_weight(omega_star, half), omega_star - half, omega_star + half
+        rep = optical_tree_check(fam, None, params)
+    for (eps_rel, value), err in zip(rep.eps_ladder, rep.lhs_quadrature_error):
+        pe = ModelParams(g_newton=params.g_newton, m=params.m, mu=params.mu,
+                         lambda_probe=params.lambda_probe, eps_rel=eps_rel)
+        ref, _ = quad(lambda om: w(om) * m_3to3_tree(fam.config(om), pe).imag,
+                      lo, hi, points=[omega_star], epsabs=0.0, epsrel=1e-13, limit=1000)
+        assert abs(value - ref) <= err + 1e-13 * abs(ref), eps_rel
 
 
 def test_max_smallest_eps_is_where_the_pole_cell_reaches_zero(params):
