@@ -14,10 +14,11 @@ configuration, the checks and the wall time.
 
 Every configuration rule is checked once, here, before any file is written:
 a ``FLAGS`` bound or choice, or a command's ``check`` for a rule that joins
-several values. The library assumes validated input. It rejects only what
-no rule here covers: mu >= m (``ModelParams``), a length that a valid
-setting underflows to zero (``BendingConfig``), and a time step dt <= 0 or
-dt * gamma > 0.1 (``semiclassical._guard_steps``).
+several values or excludes one point (``optical-tree``'s lambda = 0). The
+library assumes validated input. It rejects only what no rule here covers:
+mu >= m (``ModelParams``), a length that a valid setting underflows to zero
+(``BendingConfig``), and a time step dt <= 0 or dt * gamma > 0.1
+(``semiclassical._guard_steps``).
 
 Exit codes: 0 when every check passes; 1 when a check fails (data and
 manifest are still written) or an ``ArithmeticError`` stops the computation
@@ -59,6 +60,10 @@ EXIT_CONFIG = 2
 
 # Family-wise false-failure rate of each statistical gate on a correct run.
 GATE_ALPHA = 1e-3
+# A Gaussian state passes as separable with E_N below SEPARABLE_E_N and the
+# Duan product at least SEPARABLE_DUAN: floating-point slack on E_N = 0, duan >= 1.
+SEPARABLE_E_N = 1e-10
+SEPARABLE_DUAN = 1.0 - 1e-9
 
 
 class ConfigError(GravitasError):
@@ -131,7 +136,7 @@ class Command:
     help: str
     defaults: dict
     run: Callable[[dict], tuple]
-    # raises ConfigError for a combination of values no flag bound covers
+    # raises ConfigError for a setting no flag bound covers
     check: Callable[[dict], None] | None = None
 
 
@@ -249,9 +254,12 @@ def _numpy_errors_raise(run: Callable[[dict], tuple]) -> Callable[[dict], tuple]
     return under_errstate
 
 
-def _check_eps_ladder(cfg: dict) -> None:
+def _check_optical_tree(cfg: dict) -> None:
     from .unitarity import TreePoleFamily, max_smallest_eps
 
+    if cfg["lambda_probe"] == 0.0:
+        raise ConfigError("--lambda must be nonzero: both sides of the optical "
+                          "theorem scale as lambda^2, so their ratio is 0/0 at 0")
     ladder = cfg["eps_ladder"]
     if len(ladder) < 2 or len(set(ladder)) < len(ladder):
         raise ConfigError("--eps-ladder needs at least two entries, all distinct "
@@ -356,46 +364,58 @@ def _feedback(cfg: dict, axis: str = "separation"):
                           meas_length=math.sqrt(cfg["var_x"]))
 
 
+def _snapshot_times(cfg: dict):
+    """The ensemble subcommands' time axis: every ``RECORD_EVERY`` steps from t = 0."""
+    import numpy as np
+
+    return np.arange(0, cfg["n_steps"] + 1, RECORD_EVERY) * (cfg["horizon"] / cfg["n_steps"])
+
+
 @_numpy_errors_raise
 def _semiclassical(cfg: dict):
     import numpy as np
 
+    from .entanglement import duan_witness, log_negativity
     from .semiclassical import run_ensemble
 
     fb = _feedback(cfg, cfg["axis"])
-    res = run_ensemble(fb, _initial(cfg), cfg["n_traj"], cfg["n_steps"],
-                       cfg["horizon"] / cfg["n_steps"], cfg["seed"])
-    n_traj = np.full(res.times.shape, cfg["n_traj"], dtype=object)  # stays an int
-    rows = np.column_stack((res.times, res.log_neg, res.duan, res.var_p_mean, n_traj)).tolist()
+    states = run_ensemble(fb, _initial(cfg), cfg["n_traj"], cfg["n_steps"],
+                          cfg["horizon"] / cfg["n_steps"], cfg["seed"])
+    times = _snapshot_times(cfg)
+    log_neg, duan = log_negativity(states), duan_witness(states)
+    var_p_mean = 0.5 * (states.cov[:, 1, 1] + states.cov[:, 3, 3])
+    n_traj = np.full(times.shape, cfg["n_traj"], dtype=object)  # stays an int
+    rows = np.column_stack((times, log_neg, duan, var_p_mean, n_traj)).tolist()
     checks = {
-        "no_entanglement": bool(np.all(res.log_neg < 1e-10)),
-        "duan_never_below_1": bool(np.all(res.duan >= 1.0 - 1e-9)),
+        "no_entanglement": bool(np.all(log_neg < SEPARABLE_E_N)),
+        "duan_never_below_1": bool(np.all(duan >= SEPARABLE_DUAN)),
     }
     return ((["t", "E_N_unconditional", "duan", "var_p_mean", "n_traj"], rows),
-            checks, f"max E_N = {float(np.max(res.log_neg)):.2e}, "
-                    f"min duan = {float(np.min(res.duan)):.6f}")
+            checks, f"max E_N = {float(np.max(log_neg)):.2e}, "
+                    f"min duan = {float(np.min(duan)):.6f}")
 
 
 @_numpy_errors_raise
 def _compare(cfg: dict):
     import numpy as np
 
+    from .entanglement import duan_witness, log_negativity
     from .semiclassical import compare_channels
 
     fb = _feedback(cfg)
-    comp = compare_channels(fb, _initial(cfg), cfg["horizon"], cfg["n_steps"],
-                            cfg["n_traj"], cfg["seed"])
-    columns = (comp.times, comp.duan_unitary, comp.log_neg_unitary,
-               comp.duan_semiclassical, comp.log_neg_semiclassical,
-               comp.mean_sep_unitary, comp.mean_sep_semiclassical)
+    unitary, feedback, sep_u, sep_f = compare_channels(
+        fb, _initial(cfg), cfg["horizon"], cfg["n_steps"], cfg["n_traj"], cfg["seed"])
+    duan_u, log_neg_u = duan_witness(unitary), log_negativity(unitary)
+    duan_f, log_neg_f = duan_witness(feedback), log_negativity(feedback)
+    columns = (_snapshot_times(cfg), duan_u, log_neg_u, duan_f, log_neg_f,
+               sep_u[:, 0] - sep_u[:, 2], sep_f[:, 0] - sep_f[:, 2])
     rows = np.column_stack(columns).tolist()
     header = ["t", "duan_unitary", "E_N_unitary", "duan_semiclassical",
               "E_N_semiclassical", "mean_sep_unitary", "mean_sep_semiclassical"]
     checks = {
-        "unitary_entangles": bool(np.max(comp.log_neg_unitary) > 0.0
-                                  and np.min(comp.duan_unitary) < 1.0),
-        "semiclassical_does_not": bool(np.all(comp.log_neg_semiclassical < 1e-10)
-                                       and np.all(comp.duan_semiclassical >= 1.0 - 1e-9)),
+        "unitary_entangles": bool(np.max(log_neg_u) > 0.0 and np.min(duan_u) < 1.0),
+        "semiclassical_does_not": bool(np.all(log_neg_f < SEPARABLE_E_N)
+                                       and np.all(duan_f >= SEPARABLE_DUAN)),
     }
     return ((header, rows), checks,
             "unitary entangles={unitary_entangles}, "
@@ -465,7 +485,7 @@ def _self_test(cfg: dict):
                                         cfg["seed"], n_threads=threads)
         ens = run_ensemble(fb, initial, 16, 50, 0.01, cfg["seed"])
         blob = json.dumps([[r.s, r.lhs, r.rhs_restored] for r in rows]).encode()
-        blob += ens.unconditional.mean.tobytes() + ens.unconditional.cov.tobytes()
+        blob += ens.mean.tobytes() + ens.cov.tobytes()
         return hashlib.sha256(blob).hexdigest()
 
     base = digest(1)
@@ -483,7 +503,7 @@ COMMANDS = (
     Command("optical-tree", "tree-level optical theorem at the mediator pole",
             dict(g_newton=1.0, m=1.0, mu=0.05, lambda_probe=1.0,
                  eps_ladder=[1e-2, 1e-3, 1e-4], tolerance=0.01,
-                 out="optical_tree.json"), _optical_tree, _check_eps_ladder),
+                 out="optical_tree.json"), _optical_tree, _check_optical_tree),
     Command("box-cut", "Cutkosky cut of the crossed box vs annihilation sum",
             dict(m=1.0, mu=1e-3, alpha_tilde=1.0,
                  s_grid=[4.1, 5.575, 7.05, 8.525, 10.0], n_samples=10**6,

@@ -23,6 +23,13 @@ row j of one normal draw from stream (master_seed, 0). The seed drives
 only the deviations; the mean path, and with it the separation-axis
 attraction of :func:`compare_channels`, is noise-free.
 
+Both channels return the same form: a
+:class:`~gravitas.entanglement.GaussianState` time series, as
+:func:`~gravitas.entanglement.evolve_gaussian_grid` does for the unitary
+one. :func:`run_ensemble` returns the unconditional state of the ensemble;
+the witnesses, time axis and column differences are the caller's to read
+from the states.
+
 Measurement convention (hbar = 1): continuous position measurement of
 strength k = gamma / (8 meas_length^2), record dy = <x> dt + dW / sqrt(8 k),
 conditional moment equations of the standard Kalman-Bucy form with
@@ -36,8 +43,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entanglement import (OMEGA, GaussianState, duan_witness,
-                           evolve_gaussian_grid, expm, log_negativity,
+from .entanglement import (OMEGA, GaussianState, evolve_gaussian_grid, expm,
                            quadratize_newton)
 from .errors import StepSizeError
 from .kinematics import stream
@@ -116,22 +122,12 @@ def _mean_path(cfg: FeedbackConfig, initial: GaussianState, n_steps: int,
 # ensembles
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EnsembleResult:
-    """The snapshots of :func:`run_ensemble`, each series on one time axis."""
-    times: np.ndarray
-    unconditional: GaussianState    # ensemble mean, unconditional covariance
-    log_neg: np.ndarray
-    duan: np.ndarray
-    var_p_mean: np.ndarray          # average of Var(p1), Var(p2), unconditional
-
-
 def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
-                 n_steps: int, dt: float, master_seed: int) -> EnsembleResult:
-    """Ensemble statistics of the measurement-feedback model, every
-    ``RECORD_EVERY`` steps from t = 0, from one filter state: the
-    unconditional state as one time series, and its witnesses; ``n_steps``
-    must be a multiple of ``RECORD_EVERY``, so that the last step is recorded.
+                 n_steps: int, dt: float, master_seed: int) -> GaussianState:
+    """The unconditional state of the measurement-feedback ensemble as one
+    time series, every ``RECORD_EVERY`` steps from t = 0, from one filter
+    state; ``n_steps`` must be a multiple of ``RECORD_EVERY``, so that the
+    last step is recorded. Its mean is the noise-free mean path.
 
     ``n_traj`` must be even: trajectories j and j + n_traj/2 take
     opposite-sign innovations, so the noise-free mean path is their exact
@@ -161,44 +157,28 @@ def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
             dev = dev + dws[:, j] @ (gain * sigma[[0, 2]])
             dev = dev + dev @ a.T * dt
             sigma = _riccati_apply(theta, sigma)
-
-    unconditional = GaussianState(_mean_path(cfg, initial, n_steps, dt), covs)
-    return EnsembleResult(
-        times=np.arange(0, n_steps + 1, RECORD_EVERY) * dt,
-        unconditional=unconditional,
-        log_neg=log_negativity(unconditional),
-        duan=duan_witness(unconditional),
-        var_p_mean=0.5 * (unconditional.cov[:, 1, 1] + unconditional.cov[:, 3, 3]),
-    )
+    return GaussianState(_mean_path(cfg, initial, n_steps, dt), covs)
 
 
 # ---------------------------------------------------------------------------
 # unitary vs semiclassical comparison
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChannelComparison:
-    times: np.ndarray
-    duan_unitary: np.ndarray
-    log_neg_unitary: np.ndarray
-    duan_semiclassical: np.ndarray
-    log_neg_semiclassical: np.ndarray
-    mean_sep_unitary: np.ndarray        # <x1 - x2> displacement, separation axis
-    mean_sep_semiclassical: np.ndarray
-
-
 def compare_channels(cfg: FeedbackConfig, initial: GaussianState,
-                     horizon: float, n_steps: int, n_traj: int,
-                     master_seed: int) -> ChannelComparison:
-    """Side-by-side witness curves (transverse axis) and mean Newtonian
-    attraction (separation axis) for the unitary and feedback channels,
-    every ``RECORD_EVERY`` steps (``n_steps`` a multiple of it and ``n_traj``
-    even, neither checked here). The seed drives only the transverse
-    ensemble; the separation axis is the noise-free mean path alone.
+                     horizon: float, n_steps: int, n_traj: int, master_seed: int
+                     ) -> tuple[GaussianState, GaussianState, np.ndarray, np.ndarray]:
+    """The unitary and feedback channels side by side, every
+    ``RECORD_EVERY`` steps (``n_steps`` a multiple of it and ``n_traj``
+    even, neither checked here): ``(unitary, feedback, sep_unitary,
+    sep_feedback)``. ``unitary`` and ``feedback`` are the transverse-axis
+    state series, from which the witnesses are read; ``sep_unitary`` and
+    ``sep_feedback`` are the separation-axis (n, 4) mean paths, which carry
+    the Newtonian attraction. The seed drives only the transverse ensemble;
+    the separation axis is the noise-free mean path alone.
 
-    Headline behavior: the unitary curve crosses duan < 1 with E_N > 0; the
-    semiclassical ensemble keeps E_N = 0 and duan >= 1; and the two
-    channels' ensemble-mean positions agree.
+    Headline behavior: the unitary states cross duan < 1 with E_N > 0; the
+    feedback ensemble keeps E_N = 0 and duan >= 1; and the two channels'
+    mean paths agree.
     """
     dt = horizon / n_steps
     _guard_steps(cfg, dt)
@@ -208,21 +188,8 @@ def compare_channels(cfg: FeedbackConfig, initial: GaussianState,
         return evolve_gaussian_grid(initial, h, RECORD_EVERY * dt,
                                     n_steps // RECORD_EVERY)
 
-    # witness section: transverse
-    witness_u = unitary_states("transverse")
-    ens_t = run_ensemble(replace(cfg, axis="transverse"), initial, n_traj,
-                         n_steps, dt, master_seed)
-
-    # attraction section: separation axis, means only
-    attraction_u = unitary_states("separation")
-    mean_s = _mean_path(replace(cfg, axis="separation"), initial, n_steps, dt)
-
-    return ChannelComparison(
-        times=np.arange(0, n_steps + 1, RECORD_EVERY) * dt,
-        duan_unitary=duan_witness(witness_u),
-        log_neg_unitary=log_negativity(witness_u),
-        duan_semiclassical=ens_t.duan,
-        log_neg_semiclassical=ens_t.log_neg,
-        mean_sep_unitary=attraction_u.mean[:, 0] - attraction_u.mean[:, 2],
-        mean_sep_semiclassical=mean_s[:, 0] - mean_s[:, 2],
-    )
+    feedback = run_ensemble(replace(cfg, axis="transverse"), initial, n_traj,
+                            n_steps, dt, master_seed)
+    sep_feedback = _mean_path(replace(cfg, axis="separation"), initial, n_steps, dt)
+    return (unitary_states("transverse"), feedback,
+            unitary_states("separation").mean, sep_feedback)

@@ -280,6 +280,26 @@ def _forward_p1(s: float, params: ModelParams) -> tuple[float, float]:
     return math.sqrt(s) / 2.0, cm_momentum(s, m, m)
 
 
+def _stratified(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float,
+                n_samples: int, rng: np.random.Generator) -> tuple[float, float]:
+    """(sum of the cell means, sqrt of the sum of the cell-mean variances) of
+    f over [lo, hi] cut into N_STRATA equal cells of width w, drawing ``per``
+    = floor(n_samples / N_STRATA) points lo + i w + w r in cell i, cell by
+    cell, r uniform on [0, 1). A cell mean's variance is its sample variance over ``per``,
+    so ``n_samples`` must be at least 2 * N_STRATA, two per cell; nothing
+    here checks it. Memory scales with ``per`` rows. The caller scales both
+    sums to its estimate and standard error: by 1/N_STRATA for a mean over
+    [lo, hi], by the cell's measure for an integral."""
+    per = n_samples // N_STRATA
+    w = (hi - lo) / N_STRATA
+    means, variances = [], []
+    for i in range(N_STRATA):
+        v = f(lo + i * w + w * rng.random(per))
+        means.append(float(np.mean(v)))
+        variances.append(float(np.var(v) / per))
+    return math.fsum(means), math.sqrt(math.fsum(variances))
+
+
 def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
                        rng: np.random.Generator) -> tuple[float, float]:
     """Monte Carlo estimate of the Cutkosky imaginary part of the crossed box.
@@ -309,12 +329,8 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
     the integrand's own (A - B c)^-2, so w times the integrand varies and a
     wrong density shows as a bias against the closed form 2/(A^2 - B^2).
 
-    u is stratified: ``per`` = floor(n_samples / N_STRATA) draws in each of
-    N_STRATA equal cells. In u, w times the integrand is smooth and monotone,
-    so this removes nearly all of its variance. The estimate is the mean of
-    the stratum means, with standard error sqrt(sum var_i/per) / N_STRATA;
-    the sample variances var_i need ``n_samples`` at least 2 * N_STRATA,
-    and nothing here checks it. Memory scales with ``per`` rows.
+    u is stratified by :func:`_stratified`. In u, w times the integrand is
+    smooth and monotone, so this removes nearly all of its variance.
 
     The matter propagator has no pole on the cut: A - B c >= A - B >= m^2,
     as A = s/2 - mu^2 and B = 2 p k <= p^2 + k^2 = s/2 - m^2 - mu^2.
@@ -334,17 +350,13 @@ def box_cut_im_forward(s: float, params: ModelParams, n_samples: int,
     measure = 2.0 * math.pi * kmag / (4.0 * roots)
     pref = math.pi**2 * params.alpha_tilde**4
 
-    per = n_samples // N_STRATA
-    strat_means, strat_vars = [], []
-    for i in range(N_STRATA):
-        u = (i + rng.random(per)) / N_STRATA
+    def integrand(u: np.ndarray) -> np.ndarray:
         c = -1.0 - ((a + b) / b) * np.expm1(u * log_ratio) if b > 0.0 else 2.0 * u - 1.0
         den = kmag * kmag * (1.0 - c * c) + (p - kmag * c) ** 2 - (e - ek) ** 2 + m * m
-        f = (measure * l_over_b) * (a - b * c) / den**2
-        strat_means.append(float(np.mean(f)))
-        strat_vars.append(float(np.var(f) / per))
-    return (-pref * math.fsum(strat_means) / N_STRATA,
-            pref * math.sqrt(math.fsum(strat_vars)) / N_STRATA)
+        return (measure * l_over_b) * (a - b * c) / den**2
+
+    total, err = _stratified(integrand, 0.0, 1.0, n_samples, rng)
+    return -pref * total / N_STRATA, pref * err / N_STRATA
 
 
 def annihilation_rhs(s: float, params: ModelParams, n_samples: int,
@@ -356,11 +368,7 @@ def annihilation_rhs(s: float, params: ModelParams, n_samples: int,
     sample, stratified uniform in cos(theta) rather than in u, and the squared
     t-channel matter denominator -2 p1.k1 - mu^2 = 2 (E E_k - p k c) - mu^2
     instead of the full quadratic form. The azimuth is the measure's 2 pi.
-
-    It draws N_STRATA * floor(n_samples / N_STRATA) samples, the same number
-    in each of the N_STRATA equal cells of cos(theta). The standard error
-    sums the per-stratum sample variances, so it needs ``n_samples`` at
-    least 2 * N_STRATA, two per stratum; nothing here checks it.
+    cos(theta) is stratified by :func:`_stratified`.
     """
     e, p = _forward_p1(s, params)
     mu = params.mu
@@ -369,20 +377,11 @@ def annihilation_rhs(s: float, params: ModelParams, n_samples: int,
     ek = math.hypot(mu, kmag)
     pref = math.pi**2 * params.alpha_tilde**4
 
-    per = n_samples // N_STRATA
-    edges = np.linspace(-1.0, 1.0, N_STRATA + 1)
-    strat_means, strat_vars = [], []
-    for i in range(N_STRATA):
-        c = rng.uniform(edges[i], edges[i + 1], per)
-        den = 2.0 * (e * ek - p * kmag * c) - mu * mu
-        f = 1.0 / den**2
-        strat_means.append(float(np.mean(f)))
-        strat_vars.append(float(np.var(f) / per))
+    total, err = _stratified(lambda c: 1.0 / (2.0 * (e * ek - p * kmag * c) - mu * mu) ** 2,
+                             -1.0, 1.0, n_samples, rng)
     # measure: int dOmega k/(4 sqrt s); each stratum covers dc = 2/N_STRATA
     cell = 2.0 * math.pi * (kmag / (4.0 * roots)) * (2.0 / N_STRATA)
-    value = cell * math.fsum(strat_means)
-    err = cell * math.sqrt(math.fsum(strat_vars))
-    return -pref * value, pref * err
+    return -pref * (cell * total), pref * (cell * err)
 
 
 def elastic_only_rhs(s: float, params: ModelParams) -> float:

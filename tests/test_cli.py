@@ -76,6 +76,11 @@ def test_optical_tree_default(tmp_path):
     assert man["outputs"] == [out.name]
     assert man["checks"]["ratio_restored_within_tolerance"] is True
     assert man["resolved_config"]["mu"] == 0.05
+    # both sides scale as lambda^2, so a negative coupling is a valid setting
+    negative = tmp_path / "ot_negative.json"
+    assert main(["optical-tree", "--lambda", "-1", "--out", str(negative)]) == 0
+    ratio = json.loads(negative.read_text(encoding="utf-8"))["ratio_restored"]
+    assert ratio == doc["ratio_restored"]
 
 
 @pytest.mark.parametrize("masses", [["--m", "100", "--mu", "5"],
@@ -274,6 +279,8 @@ BAD_VALUES = {
     "self-test-zero-threads": ["self-test", "--threads", "0", *SEED],
     "entangle-negative-delta-t": ["entangle", "--delta-t", "-30"],
     "optical-tree-negative-tolerance": ["optical-tree", "--tolerance", "-1"],
+    # the ratio of two lambda^2 sides is 0/0 at lambda = 0
+    "optical-tree-zero-lambda": ["optical-tree", "--lambda", "0"],
     # nan and +/-inf pass every bound (nan <= 0 is False) unless rejected
     "deflection-nan-mass": ["deflection", "--mass-g", "nan"],
     "box-cut-nan-tolerance": ["box-cut", "--tolerance", "nan", *SEED],

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from gravitas import semiclassical
-from gravitas.entanglement import (GaussianState, evolve_gaussian,
+from gravitas.entanglement import (GaussianState, duan_witness,
+                                   evolve_gaussian, log_negativity,
                                    product_state, quadratize_newton,
                                    yukawa_derivatives)
 from gravitas.errors import StepSizeError
@@ -52,8 +53,8 @@ def test_single_step_feedback_momentum_kick():
     for _ in range(RECORD_EVERY):  # explicit Euler steps of the same force
         f1 = -lin - spring * (z[0] - z[2])
         z = z + dt * np.array([z[1], f1, z[3], -f1])
-    assert ens.unconditional.mean[1, 1] == pytest.approx(z[1], rel=1e-12)
-    assert ens.unconditional.mean[1, 3] == pytest.approx(z[3], rel=1e-12)
+    assert ens.mean[1, 1] == pytest.approx(z[1], rel=1e-12)
+    assert ens.mean[1, 3] == pytest.approx(z[3], rel=1e-12)
 
 
 def test_weak_measurement_free_covariance_closed_form():
@@ -63,7 +64,7 @@ def test_weak_measurement_free_covariance_closed_form():
     dt, n = 0.01, 500
     ens = run_ensemble(cfg, _initial(1.0), n_traj=2, n_steps=n, dt=dt,
                        master_seed=2)
-    cov = ens.unconditional.cov[-1]
+    cov = ens.cov[-1]
     t = dt * n
     vx0, vp0 = 1.0, 0.25
     assert cov[0, 0] == pytest.approx(vx0 + t * t * vp0, rel=1e-6)
@@ -83,7 +84,7 @@ def test_ito_consistency_of_noise():
     want = vx0 + vp0 * t * t + 2.0 / 3.0 * cfg.k_meas * t**3
     bound = 5.0 * math.sqrt(2.0 / (n_traj // 2))  # relative sigma of the spread
     for i in (0, 2):
-        assert abs(ens.unconditional.cov[-1, i, i] / want - 1.0) < bound
+        assert abs(ens.cov[-1, i, i] / want - 1.0) < bound
 
 
 def test_conditional_cov_stays_block_diagonal():
@@ -96,15 +97,15 @@ def test_conditional_cov_stays_block_diagonal():
                        master_seed=3)
     h = quadratize_newton(cfg.d, cfg.params, cfg.masses, axis=cfg.axis)
     assert np.max(np.abs(evolve_gaussian(_initial(), h, 2.0).cov[:2, 2:])) > 1e-2
-    for cov in ens.unconditional.cov[::50 // RECORD_EVERY]:
+    for cov in ens.cov[::50 // RECORD_EVERY]:
         assert np.max(np.abs(cov[:2, 2:])) < 1e-12
 
 
 def test_ensemble_no_entanglement_and_duan():
     ens = run_ensemble(_cfg(axis="transverse"), _initial(), n_traj=200,
                        n_steps=500, dt=0.01, master_seed=11)
-    assert np.all(ens.log_neg < 1e-10)
-    assert np.all(ens.duan >= 1.0 - 1e-9)
+    assert np.all(log_negativity(ens) < 1e-10)
+    assert np.all(duan_witness(ens) >= 1.0 - 1e-9)
 
 
 def test_ensemble_mean_matches_classical_integrator():
@@ -142,7 +143,7 @@ def test_ensemble_mean_matches_classical_integrator():
     xs = np.array(xs)
 
     scale = np.max(np.abs(xs))
-    for k, mean in enumerate(ens.unconditional.mean[::stride]):
+    for k, mean in enumerate(ens.mean[::stride]):
         assert abs(mean[0] - xs[k, 0]) < 0.01 * scale
         assert abs(mean[2] - xs[k, 1]) < 0.01 * scale
 
@@ -185,10 +186,10 @@ def test_ensemble_moments_match_lyapunov_recursion():
     initial = GaussianState(np.array([0.5, 0.0, -0.1, 0.0]), _initial().cov)
     ens = run_ensemble(cfg, initial, n_traj, n_steps, dt, master_seed=21)
     means, sigmas, cs = _lyapunov_moments(cfg, initial, n_steps, dt)
-    assert np.all(np.abs(ens.unconditional.mean - means) <= 1e-12 * np.max(np.abs(means)))
+    assert np.all(np.abs(ens.mean - means) <= 1e-12 * np.max(np.abs(means)))
     z = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 4 * len(cs)))
     rel_sigma = math.sqrt(2.0 / (n_traj // 2))
-    for got, sigma, c in zip(ens.unconditional.cov, sigmas, cs):
+    for got, sigma, c in zip(ens.cov, sigmas, cs):
         dev = np.abs(np.diag(got) - np.diag(sigma) - np.diag(c))
         assert np.all(dev <= z * rel_sigma * np.diag(c) + 1e-12 * np.diag(sigma))
 
@@ -201,8 +202,10 @@ def test_momentum_heating_linear_in_gamma():
         cfg = _cfg(gamma=gamma, g_newton=1e-300)
         ens = run_ensemble(cfg, _initial(), n_traj=128, n_steps=400,
                            dt=0.05 / gamma, master_seed=100 + i)
+        times = np.arange(0, 400 + 1, RECORD_EVERY) * (0.05 / gamma)
+        var_p_mean = 0.5 * (ens.cov[:, 1, 1] + ens.cov[:, 3, 3])
         rows = slice(None, None, 40 // RECORD_EVERY)
-        fit = np.polyfit(ens.times[rows], ens.var_p_mean[rows], 1)
+        fit = np.polyfit(times[rows], var_p_mean[rows], 1)
         slopes.append(fit[0])
         assert fit[0] == pytest.approx(2 * cfg.k_meas, rel=0.15)
     logs = np.polyfit(np.log(gammas), np.log(slopes), 1)
@@ -227,29 +230,30 @@ def test_ensemble_bit_identical_reruns():
     cfg = _cfg()
     a = run_ensemble(cfg, _initial(), 32, 100, 0.01, master_seed=77)
     b = run_ensemble(cfg, _initial(), 32, 100, 0.01, master_seed=77)
-    assert np.array_equal(a.unconditional.mean, b.unconditional.mean)
-    assert np.array_equal(a.unconditional.cov, b.unconditional.cov)
-    assert np.array_equal(a.duan, b.duan)
+    assert np.array_equal(a.mean, b.mean)
+    assert np.array_equal(a.cov, b.cov)
+    assert np.array_equal(duan_witness(a), duan_witness(b))
 
 
 def test_compare_channels_headline():
     cfg = _cfg()
-    comp = compare_channels(cfg, _initial(), horizon=15.0,
-                            n_steps=1500, n_traj=128, master_seed=9)
-    assert np.min(comp.duan_unitary) < 1.0
-    assert np.max(comp.log_neg_unitary) > 0.0
-    assert np.all(comp.duan_semiclassical >= 1.0 - 1e-9)
-    assert np.all(comp.log_neg_semiclassical < 1e-10)
+    unitary, feedback, sep_u, sep_f = compare_channels(
+        cfg, _initial(), horizon=15.0, n_steps=1500, n_traj=128, master_seed=9)
+    assert np.min(duan_witness(unitary)) < 1.0
+    assert np.max(log_negativity(unitary)) > 0.0
+    assert np.all(duan_witness(feedback) >= 1.0 - 1e-9)
+    assert np.all(log_negativity(feedback) < 1e-10)
     # Newtonian attraction: both channels pull the means together identically
-    late = comp.times >= 5.0
-    u = comp.mean_sep_unitary[late]
-    s = comp.mean_sep_semiclassical[late]
+    late = np.arange(0, 1500 + 1, RECORD_EVERY) * (15.0 / 1500) >= 5.0
+    u = (sep_u[:, 0] - sep_u[:, 2])[late]
+    s = (sep_f[:, 0] - sep_f[:, 2])[late]
     assert np.all(np.abs(u - s) <= 0.01 * np.abs(u))
 
 
 def test_compare_channels_runs_one_ensemble(monkeypatch):
     # the separation axis needs only the noise-free mean path: one ensemble,
-    # on the transverse axis, and the same means a separation run would give
+    # on the transverse axis, whose states are returned as they are, and the
+    # same means a separation run would give
     cfg, calls = _cfg(), []
 
     def counted(fb, *args, **kwargs):
@@ -257,12 +261,15 @@ def test_compare_channels_runs_one_ensemble(monkeypatch):
         return run_ensemble(fb, *args, **kwargs)
 
     monkeypatch.setattr(semiclassical, "run_ensemble", counted)
-    comp = compare_channels(cfg, _initial(), horizon=2.0, n_steps=200,
-                            n_traj=8, master_seed=5)
+    _, feedback, _, sep_f = compare_channels(cfg, _initial(), horizon=2.0,
+                                             n_steps=200, n_traj=8, master_seed=5)
     assert calls == ["transverse"]
     ens = run_ensemble(cfg, _initial(), 8, 200, 0.01, master_seed=5)
-    assert np.array_equal(comp.mean_sep_semiclassical,
-                          ens.unconditional.mean[:, 0] - ens.unconditional.mean[:, 2])
+    assert np.array_equal(sep_f, ens.mean)
+    ens_t = run_ensemble(_cfg(axis="transverse"), _initial(), 8, 200, 0.01,
+                         master_seed=5)
+    assert np.array_equal(feedback.mean, ens_t.mean)
+    assert np.array_equal(feedback.cov, ens_t.cov)
 
 
 def test_compare_channels_free_theory_identical():
@@ -271,8 +278,8 @@ def test_compare_channels_free_theory_identical():
     cfg = FeedbackConfig(gamma=1e-6, d=10.0, masses=(1.0, 1.0),
                          params=ModelParams(g_newton=1e-300, m=1.0, mu=1e-6),
                          meas_length=3.0)
-    comp = compare_channels(cfg, _initial(), horizon=5.0,
-                            n_steps=500, n_traj=64, master_seed=13)
-    assert np.max(np.abs(comp.duan_semiclassical - comp.duan_unitary)) < 1e-3
-    assert np.all(comp.log_neg_semiclassical < 1e-12)
-    assert np.all(comp.log_neg_unitary < 1e-12)
+    unitary, feedback, _, _ = compare_channels(cfg, _initial(), horizon=5.0,
+                                               n_steps=500, n_traj=64, master_seed=13)
+    assert np.max(np.abs(duan_witness(feedback) - duan_witness(unitary))) < 1e-3
+    assert np.all(log_negativity(feedback) < 1e-12)
+    assert np.all(log_negativity(unitary) < 1e-12)
