@@ -19,8 +19,10 @@ comparing the two channels isolates the channel structure:
 The ensemble is one filter state (mean, Sigma, delta): the noise-free mean
 path, the conditional covariance Sigma that every trajectory shares, and
 the deviation delta_j of each opposite-sign trajectory pair j, driven by
-row j of one normal draw from stream (master_seed, 0). The seed drives
-only the deviations; the mean path, and with it the separation-axis
+row j of one standard-normal draw z from stream (master_seed, 0), dW =
+sqrt(dt) z. The filter advances one record interval per iteration, through
+the step powers Theta^i and (M^T)^i, i <= R = ``RECORD_EVERY``. The seed
+drives only the deviations; the mean path, and with it the separation-axis
 attraction of :func:`compare_channels`, is noise-free.
 
 Both channels return the same form: a
@@ -89,11 +91,20 @@ def _riccati_step_matrix(a: np.ndarray, k: float, dt: float) -> np.ndarray:
 
 
 def _riccati_apply(theta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    n = sigma.shape[0]
-    num = theta[:n, :n] @ sigma + theta[:n, n:]
-    den = theta[n:, :n] @ sigma + theta[n:, n:]
-    out = num @ np.linalg.inv(den)
-    return 0.5 * (out + out.T)
+    """The symmetrized Moebius map of each step matrix of ``theta`` on ``sigma``."""
+    n = sigma.shape[-1]
+    num = theta[..., :n, :n] @ sigma + theta[..., :n, n:]
+    den = theta[..., n:, :n] @ sigma + theta[..., n:, n:]
+    out = np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2))
+    return 0.5 * (out + np.swapaxes(out, -1, -2))   # out is (num den^-1)^T
+
+
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x^0, ..., x^n stacked along a new leading axis."""
+    out = [np.eye(len(x))]
+    for _ in range(n):
+        out.append(out[-1] @ x)
+    return np.array(out)
 
 
 def _guard_steps(cfg: FeedbackConfig, dt: float) -> None:
@@ -107,14 +118,14 @@ def _guard_steps(cfg: FeedbackConfig, dt: float) -> None:
 
 def _mean_path(cfg: FeedbackConfig, initial: GaussianState, n_steps: int,
                dt: float) -> np.ndarray:
-    """The noise-free mean path z <- z + (A z + b) dt from the initial mean,
-    every ``RECORD_EVERY`` steps from t = 0."""
+    """The noise-free mean path z <- M z + b dt (M = I + A dt) from the initial
+    mean, every R = ``RECORD_EVERY`` steps from t = 0: z <- M^R z + (sum_{i<R} M^i) b dt."""
     a, b = _mean_drift(cfg)
-    mean, path = initial.mean, [initial.mean]
-    for j in range(1, n_steps + 1):
-        mean = mean + (a @ mean + b) * dt
-        if j % RECORD_EVERY == 0:
-            path.append(mean)
+    m_pows = _powers(np.eye(4) + a * dt, RECORD_EVERY)
+    drive = m_pows[:-1].sum(axis=0) @ b * dt
+    path = [initial.mean]
+    for _ in range(n_steps // RECORD_EVERY):
+        path.append(m_pows[-1] @ path[-1] + drive)
     return np.array(path)
 
 
@@ -125,38 +136,42 @@ def _mean_path(cfg: FeedbackConfig, initial: GaussianState, n_steps: int,
 def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
                  n_steps: int, dt: float, master_seed: int) -> GaussianState:
     """The unconditional state of the measurement-feedback ensemble as one
-    time series, every ``RECORD_EVERY`` steps from t = 0, from one filter
-    state; ``n_steps`` must be a multiple of ``RECORD_EVERY``, so that the
-    last step is recorded. Its mean is the noise-free mean path.
+    time series, every R = ``RECORD_EVERY`` steps from t = 0, from one filter
+    state; an ``n_steps`` that is not a multiple of R is rejected by the
+    reshape of the draw. Its mean is the noise-free mean path.
 
-    ``n_traj`` must be even: trajectories j and j + n_traj/2 take
+    ``n_traj`` must be even, unchecked: trajectories j and j + n_traj/2 take
     opposite-sign innovations, so the noise-free mean path is their exact
     mean and pair j sits at mean +/- delta_j. Sigma, the 4x4 conditional
     covariance shared by all trajectories, keeps the two per-mass 2x2 blocks
-    and takes one Riccati (Moebius) step per dt; delta_j takes the Kalman
-    kick dW_j @ (gain Sigma[[0, 2]]) and then the linear drift. dW_j is row j
-    of one draw of shape (n_traj/2, n_steps, 2) from stream (master_seed, 0),
-    so it does not depend on n_traj. The unconditional covariance, which the
-    witnesses read, is Sigma + (2/n_traj) delta^T delta: the conditional one
-    plus a classically correlated, PSD spread of the conditional means.
-    Neither precondition on ``n_steps`` and ``n_traj`` is checked here.
+    and takes one Riccati (Moebius) step Theta per dt; delta_j takes the
+    Kalman kick dW_j @ (gain Sigma[[0, 2]]), dW_j = sqrt(dt) z_j, and then
+    the linear drift M = I + A dt. z_j is row j of one standard-normal draw
+    of shape (n_traj/2, n_steps, 2) from stream (master_seed, 0), so it does
+    not depend on n_traj. The unconditional covariance, which the witnesses
+    read, is Sigma + (2/n_traj) delta^T delta: the conditional one plus a
+    classically correlated, PSD spread of the conditional means. Each
+    iteration takes one interval: Sigma_i = Theta^i(Sigma_0), i <= R, in one
+    call, then delta <- delta (M^T)^R + z_c B, z_c the pair's 2R draws and B
+    the (2R, 4) stack of gain sqrt(dt) Sigma_i[[0, 2]] (M^T)^(R-i), i < R.
     """
     _guard_steps(cfg, dt)
-    gain = math.sqrt(8.0 * cfg.k_meas)
+    r, pairs = RECORD_EVERY, n_traj // 2
+    gain = math.sqrt(8.0 * cfg.k_meas * dt)
     a, _ = _mean_drift(cfg)
     blocks = np.kron(np.eye(2), np.ones((2, 2)))   # the two per-mass blocks
-    theta = _riccati_step_matrix(a * blocks, cfg.k_meas, dt)
-    dws = stream(master_seed).normal(0.0, math.sqrt(dt), size=(n_traj // 2, n_steps, 2))
+    thetas = _powers(_riccati_step_matrix(a * blocks, cfg.k_meas, dt), r)
+    mt_pows = _powers(np.eye(4) + a.T * dt, r)
+    z = stream(master_seed).standard_normal((pairs, n_steps, 2))
 
-    sigma, dev = initial.cov * blocks, np.zeros((n_traj // 2, 4))
-    covs = []
-    for j in range(n_steps + 1):
-        if j % RECORD_EVERY == 0:
-            covs.append(sigma + (2.0 / n_traj) * (dev.T @ dev))
-        if j < n_steps:
-            dev = dev + dws[:, j] @ (gain * sigma[[0, 2]])
-            dev = dev + dev @ a.T * dt
-            sigma = _riccati_apply(theta, sigma)
+    sigma, dev = initial.cov * blocks, np.zeros((pairs, 4))
+    covs = [sigma]
+    for zc in z.reshape(pairs, n_steps // r, 2 * r).transpose(1, 0, 2):
+        sigmas = _riccati_apply(thetas, sigma)
+        kicks = (gain * sigmas[:-1, [0, 2]]) @ mt_pows[:0:-1]
+        dev = dev @ mt_pows[-1] + zc @ kicks.reshape(2 * r, 4)
+        sigma = sigmas[-1]
+        covs.append(sigma + (2.0 / n_traj) * (dev.T @ dev))
     return GaussianState(_mean_path(cfg, initial, n_steps, dt), covs)
 
 

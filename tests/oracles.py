@@ -1,5 +1,7 @@
 """The paper's 2->2 derivation, which no runtime path reads, its kinematics,
-and the numerical reference for the closed-form tree-level pole.
+the numerical reference for the closed-form tree-level pole, and the
+per-step measurement-feedback filter that the interval-stepped
+``semiclassical.run_ensemble`` is held to.
 
 The bootstrapped elastic amplitude M_newton(t) = -16 pi G m^4 / (-t + mu^2)
 fixes the phase convention of ``gravitas.amplitudes``; the spin-2 and spin-0
@@ -14,7 +16,11 @@ import math
 import numpy as np
 
 from gravitas.amplitudes import feynman_propagator, tree_denominators
-from gravitas.kinematics import KinematicConfig, boost, minkowski_dot
+from gravitas.entanglement import GaussianState
+from gravitas.kinematics import KinematicConfig, boost, minkowski_dot, stream
+from gravitas.params import RECORD_EVERY
+from gravitas.semiclassical import (_mean_drift, _riccati_apply,
+                                    _riccati_step_matrix)
 
 METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -189,3 +195,41 @@ def ktil2_plus_mu2(family, omega):
     the brentq and finite-difference reference for ``family.pole()``."""
     _, d2, _ = tree_denominators(family.config(omega), family.params)
     return d2
+
+
+# ---------------------------------------------------------------------------
+# measurement-feedback ensemble, one step at a time
+# ---------------------------------------------------------------------------
+
+def stepped_mean_path(cfg, initial, n_steps, dt):
+    """The noise-free mean path z <- z + (A z + b) dt, one step at a time,
+    every ``RECORD_EVERY`` steps from t = 0."""
+    a, b = _mean_drift(cfg)
+    mean, path = initial.mean, [initial.mean]
+    for j in range(1, n_steps + 1):
+        mean = mean + (a @ mean + b) * dt
+        if j % RECORD_EVERY == 0:
+            path.append(mean)
+    return np.array(path)
+
+
+def stepped_ensemble(cfg, initial, n_traj, n_steps, dt, master_seed):
+    """``run_ensemble`` as one Riccati step and one Kalman kick per dt: the
+    same estimator on the same draws, dW = normal(0, sqrt(dt)) of shape
+    (n_traj/2, n_steps, 2) from stream (master_seed, 0)."""
+    gain = math.sqrt(8.0 * cfg.k_meas)
+    a, _ = _mean_drift(cfg)
+    blocks = np.kron(np.eye(2), np.ones((2, 2)))   # the two per-mass blocks
+    theta = _riccati_step_matrix(a * blocks, cfg.k_meas, dt)
+    dws = stream(master_seed).normal(0.0, math.sqrt(dt), size=(n_traj // 2, n_steps, 2))
+
+    sigma, dev = initial.cov * blocks, np.zeros((n_traj // 2, 4))
+    covs = []
+    for j in range(n_steps + 1):
+        if j % RECORD_EVERY == 0:
+            covs.append(sigma + (2.0 / n_traj) * (dev.T @ dev))
+        if j < n_steps:
+            dev = dev + dws[:, j] @ (gain * sigma[[0, 2]])
+            dev = dev + dev @ a.T * dt
+            sigma = _riccati_apply(theta, sigma)
+    return GaussianState(stepped_mean_path(cfg, initial, n_steps, dt), covs)

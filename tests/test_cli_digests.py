@@ -35,16 +35,16 @@ RUNS = {
         "e4edaa22b248f35ea9c7c1ce8ec2ff4bc792574069f664ac413e1826f075e37c"),
     "semiclassical": (
         ["semiclassical", *STOCHASTIC_ENSEMBLE],
-        "e00960ac6fb3a3596b6e6b749e5d4423fcc8eda164bf20a04828e06763411331"),
+        "3729ae1c876cb62d20c1da72d4531f7b8b395cd0b57fe8d0516d16c97d6b0f14"),
     "compare": (
         ["compare", *STOCHASTIC_ENSEMBLE],
-        "5c2d860d5ca16da3cfb44b25060cfe96682999d11681538fbea901f8403718a5"),
+        "8a9a559c98e14ad592c2b486a436c25a6c80210857e74a86c623d7ea8407327f"),
     "phase-space-check": (
         ["phase-space-check", "--seed", "7", "--n-samples", "20000"],
         "2d6adbaa50aa35bc98f3e920c82253959bd7cc2b76cfb5265802642e5be54f06"),
     "self-test": (
         ["self-test", "--seed", "7", "--n-samples", "5000"],
-        "3ea19f531d67b8778cbec48414ff781714f9f491863596ff2608385d351c3719"),
+        "fed3ed69d959afa7b515c4a13379f57a46e71cc1cfe59ec3f0cca2752e750e6a"),
 }
 
 

@@ -4,7 +4,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from gravitas import semiclassical
+from gravitas import cli, semiclassical
 from gravitas.entanglement import (GaussianState, duan_witness,
                                    evolve_gaussian, log_negativity,
                                    product_state, quadratize_newton,
@@ -12,9 +12,10 @@ from gravitas.entanglement import (GaussianState, duan_witness,
 from gravitas.errors import StepSizeError
 from gravitas.params import ModelParams
 from gravitas.semiclassical import (RECORD_EVERY, FeedbackConfig,
-                                    _mean_drift, _riccati_apply,
+                                    _mean_drift, _powers, _riccati_apply,
                                     _riccati_step_matrix, compare_channels,
                                     run_ensemble)
+from oracles import stepped_ensemble
 
 
 def _cfg(gamma=1.0, axis="separation", g_newton=10.0, d=10.0, meas_length=3.0):
@@ -224,6 +225,34 @@ def test_conditional_cov_steady_state_independent_of_initial_width():
         narrow = _riccati_apply(theta, narrow)
     diff = np.max(np.abs(wide - narrow)) / np.max(np.abs(wide))
     assert diff < 1e-6
+
+
+def test_riccati_apply_stack_matches_repeated_steps():
+    # Theta^i applied at once is i single Riccati steps from the same Sigma
+    cfg = _cfg()
+    blocks = np.kron(np.eye(2), np.ones((2, 2)))
+    theta = _riccati_step_matrix(_mean_drift(cfg)[0] * blocks, cfg.k_meas, 0.01)
+    sigma = _initial().cov * blocks
+    for got in _riccati_apply(_powers(theta, RECORD_EVERY), sigma):
+        assert np.max(np.abs(got - sigma)) <= 1e-13 * np.max(np.abs(sigma))
+        sigma = _riccati_apply(theta, sigma)
+
+
+@pytest.mark.parametrize("axis, n_traj, n_steps, horizon, bound", [
+    ("separation", 16, 100, 2.0, 1e-12),      # the CLI digest shape
+    ("transverse", 16, 100, 2.0, 1e-12),
+    ("separation", 500, 2000, 20.0, 1e-12),   # the CLI defaults
+    ("transverse", 500, 2000, 20.0, 1e-12),
+    ("separation", 16, 20000, 20.0, 1e-11),
+])
+def test_ensemble_matches_stepped_filter(axis, n_traj, n_steps, horizon, bound):
+    # stepping one record interval per iteration only reorders the float
+    # operations of the per-step filter: same draws, same estimator
+    fb = cli._feedback(dict(cli.ENSEMBLE), axis)
+    args = (fb, cli._initial(cli.ENSEMBLE), n_traj, n_steps, horizon / n_steps, 7)
+    got, want = run_ensemble(*args), stepped_ensemble(*args)
+    for g, w in ((got.mean, want.mean), (got.cov, want.cov)):
+        assert np.max(np.abs(g - w)) <= bound * np.max(np.abs(w))
 
 
 def test_ensemble_bit_identical_reruns():
