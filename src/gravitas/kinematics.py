@@ -28,8 +28,8 @@ TOL_CONSERVATION = 1e-10
 
 
 def stream(master_seed: int, index: int = 0) -> np.random.Generator:
-    """Independent, reproducible RNG stream: (master_seed, index) fixes output."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((master_seed, index))))
+    """Independent, reproducible PCG64 stream: (master_seed, index) fixes output."""
+    return np.random.default_rng((master_seed, index))
 
 
 # ---------------------------------------------------------------------------

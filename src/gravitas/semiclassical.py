@@ -19,9 +19,10 @@ comparing the two channels isolates the channel structure:
 The ensemble is one filter state (mean, Sigma, delta): the noise-free mean
 path, the conditional covariance Sigma that every trajectory shares, and
 the deviation delta_j of each opposite-sign trajectory pair j, driven by
-row j of one standard-normal draw z from stream (master_seed, 0), dW =
-sqrt(dt) z. The filter advances one record interval per iteration, through
-the step powers Theta^i and (M^T)^i, i <= R = ``RECORD_EVERY``. The seed
+dW = sqrt(dt) z[i, :, j] at step i, z one step-major standard-normal draw
+of shape (n_steps, 2, n_traj/2) from stream (master_seed, 0). The filter
+advances one record interval per iteration, drawing only that interval's z,
+through the step powers Theta^i and (M^T)^i, i <= R = ``RECORD_EVERY``. The seed
 drives only the deviations; the mean path, and with it the separation-axis
 attraction of :func:`compare_channels`, is noise-free.
 
@@ -137,8 +138,8 @@ def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
                  n_steps: int, dt: float, master_seed: int) -> GaussianState:
     """The unconditional state of the measurement-feedback ensemble as one
     time series, every R = ``RECORD_EVERY`` steps from t = 0, from one filter
-    state; an ``n_steps`` that is not a multiple of R is rejected by the
-    reshape of the draw. Its mean is the noise-free mean path.
+    state; an ``n_steps`` that is not a multiple of R raises ValueError. Its
+    mean is the noise-free mean path.
 
     ``n_traj`` must be even, unchecked: trajectories j and j + n_traj/2 take
     opposite-sign innovations, so the noise-free mean path is their exact
@@ -146,30 +147,34 @@ def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
     covariance shared by all trajectories, keeps the two per-mass 2x2 blocks
     and takes one Riccati (Moebius) step Theta per dt; delta_j takes the
     Kalman kick dW_j @ (gain Sigma[[0, 2]]), dW_j = sqrt(dt) z_j, and then
-    the linear drift M = I + A dt. z_j is row j of one standard-normal draw
-    of shape (n_traj/2, n_steps, 2) from stream (master_seed, 0), so it does
-    not depend on n_traj. The unconditional covariance, which the witnesses
-    read, is Sigma + (2/n_traj) delta^T delta: the conditional one plus a
-    classically correlated, PSD spread of the conditional means. Each
-    iteration takes one interval: Sigma_i = Theta^i(Sigma_0), i <= R, in one
-    call, then delta <- delta (M^T)^R + z_c B, z_c the pair's 2R draws and B
+    the linear drift M = I + A dt. Step i's z_j is z[i, :, j] of one
+    step-major standard-normal draw z of shape (n_steps, 2, n_traj/2) from
+    stream (master_seed, 0), drawn R steps at a time: memory does not grow
+    with n_steps. The unconditional covariance, which the witnesses read, is
+    Sigma + (2/n_traj) delta^T delta: the conditional one plus a classically
+    correlated, PSD spread of the conditional means. Each iteration takes
+    one interval: Sigma_i = Theta^i(Sigma_0), i <= R, in one call, then
+    delta <- delta (M^T)^R + z_c^T B, z_c its (2R, n_traj/2) draws and B
     the (2R, 4) stack of gain sqrt(dt) Sigma_i[[0, 2]] (M^T)^(R-i), i < R.
     """
     _guard_steps(cfg, dt)
     r, pairs = RECORD_EVERY, n_traj // 2
+    if n_steps % r:
+        raise ValueError(f"n_steps = {n_steps} is not a multiple of {r}")
     gain = math.sqrt(8.0 * cfg.k_meas * dt)
     a, _ = _mean_drift(cfg)
     blocks = np.kron(np.eye(2), np.ones((2, 2)))   # the two per-mass blocks
     thetas = _powers(_riccati_step_matrix(a * blocks, cfg.k_meas, dt), r)
     mt_pows = _powers(np.eye(4) + a.T * dt, r)
-    z = stream(master_seed).standard_normal((pairs, n_steps, 2))
+    rng = stream(master_seed)
 
     sigma, dev = initial.cov * blocks, np.zeros((pairs, 4))
     covs = [sigma]
-    for zc in z.reshape(pairs, n_steps // r, 2 * r).transpose(1, 0, 2):
+    for _ in range(n_steps // r):
+        zc = rng.standard_normal((2 * r, pairs))
         sigmas = _riccati_apply(thetas, sigma)
         kicks = (gain * sigmas[:-1, [0, 2]]) @ mt_pows[:0:-1]
-        dev = dev @ mt_pows[-1] + zc @ kicks.reshape(2 * r, 4)
+        dev = dev @ mt_pows[-1] + zc.T @ kicks.reshape(2 * r, 4)
         sigma = sigmas[-1]
         covs.append(sigma + (2.0 / n_traj) * (dev.T @ dev))
     return GaussianState(_mean_path(cfg, initial, n_steps, dt), covs)
@@ -183,8 +188,8 @@ def compare_channels(cfg: FeedbackConfig, initial: GaussianState,
                      horizon: float, n_steps: int, n_traj: int, master_seed: int
                      ) -> tuple[GaussianState, GaussianState, np.ndarray, np.ndarray]:
     """The unitary and feedback channels side by side, every
-    ``RECORD_EVERY`` steps (``n_steps`` a multiple of it and ``n_traj``
-    even, neither checked here): ``(unitary, feedback, sep_unitary,
+    ``RECORD_EVERY`` steps (``n_steps`` a multiple of it, else ValueError,
+    and ``n_traj`` even, unchecked): ``(unitary, feedback, sep_unitary,
     sep_feedback)``. ``unitary`` and ``feedback`` are the transverse-axis
     state series, from which the witnesses are read; ``sep_unitary`` and
     ``sep_feedback`` are the separation-axis (n, 4) mean paths, which carry

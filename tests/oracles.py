@@ -215,13 +215,14 @@ def stepped_mean_path(cfg, initial, n_steps, dt):
 
 def stepped_ensemble(cfg, initial, n_traj, n_steps, dt, master_seed):
     """``run_ensemble`` as one Riccati step and one Kalman kick per dt: the
-    same estimator on the same draws, dW = normal(0, sqrt(dt)) of shape
-    (n_traj/2, n_steps, 2) from stream (master_seed, 0)."""
+    same estimator on the same draws, dW = sqrt(dt) standard_normal of shape
+    (n_steps, 2, n_traj/2) from stream (master_seed, 0), pair j's the slice
+    [:, :, j]."""
     gain = math.sqrt(8.0 * cfg.k_meas)
     a, _ = _mean_drift(cfg)
     blocks = np.kron(np.eye(2), np.ones((2, 2)))   # the two per-mass blocks
     theta = _riccati_step_matrix(a * blocks, cfg.k_meas, dt)
-    dws = stream(master_seed).normal(0.0, math.sqrt(dt), size=(n_traj // 2, n_steps, 2))
+    dws = math.sqrt(dt) * stream(master_seed).standard_normal((n_steps, 2, n_traj // 2))
 
     sigma, dev = initial.cov * blocks, np.zeros((n_traj // 2, 4))
     covs = []
@@ -229,7 +230,7 @@ def stepped_ensemble(cfg, initial, n_traj, n_steps, dt, master_seed):
         if j % RECORD_EVERY == 0:
             covs.append(sigma + (2.0 / n_traj) * (dev.T @ dev))
         if j < n_steps:
-            dev = dev + dws[:, j] @ (gain * sigma[[0, 2]])
+            dev = dev + dws[j].T @ (gain * sigma[[0, 2]])
             dev = dev + dev @ a.T * dt
             sigma = _riccati_apply(theta, sigma)
     return GaussianState(stepped_mean_path(cfg, initial, n_steps, dt), covs)

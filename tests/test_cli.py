@@ -444,7 +444,7 @@ def test_odd_n_traj_recorded_as_run(tmp_path):
 
 @pytest.mark.parametrize("seed", [1, 13, 16, 17, 21])
 def test_box_cut_gate_passes_correct_runs(tmp_path, seed):
-    # the restored ratio farthest from 1 is 2.23, 1.81, 2.40, 1.56 and 0.71
+    # the restored ratio farthest from 1 is 1.52, 1.68, 1.56, 1.68 and 0.84
     # sigma from it for these seeds, against a bound of z(5) = 3.72
     out = tmp_path / "bc.csv"
     assert main(["box-cut", "--seed", str(seed), "--n-samples", "100000",

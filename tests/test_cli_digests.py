@@ -26,7 +26,7 @@ RUNS = {
     "box-cut": (
         ["box-cut", "--seed", "7", "--n-samples", "20000",
          "--s-grid", "3.5", "4.1", "6"],
-        "dd045838da4771c1a16058fa5d0dc98501e72c555e14c7e8b298a0350d5cdbff"),
+        "a649ff2bc988725f32e999fec9e986cede34346893ed88c9b291ccdf0916a739"),
     "entangle-transverse": (
         ["entangle", "--n-grid", "40", "--axis", "transverse"],
         "2b9b975a63c2b5a1a7b8edbd5bcbf6e97f81740d14d2be53f235356935b2f739"),
@@ -35,16 +35,16 @@ RUNS = {
         "e4edaa22b248f35ea9c7c1ce8ec2ff4bc792574069f664ac413e1826f075e37c"),
     "semiclassical": (
         ["semiclassical", *STOCHASTIC_ENSEMBLE],
-        "3729ae1c876cb62d20c1da72d4531f7b8b395cd0b57fe8d0516d16c97d6b0f14"),
+        "e4e5b3f4329a7bfdc7704209ab5b1c84a63d31c7f7c5d8bcb477148609ed76cf"),
     "compare": (
         ["compare", *STOCHASTIC_ENSEMBLE],
-        "8a9a559c98e14ad592c2b486a436c25a6c80210857e74a86c623d7ea8407327f"),
+        "76a032da0fdd33ca865433c0a77202388023c14197798db143c878727b76c943"),
     "phase-space-check": (
         ["phase-space-check", "--seed", "7", "--n-samples", "20000"],
-        "2d6adbaa50aa35bc98f3e920c82253959bd7cc2b76cfb5265802642e5be54f06"),
+        "c7ae98c198efed15ca5999c3cbe5cf7640a68198141b9e38cee60bd15230552c"),
     "self-test": (
         ["self-test", "--seed", "7", "--n-samples", "5000"],
-        "fed3ed69d959afa7b515c4a13379f57a46e71cc1cfe59ec3f0cca2752e750e6a"),
+        "7d8506892a213ca45f19ec7974d2fb64b8943ee5dc910cd7435a264e39b2fa51"),
 }
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from statistics import NormalDist
 
 import numpy as np
@@ -262,6 +263,38 @@ def test_ensemble_bit_identical_reruns():
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.cov, b.cov)
     assert np.array_equal(duan_witness(a), duan_witness(b))
+
+
+def test_ensemble_rejects_partial_record_interval():
+    # a streaming loop over whole intervals would drop the trailing steps
+    with pytest.raises(ValueError, match="multiple"):
+        run_ensemble(_cfg(), _initial(), 8, 10 * RECORD_EVERY + 3, 0.01, 7)
+
+
+def test_ensemble_run_is_prefix_of_longer_run():
+    # the step-major draw is consumed one interval at a time, so a run of N
+    # steps is bitwise the first N/R + 1 records of a 2N-step run
+    cfg, n = _cfg(axis="transverse"), 30 * RECORD_EVERY
+    short = run_ensemble(cfg, _initial(), 12, n, 0.01, 7)
+    long = run_ensemble(cfg, _initial(), 12, 2 * n, 0.01, 7)
+    assert np.array_equal(short.mean, long.mean[:n // RECORD_EVERY + 1])
+    assert np.array_equal(short.cov, long.cov[:n // RECORD_EVERY + 1])
+
+
+def test_ensemble_memory_does_not_grow_with_steps():
+    # the traced peak stays within a few (2R, n_traj/2) blocks of draws at
+    # any n_steps; the whole draw at 2,000 steps would be 100 blocks
+    cfg, n_traj = _cfg(), 2000
+    block = 2 * RECORD_EVERY * (n_traj // 2) * 8
+    run_ensemble(cfg, _initial(), n_traj, RECORD_EVERY, 0.01, 3)   # warm-up
+    for n_steps in (200, 2000):
+        tracemalloc.start()
+        try:
+            run_ensemble(cfg, _initial(), n_traj, n_steps, 0.01, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * block
 
 
 def test_compare_channels_headline():
