@@ -100,10 +100,9 @@ FLAGS = {
     "s_grid": Flag("Mandelstam s values, absolute (mass^2 units, not scaled "
                    "by m^2); points below 4 m^2 are flagged below-threshold",
                    nargs="+"),
-    "n_samples": Flag(f"Monte Carlo samples per estimator; box-cut and self-test "
-                      f"draw {N_STRATA}*floor(n/{N_STRATA}) per side", type=int, gt=0),
-    "threads": Flag("worker threads; results must not depend on them "
-                    "(self-test compares this count with 1)", type=int, gt=0),
+    "n_samples": Flag(f"Monte Carlo samples per estimator; box-cut draws "
+                      f"{N_STRATA}*floor(n/{N_STRATA}) per side", type=int, gt=0),
+    "threads": Flag("worker threads; results must not depend on them", type=int, gt=0),
     "d": Flag("mean separation (length units)", gt=0),
     "var_x": Flag("initial per-mass position variance (length^2)", gt=0),
     "delta_t": Flag("interaction time horizon (time units)", ge=0),
@@ -371,6 +370,11 @@ def _snapshot_times(cfg: dict):
     return np.arange(0, cfg["n_steps"] + 1, RECORD_EVERY) * (cfg["horizon"] / cfg["n_steps"])
 
 
+def _separable(log_neg, duan) -> tuple[bool, bool]:
+    """(every E_N < SEPARABLE_E_N, every Duan product >= SEPARABLE_DUAN)."""
+    return bool((log_neg < SEPARABLE_E_N).all()), bool((duan >= SEPARABLE_DUAN).all())
+
+
 @_numpy_errors_raise
 def _semiclassical(cfg: dict):
     import numpy as np
@@ -386,10 +390,8 @@ def _semiclassical(cfg: dict):
     var_p_mean = 0.5 * (states.cov[:, 1, 1] + states.cov[:, 3, 3])
     n_traj = np.full(times.shape, cfg["n_traj"], dtype=object)  # stays an int
     rows = np.column_stack((times, log_neg, duan, var_p_mean, n_traj)).tolist()
-    checks = {
-        "no_entanglement": bool(np.all(log_neg < SEPARABLE_E_N)),
-        "duan_never_below_1": bool(np.all(duan >= SEPARABLE_DUAN)),
-    }
+    checks = dict(zip(("no_entanglement", "duan_never_below_1"),
+                      _separable(log_neg, duan)))
     return ((["t", "E_N_unconditional", "duan", "var_p_mean", "n_traj"], rows),
             checks, f"max E_N = {float(np.max(log_neg)):.2e}, "
                     f"min duan = {float(np.min(duan)):.6f}")
@@ -414,8 +416,7 @@ def _compare(cfg: dict):
               "E_N_semiclassical", "mean_sep_unitary", "mean_sep_semiclassical"]
     checks = {
         "unitary_entangles": bool(np.max(log_neg_u) > 0.0 and np.min(duan_u) < 1.0),
-        "semiclassical_does_not": bool(np.all(log_neg_f < SEPARABLE_E_N)
-                                       and np.all(duan_f >= SEPARABLE_DUAN)),
+        "semiclassical_does_not": all(_separable(log_neg_f, duan_f)),
     }
     return ((header, rows), checks,
             "unitary entangles={unitary_entangles}, "
@@ -469,34 +470,6 @@ def _phase_space_check(cfg: dict):
             f"worst discrepancy {worst:.2f} sigma against a bound of {z:.2f}")
 
 
-@_numpy_errors_raise
-def _self_test(cfg: dict):
-    """Determinism check: identical seeds must give bit-identical outputs."""
-    import hashlib
-
-    from .semiclassical import run_ensemble
-    from .unitarity import unitarity_violation_scan
-
-    params = ModelParams(mu=1e-3)
-    fb, initial = _feedback(dict(ENSEMBLE)), _initial(ENSEMBLE)
-
-    def digest(threads: int) -> str:
-        rows = unitarity_violation_scan(params, [4.1, 6.0], cfg["n_samples"],
-                                        cfg["seed"], n_threads=threads)
-        ens = run_ensemble(fb, initial, 16, 50, 0.01, cfg["seed"])
-        blob = json.dumps([[r.s, r.lhs, r.rhs_restored] for r in rows]).encode()
-        blob += ens.mean.tobytes() + ens.cov.tobytes()
-        return hashlib.sha256(blob).hexdigest()
-
-    base = digest(1)
-    rerun = base == digest(1)
-    threaded = base == digest(cfg["threads"])
-    return ({"digest": base, "rerun_identical": rerun,
-             "thread_count_invariant": threaded},
-            {"deterministic": rerun and threaded},
-            f"deterministic={rerun and threaded}")
-
-
 ENSEMBLE = dict(FIG1_DEFAULTS, gamma=1.0, horizon=20.0, n_steps=2000, n_traj=500)
 
 COMMANDS = (
@@ -524,9 +497,6 @@ COMMANDS = (
     Command("phase-space-check", "Lorentz-invariant measure identity check",
             dict(mu=1.0, n_samples=200000, kmax=6.0, out="phase_space.json",
                  seed=None), _phase_space_check),
-    Command("self-test", "bit-identical rerun and thread-invariance check",
-            dict(n_samples=20000, threads=2, out="self_test.json", seed=None),
-            _self_test, _check_n_samples),
 )
 
 

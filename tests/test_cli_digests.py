@@ -42,9 +42,6 @@ RUNS = {
     "phase-space-check": (
         ["phase-space-check", "--seed", "7", "--n-samples", "20000"],
         "c7ae98c198efed15ca5999c3cbe5cf7640a68198141b9e38cee60bd15230552c"),
-    "self-test": (
-        ["self-test", "--seed", "7", "--n-samples", "5000"],
-        "7d8506892a213ca45f19ec7974d2fb64b8943ee5dc910cd7435a264e39b2fa51"),
 }
 
 
