@@ -31,22 +31,20 @@ division by zero and invalid operation. ``deflection`` computes with Python
 floats alone: it relies on Python's own ``OverflowError`` and
 ``ZeroDivisionError`` and on the check of its data for an inf.
 
-Each run imports the library modules it calls when it starts, so
-``import gravitas.cli`` loads no numpy and a ``deflection`` run never does.
+Each run imports the library modules it calls when it starts, so neither
+``import gravitas.cli`` nor a ``deflection`` run loads numpy or ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import GravitasError, NumericalCheckError
@@ -70,8 +68,7 @@ class ConfigError(GravitasError):
     pass
 
 
-@dataclass(frozen=True)
-class Flag:
+class Flag(NamedTuple):
     """How one configuration key is set from the command line."""
 
     help: str
@@ -129,8 +126,7 @@ FLAGS = {
 }
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     name: str
     help: str
     defaults: dict
@@ -280,8 +276,15 @@ def _check_n_samples(cfg: dict) -> None:
                           f"estimator, got {cfg['n_samples']}")
 
 
+def _check_two_samples(cfg: dict) -> None:
+    if cfg["n_samples"] < 2:
+        raise ConfigError(f"--n-samples must be >= 2 for an error bar, got {cfg['n_samples']}")
+
+
 @_numpy_errors_raise
 def _optical_tree(cfg: dict):
+    from dataclasses import asdict
+
     from .unitarity import TreePoleFamily, optical_tree_check
 
     params = _params(cfg)
@@ -443,6 +446,8 @@ def _deflection(cfg: dict):
 
 @_numpy_errors_raise
 def _phase_space_check(cfg: dict):
+    from dataclasses import asdict
+
     import numpy as np
 
     from .kinematics import check_invariant_measure_identity, stream
@@ -496,7 +501,7 @@ COMMANDS = (
                  t_integration_s=None, out="deflection.json"), _deflection),
     Command("phase-space-check", "Lorentz-invariant measure identity check",
             dict(mu=1.0, n_samples=200000, kmax=6.0, out="phase_space.json",
-                 seed=None), _phase_space_check),
+                 seed=None), _phase_space_check, _check_two_samples),
 )
 
 
@@ -510,6 +515,8 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    import csv
+
     with path.open("w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)  # RFC-4180 quoting
         w.writerow(header)

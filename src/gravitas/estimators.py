@@ -19,7 +19,7 @@ notes rather than silently adopted:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 G_NEWTON_SI = 6.67430e-11        # m^3 kg^-1 s^-2
 C_SI = 299792458.0               # m s^-1
@@ -30,10 +30,7 @@ M_PLANCK_SI = math.sqrt(HBAR_SI * C_SI / G_NEWTON_SI)  # 2.176434e-8 kg
 LOOSE_PHOTON_EV = 0.2            # the source's rounding for (1000 nm)^-1
 
 
-@dataclass(frozen=True)
-class BendingConfig:
-    """Geometry and optics of the superposed-mass light-bending estimate."""
-
+class _BendingConfig(NamedTuple):
     mass_kg: float = 1e-3
     impact_parameter_m: float = 100e-6
     superposition_separation_m: float = 10e-6
@@ -41,11 +38,19 @@ class BendingConfig:
     cavity_length_m: float = 0.1
     t_integration_s: float | None = None  # overrides the derived time if set
 
-    def __post_init__(self) -> None:
-        for name in ("mass_kg", "impact_parameter_m", "superposition_separation_m",
-                     "wavelength_m", "cavity_length_m"):
-            if getattr(self, name) <= 0:
+
+class BendingConfig(_BendingConfig):
+    """Geometry and optics of the superposed-mass light-bending estimate."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so that _replace is checked too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in zip(self._fields, self):
+            if name != "t_integration_s" and value <= 0:
                 raise ValueError(f"{name} must be strictly positive")
+        return self
 
 
 def deflection_diff(cfg: BendingConfig) -> float:
@@ -101,7 +106,7 @@ def estimate_record(cfg: BendingConfig, target_time: float = 1.0) -> dict:
     dtheta = deflection_diff(cfg)
     budget = photon_budget(cfg, target_time)
     return {
-        "config": asdict(cfg),
+        "config": cfg._asdict(),
         "deflection_diff_rad": dtheta,
         "cavity_crossings": cfg.wavelength_m / (cfg.cavity_length_m * dtheta),
         **budget,

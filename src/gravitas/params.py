@@ -2,17 +2,26 @@
 that the command-line parser reads when it is built.
 
 Natural units hbar = c = 1 throughout; SI conversions live in
-``gravitas.estimators`` only. This module imports no numpy, so
-``import gravitas.cli`` does not either.
+``gravitas.estimators`` only. This module imports neither numpy nor
+``dataclasses``, so neither ``import gravitas.cli`` nor a ``deflection`` run
+loads them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _ModelParams(NamedTuple):
+    g_newton: float = 1.0
+    m: float = 1.0
+    mu: float = 1e-3
+    lambda_probe: float = 1.0
+    alpha_tilde: float = 1.0
+    eps_rel: float = 1e-6
+
+
+class ModelParams(_ModelParams):
     """Couplings and masses of the scattering model.
 
     g_newton     gravitational coupling (mass dimension -2)
@@ -26,16 +35,14 @@ class ModelParams:
                  ``eps_abs``
     """
 
-    g_newton: float = 1.0
-    m: float = 1.0
-    mu: float = 1e-3
-    lambda_probe: float = 1.0
-    alpha_tilde: float = 1.0
-    eps_rel: float = 1e-6
+    __slots__ = ()
+    _make = classmethod(lambda cls, it: cls(*it))  # so that _replace is checked too
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.mu < self.m:
             raise ValueError("require mu < m: the regulator is the light scale")
+        return self
 
     @property
     def eps_abs(self) -> float:

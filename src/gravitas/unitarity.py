@@ -20,7 +20,7 @@ integrand evaluation and carry provenance tags saying so.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -236,7 +236,7 @@ def optical_tree_check(
     ladder, quad_err = [], []
     for i, eps_rel in enumerate(epss):
         amp = m_3to3_tree(KinematicConfig(cfg.incoming[i], cfg.outgoing[i], cfg.masses),
-                          replace(params, eps_rel=eps_rel))
+                          params._replace(eps_rel=eps_rel))
         fine, coarse = w @ (f[i] * amp.imag).reshape(-1, N_NODES + 1).sum(axis=0)
         ladder.append((eps_rel, float(fine)))
         quad_err.append(abs(float(fine - coarse)))

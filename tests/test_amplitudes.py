@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -130,7 +129,7 @@ def test_near_pole_form_matches_integrated_im(params):
 
     ladder = []
     for eps_rel in (1e-3, 1e-4, 1e-5):
-        pe = dataclasses.replace(params, eps_rel=eps_rel)
+        pe = params._replace(eps_rel=eps_rel)
         v, _ = quad(lambda w: m_3to3_tree(fam.config(w), pe).imag,
                     a, b, limit=400, points=[omega_star])
         ladder.append(v)

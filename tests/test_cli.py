@@ -265,6 +265,8 @@ BAD_VALUES = {
     "semiclassical-zero-steps": ["semiclassical", "--n-steps", "0", *SEED],
     "entangle-negative-variance": ["entangle", "--var-x", "-1"],
     "phase-space-zero-samples": ["phase-space-check", "--n-samples", "0", *SEED],
+    # one sample has no standard error: the discrepancy would be inf sigmas
+    "phase-space-one-sample": ["phase-space-check", "--n-samples", "1", *SEED],
     "semiclassical-zero-trajectories": ["semiclassical", "--n-traj", "0", *SEED],
     "box-cut-negative-threads": ["box-cut", "--threads", "-3", *SEED],
     "entangle-negative-delta-t": ["entangle", "--delta-t", "-30"],
@@ -565,12 +567,13 @@ def test_arithmetic_failure_exits_1_without_traceback(tmp_path, capsys, case):
 
 
 # modules that a fresh interpreter must not have loaded after each step: the
-# command-line module imports no numpy, the arithmetic-only deflection
-# estimate runs without it, and a numpy command loads only the library
+# command-line module imports neither numpy nor dataclasses (nor inspect,
+# which dataclasses imports), the arithmetic-only deflection estimate runs
+# without them and writes no CSV, and a numpy command loads only the library
 # modules it runs
 COLD_START = {
-    "import": (None, ["numpy", "scipy"]),
-    "deflection": (["deflection"], ["numpy"]),
+    "import": (None, ["numpy", "scipy", "dataclasses", "inspect"]),
+    "deflection": (["deflection"], ["numpy", "dataclasses", "inspect", "csv"]),
     "optical-tree": (["optical-tree"], ["gravitas.entanglement",
                                         "gravitas.semiclassical",
                                         "gravitas.estimators"]),

@@ -85,6 +85,23 @@ def test_config_rejects_nonpositive_lengths():
         BendingConfig(impact_parameter_m=0.0)
 
 
+def test_config_replace_is_checked():
+    cfg = BendingConfig()
+    assert cfg._replace(cavity_length_m=37.0).cavity_length_m == 37.0
+    with pytest.raises(ValueError, match="impact_parameter_m"):
+        cfg._replace(impact_parameter_m=0.0)
+    with pytest.raises(ValueError, match="mass_kg"):
+        BendingConfig._make([0.0, *cfg[1:]])
+
+
+def test_config_is_immutable():
+    cfg = BendingConfig()
+    with pytest.raises(AttributeError):
+        cfg.mass_kg = 1.0
+    with pytest.raises(AttributeError):
+        cfg.note = "x"
+
+
 def test_record_carries_notes_and_both_conventions():
     rec = estimate_record(BendingConfig(t_integration_s=1e16), target_time=1.0)
     assert rec["effective_mass_planck"] != rec["effective_mass_planck_loose_ev"]
