@@ -408,12 +408,13 @@ def _compare(cfg: dict):
     from .semiclassical import compare_channels
 
     fb = _feedback(cfg)
-    unitary, feedback, sep_u, sep_f = compare_channels(
+    unitary, feedback, sep = compare_channels(
         fb, _initial(cfg), cfg["horizon"], cfg["n_steps"], cfg["n_traj"], cfg["seed"])
     duan_u, log_neg_u = duan_witness(unitary), log_negativity(unitary)
     duan_f, log_neg_f = duan_witness(feedback), log_negativity(feedback)
+    mean_sep = sep[:, 0] - sep[:, 2]   # one series: both channels' mean
     columns = (_snapshot_times(cfg), duan_u, log_neg_u, duan_f, log_neg_f,
-               sep_u[:, 0] - sep_u[:, 2], sep_f[:, 0] - sep_f[:, 2])
+               mean_sep, mean_sep)
     rows = np.column_stack(columns).tolist()
     header = ["t", "duan_unitary", "E_N_unitary", "duan_semiclassical",
               "E_N_semiclassical", "mean_sep_unitary", "mean_sep_semiclassical"]

@@ -179,19 +179,27 @@ def symplectic_propagator(h: QuadraticHamiltonian, t: float) -> tuple[np.ndarray
     return full[:4, :4], full[:4, 4]
 
 
+def _powers(x: np.ndarray, n: int) -> np.ndarray:
+    """x^0, ..., x^n stacked along a new leading axis, each x times the last."""
+    out = [np.eye(len(x))]
+    for _ in range(n):
+        out.append(x @ out[-1])
+    return np.array(out)
+
+
 def evolve_gaussian_grid(state: GaussianState, h: QuadraticHamiltonian,
                          dt: float, n: int) -> GaussianState:
     """The states at t = 0, dt, ..., n dt, stacked on a leading axis of n + 1.
 
-    The accumulated affine propagators (S_j, drift_j) = step^j, stacked, map
-    the initial state at once: mean -> S_j mean + drift_j, cov -> S_j cov
-    S_j^T. Every S_j must pass the symplectic-residual check.
+    The powers of the 5x5 affine step [[S, drift], [0, 1]] hold the
+    accumulated propagators (S_j, drift_j), which map the initial state at
+    once: mean -> S_j mean + drift_j, cov -> S_j cov S_j^T. Every S_j must
+    pass the symplectic-residual check.
     """
-    step, step_drift = symplectic_propagator(h, dt)
-    s, drift = np.empty((n + 1, 4, 4)), np.empty((n + 1, 4))
-    s[0], drift[0] = np.eye(4), 0.0
-    for j in range(n):
-        s[j + 1], drift[j + 1] = step @ s[j], step @ drift[j] + step_drift
+    step = np.eye(5)
+    step[:4, :4], step[:4, 4] = symplectic_propagator(h, dt)
+    affine = _powers(step, n)
+    s, drift = affine[:, :4, :4], affine[:, :4, 4]
     s_t = s.swapaxes(-2, -1)
     resid = np.abs(s_t @ OMEGA @ s - OMEGA).max(axis=(-2, -1))
     if np.any(resid > TOL_SYMPLECTIC * np.maximum(1.0, np.abs(s).max(axis=(-2, -1)) ** 2)):

@@ -225,8 +225,11 @@ class MeasureIdentityReport:
 
     @property
     def discrepancy_sigmas(self) -> float:
+        """|lhs - rhs| over the combined error; 0/0 (equal sides) is no discrepancy."""
         err = math.hypot(self.lhs_error, self.rhs_error)
-        return abs(self.lhs - self.rhs) / err if err > 0 else math.inf
+        if err > 0:
+            return abs(self.lhs - self.rhs) / err
+        return 0.0 if self.lhs == self.rhs else math.inf
 
 
 def check_invariant_measure_identity(

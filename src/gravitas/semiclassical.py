@@ -3,35 +3,32 @@
 Each timestep weakly measures both positions, feeds the Kalman estimates
 into a local potential for the other mass, and applies the product feedback
 unitary exp(-i sum_i V_i(x_i) dt). The feedback force is the unitary
-channel's: the mean drift dz = (A z + b) dt has (A, b) = (Omega h,
-Omega linear) from :func:`~gravitas.entanglement.quadratize_newton`, each
-mass's estimate of the other standing in for its coordinate, and each
-conditional covariance follows its mass's diagonal 2x2 block of A. So
-comparing the two channels isolates the channel structure:
+channel's, each mass's estimate of the other standing in for its
+coordinate: the drift is the affine flow of
+:func:`~gravitas.entanglement.quadratize_newton`'s Hamiltonian, stepped by
+the unitary channel's propagator S = exp(Omega h dt), and each conditional
+covariance follows its mass's diagonal 2x2 block of Omega h. So comparing
+the two channels isolates the channel structure:
 
 * conditional covariances stay block-diagonal across the 1|2 partition
   (local measurement, local feedback), so the unconditional state is a
   classically correlated mixture of products and carries no entanglement;
 
-* ensemble-mean positions follow the same linear Newtonian dynamics as the
-  unitary channel.
+* the ensemble mean is the unitary channel's, bit for bit.
 
 The ensemble is one filter state (mean, Sigma, delta): the noise-free mean
 path, the conditional covariance Sigma that every trajectory shares, and
 the deviation delta_j of each opposite-sign trajectory pair j, driven by
 dW = sqrt(dt) z[i, :, j] at step i, z one step-major standard-normal draw
 of shape (n_steps, 2, n_traj/2) from stream (master_seed, 0). The filter
-advances one record interval per iteration, drawing only that interval's z,
-through the step powers Theta^i and (M^T)^i, i <= R = ``RECORD_EVERY``. The seed
-drives only the deviations; the mean path, and with it the separation-axis
-attraction of :func:`compare_channels`, is noise-free.
+advances one record interval per iteration, drawing only that interval's
+z, through the step powers Theta^i and (S^T)^i, i <= R = ``RECORD_EVERY``.
+The seed drives only the deviations. The drift and the Riccati step are
+exact over dt; only the Kalman kick, at the left point of each step, is
+first order in dt.
 
-Both channels return the same form: a
-:class:`~gravitas.entanglement.GaussianState` time series, as
-:func:`~gravitas.entanglement.evolve_gaussian_grid` does for the unitary
-one. :func:`run_ensemble` returns the unconditional state of the ensemble;
-the witnesses, time axis and column differences are the caller's to read
-from the states.
+Both channels return :class:`~gravitas.entanglement.GaussianState` time
+series, from which the caller reads witnesses, times and separations.
 
 Measurement convention (hbar = 1): continuous position measurement of
 strength k = gamma / (8 meas_length^2), record dy = <x> dt + dW / sqrt(8 k),
@@ -46,8 +43,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entanglement import (OMEGA, GaussianState, evolve_gaussian_grid, expm,
-                           quadratize_newton)
+from .entanglement import (OMEGA, GaussianState, _powers, evolve_gaussian_grid,
+                           expm, quadratize_newton, symplectic_propagator)
 from .errors import StepSizeError
 from .kinematics import stream
 from .params import RECORD_EVERY, ModelParams
@@ -68,13 +65,6 @@ class FeedbackConfig:
     def k_meas(self) -> float:
         """Measurement strength (units 1/(length^2 time))."""
         return self.gamma / (8.0 * self.meas_length**2)
-
-
-def _mean_drift(cfg: FeedbackConfig) -> tuple[np.ndarray, np.ndarray]:
-    """(A, b) of the deterministic mean flow dz = (A z + b) dt: the Hamiltonian
-    flow of the quadratized potential on the configured axis."""
-    h = quadratize_newton(cfg.d, cfg.params, cfg.masses, axis=cfg.axis)
-    return OMEGA @ h.hmat, OMEGA @ h.linear
 
 
 def _riccati_step_matrix(a: np.ndarray, k: float, dt: float) -> np.ndarray:
@@ -100,34 +90,14 @@ def _riccati_apply(theta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out, -1, -2))   # out is (num den^-1)^T
 
 
-def _powers(x: np.ndarray, n: int) -> np.ndarray:
-    """x^0, ..., x^n stacked along a new leading axis."""
-    out = [np.eye(len(x))]
-    for _ in range(n):
-        out.append(out[-1] @ x)
-    return np.array(out)
-
-
 def _guard_steps(cfg: FeedbackConfig, dt: float) -> None:
-    """StepSizeError for a step outside the accuracy guard: dt <= 0, which a
-    positive horizon over many steps can underflow to, or dt * gamma > 0.1."""
+    """StepSizeError for a step outside the accuracy guard of the left-point
+    Kalman kick, the one inexact step: dt <= 0, which a positive horizon
+    over many steps can underflow to, or dt * gamma > 0.1."""
     if dt <= 0:
         raise StepSizeError("dt must be positive")
     if dt * cfg.gamma > 0.1:
         raise StepSizeError(f"dt*gamma = {dt * cfg.gamma} exceeds the 0.1 accuracy guard")
-
-
-def _mean_path(cfg: FeedbackConfig, initial: GaussianState, n_steps: int,
-               dt: float) -> np.ndarray:
-    """The noise-free mean path z <- M z + b dt (M = I + A dt) from the initial
-    mean, every R = ``RECORD_EVERY`` steps from t = 0: z <- M^R z + (sum_{i<R} M^i) b dt."""
-    a, b = _mean_drift(cfg)
-    m_pows = _powers(np.eye(4) + a * dt, RECORD_EVERY)
-    drive = m_pows[:-1].sum(axis=0) @ b * dt
-    path = [initial.mean]
-    for _ in range(n_steps // RECORD_EVERY):
-        path.append(m_pows[-1] @ path[-1] + drive)
-    return np.array(path)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +109,7 @@ def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
     """The unconditional state of the measurement-feedback ensemble as one
     time series, every R = ``RECORD_EVERY`` steps from t = 0, from one filter
     state; an ``n_steps`` that is not a multiple of R raises ValueError. Its
-    mean is the noise-free mean path.
+    mean is the noise-free mean path, the unitary channel's mean.
 
     ``n_traj`` must be even, unchecked: trajectories j and j + n_traj/2 take
     opposite-sign innovations, so the noise-free mean path is their exact
@@ -147,25 +117,25 @@ def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
     covariance shared by all trajectories, keeps the two per-mass 2x2 blocks
     and takes one Riccati (Moebius) step Theta per dt; delta_j takes the
     Kalman kick dW_j @ (gain Sigma[[0, 2]]), dW_j = sqrt(dt) z_j, and then
-    the linear drift M = I + A dt. Step i's z_j is z[i, :, j] of one
-    step-major standard-normal draw z of shape (n_steps, 2, n_traj/2) from
-    stream (master_seed, 0), drawn R steps at a time: memory does not grow
-    with n_steps. The unconditional covariance, which the witnesses read, is
+    the unitary flow's S. Step i's z_j is z[i, :, j] of one step-major
+    standard-normal draw z of shape (n_steps, 2, n_traj/2) from stream
+    (master_seed, 0), drawn R steps at a time: memory does not grow with
+    n_steps. The unconditional covariance, which the witnesses read, is
     Sigma + (2/n_traj) delta^T delta: the conditional one plus a classically
     correlated, PSD spread of the conditional means. Each iteration takes
     one interval: Sigma_i = Theta^i(Sigma_0), i <= R, in one call, then
-    delta <- delta (M^T)^R + z_c^T B, z_c its (2R, n_traj/2) draws and B
-    the (2R, 4) stack of gain sqrt(dt) Sigma_i[[0, 2]] (M^T)^(R-i), i < R.
+    delta <- delta (S^T)^R + z_c^T B, z_c its (2R, n_traj/2) draws and B the
+    (2R, 4) stack of gain sqrt(dt) Sigma_i[[0, 2]] (S^T)^(R-i), i < R.
     """
     _guard_steps(cfg, dt)
     r, pairs = RECORD_EVERY, n_traj // 2
     if n_steps % r:
         raise ValueError(f"n_steps = {n_steps} is not a multiple of {r}")
     gain = math.sqrt(8.0 * cfg.k_meas * dt)
-    a, _ = _mean_drift(cfg)
+    h = quadratize_newton(cfg.d, cfg.params, cfg.masses, axis=cfg.axis)
     blocks = np.kron(np.eye(2), np.ones((2, 2)))   # the two per-mass blocks
-    thetas = _powers(_riccati_step_matrix(a * blocks, cfg.k_meas, dt), r)
-    mt_pows = _powers(np.eye(4) + a.T * dt, r)
+    thetas = _powers(_riccati_step_matrix(OMEGA @ h.hmat * blocks, cfg.k_meas, dt), r)
+    st_pows = _powers(symplectic_propagator(h, dt)[0].T, r)
     rng = stream(master_seed)
 
     sigma, dev = initial.cov * blocks, np.zeros((pairs, 4))
@@ -173,11 +143,11 @@ def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
     for _ in range(n_steps // r):
         zc = rng.standard_normal((2 * r, pairs))
         sigmas = _riccati_apply(thetas, sigma)
-        kicks = (gain * sigmas[:-1, [0, 2]]) @ mt_pows[:0:-1]
-        dev = dev @ mt_pows[-1] + zc.T @ kicks.reshape(2 * r, 4)
+        kicks = (gain * sigmas[:-1, [0, 2]]) @ st_pows[:0:-1]
+        dev = dev @ st_pows[-1] + zc.T @ kicks.reshape(2 * r, 4)
         sigma = sigmas[-1]
         covs.append(sigma + (2.0 / n_traj) * (dev.T @ dev))
-    return GaussianState(_mean_path(cfg, initial, n_steps, dt), covs)
+    return GaussianState(evolve_gaussian_grid(initial, h, r * dt, n_steps // r).mean, covs)
 
 
 # ---------------------------------------------------------------------------
@@ -186,30 +156,26 @@ def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
 
 def compare_channels(cfg: FeedbackConfig, initial: GaussianState,
                      horizon: float, n_steps: int, n_traj: int, master_seed: int
-                     ) -> tuple[GaussianState, GaussianState, np.ndarray, np.ndarray]:
+                     ) -> tuple[GaussianState, GaussianState, np.ndarray]:
     """The unitary and feedback channels side by side, every
     ``RECORD_EVERY`` steps (``n_steps`` a multiple of it, else ValueError,
-    and ``n_traj`` even, unchecked): ``(unitary, feedback, sep_unitary,
-    sep_feedback)``. ``unitary`` and ``feedback`` are the transverse-axis
-    state series, from which the witnesses are read; ``sep_unitary`` and
-    ``sep_feedback`` are the separation-axis (n, 4) mean paths, which carry
-    the Newtonian attraction. The seed drives only the transverse ensemble;
-    the separation axis is the noise-free mean path alone.
+    and ``n_traj`` even, unchecked): ``(unitary, feedback,
+    separation_means)``. ``unitary`` and ``feedback`` are the transverse-axis
+    state series, from which the witnesses are read. ``separation_means`` is
+    the separation-axis (n, 4) mean path, which carries the Newtonian
+    attraction; it is both channels' mean, since both follow the same
+    unitary flow. The seed drives only the transverse ensemble.
 
-    Headline behavior: the unitary states cross duan < 1 with E_N > 0; the
-    feedback ensemble keeps E_N = 0 and duan >= 1; and the two channels'
-    mean paths agree.
+    Headline behavior: the unitary states cross duan < 1 with E_N > 0, and
+    the feedback ensemble keeps E_N = 0 and duan >= 1.
     """
     dt = horizon / n_steps
-    _guard_steps(cfg, dt)
+    feedback = run_ensemble(replace(cfg, axis="transverse"), initial, n_traj,
+                            n_steps, dt, master_seed)
 
     def unitary_states(axis: str) -> GaussianState:
         h = quadratize_newton(cfg.d, cfg.params, cfg.masses, axis=axis)
         return evolve_gaussian_grid(initial, h, RECORD_EVERY * dt,
                                     n_steps // RECORD_EVERY)
 
-    feedback = run_ensemble(replace(cfg, axis="transverse"), initial, n_traj,
-                            n_steps, dt, master_seed)
-    sep_feedback = _mean_path(replace(cfg, axis="separation"), initial, n_steps, dt)
-    return (unitary_states("transverse"), feedback,
-            unitary_states("separation").mean, sep_feedback)
+    return unitary_states("transverse"), feedback, unitary_states("separation").mean

@@ -16,11 +16,11 @@ import math
 import numpy as np
 
 from gravitas.amplitudes import feynman_propagator, tree_denominators
-from gravitas.entanglement import GaussianState
+from gravitas.entanglement import (OMEGA, GaussianState, quadratize_newton,
+                                   symplectic_propagator)
 from gravitas.kinematics import KinematicConfig, boost, minkowski_dot, stream
 from gravitas.params import RECORD_EVERY
-from gravitas.semiclassical import (_mean_drift, _riccati_apply,
-                                    _riccati_step_matrix)
+from gravitas.semiclassical import _riccati_apply, _riccati_step_matrix
 
 METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -201,27 +201,33 @@ def ktil2_plus_mu2(family, omega):
 # measurement-feedback ensemble, one step at a time
 # ---------------------------------------------------------------------------
 
+def feedback_hamiltonian(cfg):
+    """The quadratized Hamiltonian of a ``FeedbackConfig``'s axis."""
+    return quadratize_newton(cfg.d, cfg.params, cfg.masses, axis=cfg.axis)
+
+
 def stepped_mean_path(cfg, initial, n_steps, dt):
-    """The noise-free mean path z <- z + (A z + b) dt, one step at a time,
-    every ``RECORD_EVERY`` steps from t = 0."""
-    a, b = _mean_drift(cfg)
+    """The noise-free mean path z <- S z + drift, the affine flow over dt one
+    step at a time, every ``RECORD_EVERY`` steps from t = 0."""
+    s, drift = symplectic_propagator(feedback_hamiltonian(cfg), dt)
     mean, path = initial.mean, [initial.mean]
     for j in range(1, n_steps + 1):
-        mean = mean + (a @ mean + b) * dt
+        mean = s @ mean + drift
         if j % RECORD_EVERY == 0:
             path.append(mean)
     return np.array(path)
 
 
 def stepped_ensemble(cfg, initial, n_traj, n_steps, dt, master_seed):
-    """``run_ensemble`` as one Riccati step and one Kalman kick per dt: the
-    same estimator on the same draws, dW = sqrt(dt) standard_normal of shape
-    (n_steps, 2, n_traj/2) from stream (master_seed, 0), pair j's the slice
-    [:, :, j]."""
+    """``run_ensemble`` as one Riccati step, one Kalman kick and one step S of
+    the unitary flow per dt: the same estimator on the same draws,
+    dW = sqrt(dt) standard_normal of shape (n_steps, 2, n_traj/2) from stream
+    (master_seed, 0), pair j's the slice [:, :, j]."""
     gain = math.sqrt(8.0 * cfg.k_meas)
-    a, _ = _mean_drift(cfg)
+    h = feedback_hamiltonian(cfg)
+    s, _ = symplectic_propagator(h, dt)
     blocks = np.kron(np.eye(2), np.ones((2, 2)))   # the two per-mass blocks
-    theta = _riccati_step_matrix(a * blocks, cfg.k_meas, dt)
+    theta = _riccati_step_matrix(OMEGA @ h.hmat * blocks, cfg.k_meas, dt)
     dws = math.sqrt(dt) * stream(master_seed).standard_normal((n_steps, 2, n_traj // 2))
 
     sigma, dev = initial.cov * blocks, np.zeros((n_traj // 2, 4))
@@ -230,7 +236,6 @@ def stepped_ensemble(cfg, initial, n_traj, n_steps, dt, master_seed):
         if j % RECORD_EVERY == 0:
             covs.append(sigma + (2.0 / n_traj) * (dev.T @ dev))
         if j < n_steps:
-            dev = dev + dws[j].T @ (gain * sigma[[0, 2]])
-            dev = dev + dev @ a.T * dt
+            dev = (dev + dws[j].T @ (gain * sigma[[0, 2]])) @ s.T
             sigma = _riccati_apply(theta, sigma)
     return GaussianState(stepped_mean_path(cfg, initial, n_steps, dt), covs)

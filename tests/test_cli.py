@@ -519,6 +519,22 @@ def test_phase_space_gate_passes_correct_run(tmp_path):
     assert main(["phase-space-check", "--seed", "38", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("seed", ["2", "5"])
+def test_phase_space_zero_error_sides_are_not_a_numerical_failure(tmp_path, capsys,
+                                                                  seed):
+    # at two samples the shell indicator reads 0 on every sample of both
+    # sides, so both errors are 0: a sampling accident the gate judges
+    out = tmp_path / "ps.json"
+    code = main(["phase-space-check", "--n-samples", "2", "--seed", seed,
+                 "--out", str(out)])
+    assert code in (0, 1)
+    assert "numerical failure" not in capsys.readouterr().err
+    shell = json.loads(out.read_text(encoding="utf-8"))["results"]["shell-indicator"]
+    assert shell["lhs_error"] == shell["rhs_error"] == 0.0
+    assert shell["discrepancy_sigmas"] == 0.0
+    assert _read_manifest(out)["checks"] == {"discrepancies_within_sidak_z": code == 0}
+
+
 def test_numerical_check_failure_exits_1_without_traceback(tmp_path, monkeypatch,
                                                             capsys):
     monkeypatch.setattr(entanglement, "TOL_SYMPLECTIC", -1.0)

@@ -35,10 +35,10 @@ RUNS = {
         "e4edaa22b248f35ea9c7c1ce8ec2ff4bc792574069f664ac413e1826f075e37c"),
     "semiclassical": (
         ["semiclassical", *STOCHASTIC_ENSEMBLE],
-        "e4e5b3f4329a7bfdc7704209ab5b1c84a63d31c7f7c5d8bcb477148609ed76cf"),
+        "b36ae329299bd03de1af968e28612f7205099a3d91bf6e74aeccd3b0522fa204"),
     "compare": (
         ["compare", *STOCHASTIC_ENSEMBLE],
-        "76a032da0fdd33ca865433c0a77202388023c14197798db143c878727b76c943"),
+        "e12c576e0f72ad51a01a1d67ea90b53186b0e2e4224a69943446a305022f7955"),
     "phase-space-check": (
         ["phase-space-check", "--seed", "7", "--n-samples", "20000"],
         "c7ae98c198efed15ca5999c3cbe5cf7640a68198141b9e38cee60bd15230552c"),

@@ -9,7 +9,8 @@ from scipy.stats import chi2
 
 from gravitas.errors import (BelowThresholdError, ConfigShapeError,
                              SuperluminalBoostError)
-from gravitas.kinematics import (FourVector, KinematicConfig, boost,
+from gravitas.kinematics import (FourVector, KinematicConfig,
+                                 MeasureIdentityReport, boost,
                                  check_invariant_measure_identity,
                                  cm_momentum, minkowski_dot, on_shell, stream,
                                  two_body_batch)
@@ -347,3 +348,14 @@ def test_measure_identity_heavy_mass_suppression(rng):
     assert heavy.lhs < 0.1 * light.lhs
     assert heavy.rhs < 0.1 * light.rhs
     assert heavy.discrepancy_sigmas <= 3.0
+
+
+def test_discrepancy_of_equal_zero_error_sides_is_zero():
+    # 0/0 is no discrepancy; unequal sides with zero error stay infinite
+    def report(lhs, rhs, err):
+        return MeasureIdentityReport(lhs, err, rhs, err, ())
+
+    assert report(0.0, 0.0, 0.0).discrepancy_sigmas == 0.0
+    assert report(0.5, 0.5, 0.0).discrepancy_sigmas == 0.0
+    assert report(0.0, 1e-300, 0.0).discrepancy_sigmas == math.inf
+    assert report(1.0, 1.5, 0.1).discrepancy_sigmas == pytest.approx(0.5 / math.sqrt(0.02))

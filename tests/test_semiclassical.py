@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from gravitas import cli, semiclassical
-from gravitas.entanglement import (GaussianState, duan_witness,
-                                   evolve_gaussian, log_negativity,
+from gravitas.entanglement import (OMEGA, GaussianState, _powers,
+                                   duan_witness, evolve_gaussian,
+                                   evolve_gaussian_grid, log_negativity,
                                    product_state, quadratize_newton,
-                                   yukawa_derivatives)
+                                   symplectic_propagator, yukawa_derivatives)
 from gravitas.errors import StepSizeError
 from gravitas.params import ModelParams
 from gravitas.semiclassical import (RECORD_EVERY, FeedbackConfig,
-                                    _mean_drift, _powers, _riccati_apply,
-                                    _riccati_step_matrix, compare_channels,
-                                    run_ensemble)
-from oracles import stepped_ensemble
+                                    _riccati_apply, _riccati_step_matrix,
+                                    compare_channels, run_ensemble)
+from oracles import feedback_hamiltonian, stepped_ensemble
 
 
 def _cfg(gamma=1.0, axis="separation", g_newton=10.0, d=10.0, meas_length=3.0):
@@ -44,19 +44,24 @@ def test_step_size_guard():
 
 def test_single_step_feedback_momentum_kick():
     # the pair's opposite-sign innovations cancel in the ensemble mean, which
-    # takes the dW = 0 steps: momenta move by -dV_i/dx_i dt at the estimates
+    # follows the force -dV_i/dx_i at the estimates: on the separation axis
+    # the relative coordinate r = x1 - x2 of the unit masses (reduced mass
+    # m_r = 1/2) obeys r'' = Omega^2 (r - r_eq), Omega^2 = -V''/m_r and
+    # r_eq = -V'/V'', so it moves in cosh/sinh, and the centre of mass is free
     cfg = _cfg()
     lin, spring = _separation_gains(cfg)
-    mean0 = np.array([0.3, 0.0, -0.2, 0.0])
+    mean0 = np.array([0.3, 0.1, -0.2, 0.04])
     dt = 1e-3
     ens = run_ensemble(cfg, GaussianState(mean0, _initial().cov), n_traj=2,
                        n_steps=RECORD_EVERY, dt=dt, master_seed=1)
-    z = mean0.copy()
-    for _ in range(RECORD_EVERY):  # explicit Euler steps of the same force
-        f1 = -lin - spring * (z[0] - z[2])
-        z = z + dt * np.array([z[1], f1, z[3], -f1])
-    assert ens.mean[1, 1] == pytest.approx(z[1], rel=1e-12)
-    assert ens.mean[1, 3] == pytest.approx(z[3], rel=1e-12)
+    t, big = RECORD_EVERY * dt, math.sqrt(-2.0 * spring)
+    r0, v0, r_eq = mean0[0] - mean0[2], mean0[1] - mean0[3], -lin / spring
+    r = r_eq + (r0 - r_eq) * math.cosh(big * t) + v0 / big * math.sinh(big * t)
+    v = (r0 - r_eq) * big * math.sinh(big * t) + v0 * math.cosh(big * t)
+    p_cm = mean0[1] + mean0[3]
+    x_cm = 0.5 * (mean0[0] + mean0[2]) + 0.5 * p_cm * t
+    want = [x_cm + 0.5 * r, 0.5 * (p_cm + v), x_cm - 0.5 * r, 0.5 * (p_cm - v)]
+    assert ens.mean[1] == pytest.approx(want, rel=1e-12)
 
 
 def test_weak_measurement_free_covariance_closed_form():
@@ -152,13 +157,14 @@ def test_ensemble_mean_matches_classical_integrator():
 
 def _lyapunov_moments(cfg, initial, n_steps, dt):
     """Exact ensemble moments every RECORD_EVERY steps: the noise-free mean
-    recursion, the module's Riccati path Sigma_j and the covariance of the
-    conditional means, C <- M (C + G_j G_j^T dt) M^T with M = I + A dt and
-    G_j = gain Sigma_j[:, [0, 2]] (the unconditional master-equation picture)."""
-    a, b = _mean_drift(cfg)
+    recursion z <- S z + drift, the module's Riccati path Sigma_j and the
+    covariance of the conditional means, C <- S (C + G_j G_j^T dt) S^T with
+    (S, drift) the affine flow over dt and G_j = gain Sigma_j[:, [0, 2]]
+    (the unconditional master-equation picture)."""
+    h = feedback_hamiltonian(cfg)
+    s, drift = symplectic_propagator(h, dt)
     blocks = np.kron(np.eye(2), np.ones((2, 2)))
-    theta = _riccati_step_matrix(a * blocks, cfg.k_meas, dt)
-    m = np.eye(4) + a * dt
+    theta = _riccati_step_matrix(OMEGA @ h.hmat * blocks, cfg.k_meas, dt)
     gain = math.sqrt(8.0 * cfg.k_meas)
     mean, sigma, c = initial.mean, initial.cov * blocks, np.zeros((4, 4))
     means, sigmas, cs = [], [], []
@@ -168,8 +174,8 @@ def _lyapunov_moments(cfg, initial, n_steps, dt):
             sigmas.append(sigma)
             cs.append(c)
         g = gain * sigma[:, [0, 2]]
-        c = m @ (c + g @ g.T * dt) @ m.T
-        mean = mean + (a @ mean + b) * dt
+        c = s @ (c + g @ g.T * dt) @ s.T
+        mean = s @ mean + drift
         sigma = _riccati_apply(theta, sigma)
     return np.array(means), np.array(sigmas), np.array(cs)
 
@@ -196,6 +202,33 @@ def test_ensemble_moments_match_lyapunov_recursion():
         assert np.all(dev <= z * rel_sigma * np.diag(c) + 1e-12 * np.diag(sigma))
 
 
+@pytest.mark.parametrize("axis", ["separation", "transverse"])
+def test_moment_recursion_is_first_order_in_dt_with_an_exact_mean(axis):
+    # the drift is the exact flow over dt, so the mean agrees with a dt/16
+    # reference to rounding; the left-point Kalman kick makes the covariance
+    # first order, whose errors against a dt/16 reference fall by
+    # (1 - 1/16)/(1/2 - 1/16) = 2.14, then 2.33, per halving (a second-order
+    # scheme would read above 4, a non-converging one 1)
+    cfg, horizon, n = _cfg(axis=axis), 2.0, 40
+    initial = GaussianState(np.array([0.5, 0.0, -0.1, 0.0]), _initial().cov)
+
+    def final_moments(refine):
+        means, sigmas, cs = _lyapunov_moments(cfg, initial, n * refine,
+                                              horizon / (n * refine))
+        return means[-1], sigmas[-1] + cs[-1]
+
+    mean_ref, cov_ref = final_moments(16)
+    mean_errs, cov_errs = [], []
+    for refine in (1, 2, 4):
+        mean, cov = final_moments(refine)
+        mean_errs.append(np.max(np.abs(mean - mean_ref)) / np.max(np.abs(mean_ref)))
+        cov_errs.append(np.max(np.abs(cov - cov_ref)) / np.max(np.abs(cov_ref)))
+    assert max(mean_errs) < 1e-11
+    assert min(cov_errs) > 1e-4
+    for coarse, fine in zip(cov_errs, cov_errs[1:]):
+        assert 1.8 <= coarse / fine <= 2.4
+
+
 def test_momentum_heating_linear_in_gamma():
     # unconditional Var(p) grows at the backaction rate 2 k per mass (hbar = 1)
     slopes = []
@@ -219,7 +252,8 @@ def test_conditional_cov_steady_state_independent_of_initial_width():
     # meas_length 0.6 puts the steady width near that scale
     cfg = _cfg(gamma=1.0, g_newton=1e-300, meas_length=0.6)
     dt, t_end = 0.01, 10.0 / cfg.gamma
-    theta = _riccati_step_matrix(_mean_drift(cfg)[0][:2, :2], cfg.k_meas, dt)
+    a = OMEGA @ feedback_hamiltonian(cfg).hmat
+    theta = _riccati_step_matrix(a[:2, :2], cfg.k_meas, dt)
     wide, narrow = _initial(9.0).cov[:2, :2], _initial(0.25).cov[:2, :2]
     for _ in range(int(t_end / dt)):
         wide = _riccati_apply(theta, wide)
@@ -232,7 +266,8 @@ def test_riccati_apply_stack_matches_repeated_steps():
     # Theta^i applied at once is i single Riccati steps from the same Sigma
     cfg = _cfg()
     blocks = np.kron(np.eye(2), np.ones((2, 2)))
-    theta = _riccati_step_matrix(_mean_drift(cfg)[0] * blocks, cfg.k_meas, 0.01)
+    a = OMEGA @ feedback_hamiltonian(cfg).hmat
+    theta = _riccati_step_matrix(a * blocks, cfg.k_meas, 0.01)
     sigma = _initial().cov * blocks
     for got in _riccati_apply(_powers(theta, RECORD_EVERY), sigma):
         assert np.max(np.abs(got - sigma)) <= 1e-13 * np.max(np.abs(sigma))
@@ -299,17 +334,31 @@ def test_ensemble_memory_does_not_grow_with_steps():
 
 def test_compare_channels_headline():
     cfg = _cfg()
-    unitary, feedback, sep_u, sep_f = compare_channels(
+    unitary, feedback, sep = compare_channels(
         cfg, _initial(), horizon=15.0, n_steps=1500, n_traj=128, master_seed=9)
     assert np.min(duan_witness(unitary)) < 1.0
     assert np.max(log_negativity(unitary)) > 0.0
     assert np.all(duan_witness(feedback) >= 1.0 - 1e-9)
     assert np.all(log_negativity(feedback) < 1e-10)
     # Newtonian attraction: both channels pull the means together identically
-    late = np.arange(0, 1500 + 1, RECORD_EVERY) * (15.0 / 1500) >= 5.0
-    u = (sep_u[:, 0] - sep_u[:, 2])[late]
-    s = (sep_f[:, 0] - sep_f[:, 2])[late]
-    assert np.all(np.abs(u - s) <= 0.01 * np.abs(u))
+    unitary_sep = evolve_gaussian_grid(_initial(), feedback_hamiltonian(cfg),
+                                       RECORD_EVERY * 0.01, 1500 // RECORD_EVERY)
+    feedback_sep = run_ensemble(cfg, _initial(), 2, 1500, 0.01, master_seed=9)
+    assert np.array_equal(sep, unitary_sep.mean)
+    assert np.array_equal(sep, feedback_sep.mean)
+
+
+@pytest.mark.parametrize("axis", ["separation", "transverse"])
+def test_feedback_mean_is_the_unitary_mean(axis):
+    # both channels take the same propagator, so from a nonzero mean the
+    # ensemble mean is the unitary one bit for bit
+    cfg = _cfg(axis=axis)
+    initial = GaussianState(np.array([0.4, -0.02, -0.3, 0.05]), _initial().cov)
+    ens = run_ensemble(cfg, initial, 8, 300, 0.02, master_seed=4)
+    unitary = evolve_gaussian_grid(initial, feedback_hamiltonian(cfg),
+                                   RECORD_EVERY * 0.02, 300 // RECORD_EVERY)
+    assert np.any(ens.mean[-1] != initial.mean)
+    assert np.array_equal(ens.mean, unitary.mean)
 
 
 def test_compare_channels_runs_one_ensemble(monkeypatch):
@@ -323,11 +372,11 @@ def test_compare_channels_runs_one_ensemble(monkeypatch):
         return run_ensemble(fb, *args, **kwargs)
 
     monkeypatch.setattr(semiclassical, "run_ensemble", counted)
-    _, feedback, _, sep_f = compare_channels(cfg, _initial(), horizon=2.0,
-                                             n_steps=200, n_traj=8, master_seed=5)
+    _, feedback, sep = compare_channels(cfg, _initial(), horizon=2.0,
+                                        n_steps=200, n_traj=8, master_seed=5)
     assert calls == ["transverse"]
     ens = run_ensemble(cfg, _initial(), 8, 200, 0.01, master_seed=5)
-    assert np.array_equal(sep_f, ens.mean)
+    assert np.array_equal(sep, ens.mean)
     ens_t = run_ensemble(_cfg(axis="transverse"), _initial(), 8, 200, 0.01,
                          master_seed=5)
     assert np.array_equal(feedback.mean, ens_t.mean)
@@ -340,8 +389,8 @@ def test_compare_channels_free_theory_identical():
     cfg = FeedbackConfig(gamma=1e-6, d=10.0, masses=(1.0, 1.0),
                          params=ModelParams(g_newton=1e-300, m=1.0, mu=1e-6),
                          meas_length=3.0)
-    unitary, feedback, _, _ = compare_channels(cfg, _initial(), horizon=5.0,
-                                               n_steps=500, n_traj=64, master_seed=13)
+    unitary, feedback, _ = compare_channels(cfg, _initial(), horizon=5.0,
+                                            n_steps=500, n_traj=64, master_seed=13)
     assert np.max(np.abs(duan_witness(feedback) - duan_witness(unitary))) < 1e-3
     assert np.all(log_negativity(feedback) < 1e-12)
     assert np.all(log_negativity(unitary) < 1e-12)
