@@ -18,14 +18,16 @@ the two channels isolates the channel structure:
 
 The ensemble is one filter state (mean, Sigma, delta): the noise-free mean
 path, the conditional covariance Sigma that every trajectory shares, and
-the deviation delta_j of each opposite-sign trajectory pair j, driven by
-dW = sqrt(dt) z[i, :, j] at step i, z one step-major standard-normal draw
-of shape (n_steps, 2, n_traj/2) from stream (master_seed, 0). The filter
-advances one record interval per iteration, drawing only that interval's
-z, through the step powers Theta^i and (S^T)^i, i <= R = ``RECORD_EVERY``.
-The seed drives only the deviations. The drift and the Riccati step are
-exact over dt; only the Kalman kick, at the left point of each step, is
-first order in dt.
+the deviation delta_j of each opposite-sign trajectory pair j. The filter
+advances one record interval of R = ``RECORD_EVERY`` steps per iteration,
+through the step powers Theta^i and (S^T)^i, i <= R. Over an interval the
+Kalman kicks add to delta_j a Gaussian increment of covariance B^T B, B
+the interval's (2R, 4) kick stack; it is drawn as z_j F, z one (n_traj/2,
+4) standard-normal draw per interval from stream (master_seed, 0), taken
+interval by interval, and F the 4x4 R factor of B's QR decomposition, so
+F^T F = B^T B. The seed drives only the deviations. The drift and the
+Riccati step are exact over dt; only the Kalman kick, at the left point of
+each step, is first order in dt.
 
 Both channels return :class:`~gravitas.entanglement.GaussianState` time
 series, from which the caller reads witnesses, times and separations.
@@ -43,8 +45,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .entanglement import (OMEGA, GaussianState, _powers, evolve_gaussian_grid,
-                           expm, quadratize_newton, symplectic_propagator)
+from .entanglement import (OMEGA, GaussianState, QuadraticHamiltonian, _powers,
+                           evolve_gaussian_grid, expm, quadratize_newton,
+                           symplectic_propagator)
 from .errors import StepSizeError
 from .kinematics import stream
 from .params import RECORD_EVERY, ModelParams
@@ -104,29 +107,11 @@ def _guard_steps(cfg: FeedbackConfig, dt: float) -> None:
 # ensembles
 # ---------------------------------------------------------------------------
 
-def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
-                 n_steps: int, dt: float, master_seed: int) -> GaussianState:
-    """The unconditional state of the measurement-feedback ensemble as one
-    time series, every R = ``RECORD_EVERY`` steps from t = 0, from one filter
-    state; an ``n_steps`` that is not a multiple of R raises ValueError. Its
-    mean is the noise-free mean path, the unitary channel's mean.
-
-    ``n_traj`` must be even, unchecked: trajectories j and j + n_traj/2 take
-    opposite-sign innovations, so the noise-free mean path is their exact
-    mean and pair j sits at mean +/- delta_j. Sigma, the 4x4 conditional
-    covariance shared by all trajectories, keeps the two per-mass 2x2 blocks
-    and takes one Riccati (Moebius) step Theta per dt; delta_j takes the
-    Kalman kick dW_j @ (gain Sigma[[0, 2]]), dW_j = sqrt(dt) z_j, and then
-    the unitary flow's S. Step i's z_j is z[i, :, j] of one step-major
-    standard-normal draw z of shape (n_steps, 2, n_traj/2) from stream
-    (master_seed, 0), drawn R steps at a time: memory does not grow with
-    n_steps. The unconditional covariance, which the witnesses read, is
-    Sigma + (2/n_traj) delta^T delta: the conditional one plus a classically
-    correlated, PSD spread of the conditional means. Each iteration takes
-    one interval: Sigma_i = Theta^i(Sigma_0), i <= R, in one call, then
-    delta <- delta (S^T)^R + z_c^T B, z_c its (2R, n_traj/2) draws and B the
-    (2R, 4) stack of gain sqrt(dt) Sigma_i[[0, 2]] (S^T)^(R-i), i < R.
-    """
+def _feedback_covs(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
+                   n_steps: int, dt: float, master_seed: int
+                   ) -> tuple[QuadraticHamiltonian, list[np.ndarray]]:
+    """``run_ensemble``'s quadratized Hamiltonian and its unconditional
+    covariances, one per record; the mean is the caller's to build."""
     _guard_steps(cfg, dt)
     r, pairs = RECORD_EVERY, n_traj // 2
     if n_steps % r:
@@ -141,13 +126,44 @@ def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
     sigma, dev = initial.cov * blocks, np.zeros((pairs, 4))
     covs = [sigma]
     for _ in range(n_steps // r):
-        zc = rng.standard_normal((2 * r, pairs))
         sigmas = _riccati_apply(thetas, sigma)
         kicks = (gain * sigmas[:-1, [0, 2]]) @ st_pows[:0:-1]
-        dev = dev @ st_pows[-1] + zc.T @ kicks.reshape(2 * r, 4)
+        f = np.linalg.qr(kicks.reshape(2 * r, 4), mode="r")
+        dev = dev @ st_pows[-1] + rng.standard_normal((pairs, 4)) @ f
         sigma = sigmas[-1]
         covs.append(sigma + (2.0 / n_traj) * (dev.T @ dev))
-    return GaussianState(evolve_gaussian_grid(initial, h, r * dt, n_steps // r).mean, covs)
+    return h, covs
+
+
+def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
+                 n_steps: int, dt: float, master_seed: int) -> GaussianState:
+    """The unconditional state of the measurement-feedback ensemble as one
+    time series, every R = ``RECORD_EVERY`` steps from t = 0, from one filter
+    state; an ``n_steps`` that is not a multiple of R raises ValueError. Its
+    mean is the noise-free mean path, the unitary channel's mean.
+
+    ``n_traj`` must be even, unchecked: trajectories j and j + n_traj/2 take
+    opposite-sign innovations, so the noise-free mean path is their exact
+    mean and pair j sits at mean +/- delta_j. Sigma, the 4x4 conditional
+    covariance shared by all trajectories, keeps the two per-mass 2x2 blocks
+    and takes one Riccati (Moebius) step Theta per dt; delta_j takes the
+    Kalman kick dW_j @ (gain Sigma[[0, 2]]), dW_j = sqrt(dt) z_j, and then
+    the unitary flow's S. Each iteration takes one interval:
+    Sigma_i = Theta^i(Sigma_0), i <= R, in one call, and B, the (2R, 4)
+    stack of gain sqrt(dt) Sigma_i[[0, 2]] (S^T)^(R-i), i < R, which maps
+    the interval's 2R innovations to delta's increment. That increment is
+    Gaussian with covariance B^T B, so it is drawn as z F: z one
+    (n_traj/2, 4) standard-normal draw from stream (master_seed, 0), taken
+    interval by interval, and F the R factor of ``np.linalg.qr(B)``, with
+    F^T F = B^T B; QR, unlike a Cholesky factor of B^T B, holds at any
+    measurement rate. So delta <- delta (S^T)^R + z F, and memory does not
+    grow with n_steps. The unconditional covariance, which the witnesses
+    read, is Sigma + (2/n_traj) delta^T delta: the conditional one plus a
+    classically correlated, PSD spread of the conditional means.
+    """
+    h, covs = _feedback_covs(cfg, initial, n_traj, n_steps, dt, master_seed)
+    return GaussianState(evolve_gaussian_grid(initial, h, RECORD_EVERY * dt,
+                                              n_steps // RECORD_EVERY).mean, covs)
 
 
 # ---------------------------------------------------------------------------
@@ -169,13 +185,10 @@ def compare_channels(cfg: FeedbackConfig, initial: GaussianState,
     Headline behavior: the unitary states cross duan < 1 with E_N > 0, and
     the feedback ensemble keeps E_N = 0 and duan >= 1.
     """
-    dt = horizon / n_steps
-    feedback = run_ensemble(replace(cfg, axis="transverse"), initial, n_traj,
-                            n_steps, dt, master_seed)
-
-    def unitary_states(axis: str) -> GaussianState:
-        h = quadratize_newton(cfg.d, cfg.params, cfg.masses, axis=axis)
-        return evolve_gaussian_grid(initial, h, RECORD_EVERY * dt,
-                                    n_steps // RECORD_EVERY)
-
-    return unitary_states("transverse"), feedback, unitary_states("separation").mean
+    dt, n_records = horizon / n_steps, n_steps // RECORD_EVERY
+    h, covs = _feedback_covs(replace(cfg, axis="transverse"), initial, n_traj,
+                             n_steps, dt, master_seed)
+    unitary = evolve_gaussian_grid(initial, h, RECORD_EVERY * dt, n_records)
+    h_sep = quadratize_newton(cfg.d, cfg.params, cfg.masses, axis="separation")
+    separation = evolve_gaussian_grid(initial, h_sep, RECORD_EVERY * dt, n_records)
+    return unitary, GaussianState(unitary.mean, covs), separation.mean

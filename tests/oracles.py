@@ -1,7 +1,6 @@
 """The paper's 2->2 derivation, which no runtime path reads, its kinematics,
 the numerical reference for the closed-form tree-level pole, and the
-per-step measurement-feedback filter that the interval-stepped
-``semiclassical.run_ensemble`` is held to.
+quadratized Hamiltonian of a measurement-feedback configuration.
 
 The bootstrapped elastic amplitude M_newton(t) = -16 pi G m^4 / (-t + mu^2)
 fixes the phase convention of ``gravitas.amplitudes``; the spin-2 and spin-0
@@ -16,11 +15,8 @@ import math
 import numpy as np
 
 from gravitas.amplitudes import feynman_propagator, tree_denominators
-from gravitas.entanglement import (OMEGA, GaussianState, quadratize_newton,
-                                   symplectic_propagator)
-from gravitas.kinematics import KinematicConfig, boost, minkowski_dot, stream
-from gravitas.params import RECORD_EVERY
-from gravitas.semiclassical import _riccati_apply, _riccati_step_matrix
+from gravitas.entanglement import quadratize_newton
+from gravitas.kinematics import KinematicConfig, boost, minkowski_dot
 
 METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -198,44 +194,9 @@ def ktil2_plus_mu2(family, omega):
 
 
 # ---------------------------------------------------------------------------
-# measurement-feedback ensemble, one step at a time
+# measurement-feedback ensemble
 # ---------------------------------------------------------------------------
 
 def feedback_hamiltonian(cfg):
     """The quadratized Hamiltonian of a ``FeedbackConfig``'s axis."""
     return quadratize_newton(cfg.d, cfg.params, cfg.masses, axis=cfg.axis)
-
-
-def stepped_mean_path(cfg, initial, n_steps, dt):
-    """The noise-free mean path z <- S z + drift, the affine flow over dt one
-    step at a time, every ``RECORD_EVERY`` steps from t = 0."""
-    s, drift = symplectic_propagator(feedback_hamiltonian(cfg), dt)
-    mean, path = initial.mean, [initial.mean]
-    for j in range(1, n_steps + 1):
-        mean = s @ mean + drift
-        if j % RECORD_EVERY == 0:
-            path.append(mean)
-    return np.array(path)
-
-
-def stepped_ensemble(cfg, initial, n_traj, n_steps, dt, master_seed):
-    """``run_ensemble`` as one Riccati step, one Kalman kick and one step S of
-    the unitary flow per dt: the same estimator on the same draws,
-    dW = sqrt(dt) standard_normal of shape (n_steps, 2, n_traj/2) from stream
-    (master_seed, 0), pair j's the slice [:, :, j]."""
-    gain = math.sqrt(8.0 * cfg.k_meas)
-    h = feedback_hamiltonian(cfg)
-    s, _ = symplectic_propagator(h, dt)
-    blocks = np.kron(np.eye(2), np.ones((2, 2)))   # the two per-mass blocks
-    theta = _riccati_step_matrix(OMEGA @ h.hmat * blocks, cfg.k_meas, dt)
-    dws = math.sqrt(dt) * stream(master_seed).standard_normal((n_steps, 2, n_traj // 2))
-
-    sigma, dev = initial.cov * blocks, np.zeros((n_traj // 2, 4))
-    covs = []
-    for j in range(n_steps + 1):
-        if j % RECORD_EVERY == 0:
-            covs.append(sigma + (2.0 / n_traj) * (dev.T @ dev))
-        if j < n_steps:
-            dev = (dev + dws[j].T @ (gain * sigma[[0, 2]])) @ s.T
-            sigma = _riccati_apply(theta, sigma)
-    return GaussianState(stepped_mean_path(cfg, initial, n_steps, dt), covs)

@@ -158,6 +158,16 @@ def test_semiclassical_schema_and_checks(tmp_path):
     assert man["checks"]["duan_never_below_1"] is True
 
 
+@pytest.mark.xfail(strict=True, reason="the separability gate reads E_N of "
+                   "about 2.7e-10, rounding of a separable state, as entanglement")
+def test_semiclassical_passes_at_a_vanishing_measurement_rate(tmp_path):
+    # the feedback channel cannot entangle at any measurement rate
+    out = tmp_path / "sc.csv"
+    assert main(["semiclassical", "--out", str(out), "--gamma", "1e-300",
+                 "--n-traj", "4", "--n-steps", "100000", "--horizon", "20",
+                 "--seed", "7"]) == 0
+
+
 def test_compare_records_channel_discrimination(tmp_path):
     out = tmp_path / "cmp.csv"
     assert main(["compare", "--out", str(out), "--n-steps", "800",

@@ -35,10 +35,10 @@ RUNS = {
         "e4edaa22b248f35ea9c7c1ce8ec2ff4bc792574069f664ac413e1826f075e37c"),
     "semiclassical": (
         ["semiclassical", *STOCHASTIC_ENSEMBLE],
-        "b36ae329299bd03de1af968e28612f7205099a3d91bf6e74aeccd3b0522fa204"),
+        "2ce8ee116f98749eaf88697aeb3cac56ea9fd429ea98e7c947bc189c00f11ce8"),
     "compare": (
         ["compare", *STOCHASTIC_ENSEMBLE],
-        "e12c576e0f72ad51a01a1d67ea90b53186b0e2e4224a69943446a305022f7955"),
+        "722b18b88a72bec52a6e21045d39aedb6192fdc32a48d28f36f74309bbdd95be"),
     "phase-space-check": (
         ["phase-space-check", "--seed", "7", "--n-samples", "20000"],
         "c7ae98c198efed15ca5999c3cbe5cf7640a68198141b9e38cee60bd15230552c"),

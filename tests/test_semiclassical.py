@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from statistics import NormalDist
 
 import numpy as np
@@ -16,7 +17,7 @@ from gravitas.params import ModelParams
 from gravitas.semiclassical import (RECORD_EVERY, FeedbackConfig,
                                     _riccati_apply, _riccati_step_matrix,
                                     compare_channels, run_ensemble)
-from oracles import feedback_hamiltonian, stepped_ensemble
+from oracles import feedback_hamiltonian
 
 
 def _cfg(gamma=1.0, axis="separation", g_newton=10.0, d=10.0, meas_length=3.0):
@@ -274,20 +275,40 @@ def test_riccati_apply_stack_matches_repeated_steps():
         sigma = _riccati_apply(theta, sigma)
 
 
-@pytest.mark.parametrize("axis, n_traj, n_steps, horizon, bound", [
-    ("separation", 16, 100, 2.0, 1e-12),      # the CLI digest shape
-    ("transverse", 16, 100, 2.0, 1e-12),
-    ("separation", 500, 2000, 20.0, 1e-12),   # the CLI defaults
-    ("transverse", 500, 2000, 20.0, 1e-12),
-    ("separation", 16, 20000, 20.0, 1e-11),
+class _BlockOrthogonalDraws:
+    """A stand-in for ``stream``'s generator: its k-th (P, 4) draw is
+    sqrt(P) I_4 in rows 4k..4k+3 and zero elsewhere, so z_k^T z_l = P I_4
+    when k = l and 0 otherwise, the expectation of Gaussian draws."""
+
+    def __init__(self, master_seed):
+        self.k = 0
+
+    def standard_normal(self, shape):
+        z = np.zeros(shape)
+        z[4 * self.k:4 * self.k + 4] = math.sqrt(shape[0]) * np.eye(4)
+        self.k += 1
+        return z
+
+
+@pytest.mark.parametrize("axis, n_steps, horizon, bound", [
+    ("separation", 100, 2.0, 1e-12),      # the CLI digest shape
+    ("transverse", 100, 2.0, 1e-12),
+    ("separation", 2000, 20.0, 1e-12),    # the CLI defaults
+    ("transverse", 2000, 20.0, 1e-12),
+    ("separation", 20000, 20.0, 1e-11),
 ])
-def test_ensemble_matches_stepped_filter(axis, n_traj, n_steps, horizon, bound):
-    # stepping one record interval per iteration only reorders the float
-    # operations of the per-step filter: same draws, same estimator
-    fb = cli._feedback(dict(cli.ENSEMBLE), axis)
-    args = (fb, cli._initial(cli.ENSEMBLE), n_traj, n_steps, horizon / n_steps, 7)
-    got, want = run_ensemble(*args), stepped_ensemble(*args)
-    for g, w in ((got.mean, want.mean), (got.cov, want.cov)):
+def test_ensemble_matches_stepped_filter(monkeypatch, axis, n_steps, horizon, bound):
+    # each interval's kick z F has covariance F^T F = B^T B, the sum of the
+    # per-step Kalman kicks carried to the interval's end; with draws whose
+    # second moments are exact (P = 4 pairs per interval) the sampled spread
+    # (2/n_traj) delta^T delta is its expectation, so the whole state is the
+    # per-step Lyapunov recursion Sigma_t + C_t to rounding
+    monkeypatch.setattr(semiclassical, "stream", _BlockOrthogonalDraws)
+    n_traj, dt = 8 * (n_steps // RECORD_EVERY), horizon / n_steps
+    fb, initial = cli._feedback(dict(cli.ENSEMBLE), axis), cli._initial(cli.ENSEMBLE)
+    got = run_ensemble(fb, initial, n_traj, n_steps, dt, 7)
+    means, sigmas, cs = _lyapunov_moments(fb, initial, n_steps, dt)
+    for g, w in ((got.mean, means), (got.cov, sigmas + cs)):
         assert np.max(np.abs(g - w)) <= bound * np.max(np.abs(w))
 
 
@@ -307,7 +328,7 @@ def test_ensemble_rejects_partial_record_interval():
 
 
 def test_ensemble_run_is_prefix_of_longer_run():
-    # the step-major draw is consumed one interval at a time, so a run of N
+    # the draws are consumed one interval at a time, so a run of N
     # steps is bitwise the first N/R + 1 records of a 2N-step run
     cfg, n = _cfg(axis="transverse"), 30 * RECORD_EVERY
     short = run_ensemble(cfg, _initial(), 12, n, 0.01, 7)
@@ -317,8 +338,10 @@ def test_ensemble_run_is_prefix_of_longer_run():
 
 
 def test_ensemble_memory_does_not_grow_with_steps():
-    # the traced peak stays within a few (2R, n_traj/2) blocks of draws at
-    # any n_steps; the whole draw at 2,000 steps would be 100 blocks
+    # the traced peak stays within two (2R, n_traj/2) blocks at any n_steps:
+    # each interval draws only (n_traj/2, 4) normals, a fifth of a block, and
+    # drawing all 2R innovations of an interval would exceed the bound; the
+    # whole draw at 2,000 steps would be 100 blocks
     cfg, n_traj = _cfg(), 2000
     block = 2 * RECORD_EVERY * (n_traj // 2) * 8
     run_ensemble(cfg, _initial(), n_traj, RECORD_EVERY, 0.01, 3)   # warm-up
@@ -329,7 +352,17 @@ def test_ensemble_memory_does_not_grow_with_steps():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * block
+        assert peak <= 2 * block
+
+
+def test_ensemble_survives_a_vanishing_measurement_rate():
+    # at gamma = 1e-300 the kick covariance B^T B is about 1e-301, and in
+    # this run (the CLI's `semiclassical --gamma 1e-300 --n-traj 4 --n-steps
+    # 100000 --horizon 20`) too ill-conditioned for a Cholesky factor, which
+    # raises LinAlgError; B's QR factor never forms B^T B
+    cfg = replace(cli._feedback(dict(cli.ENSEMBLE), "transverse"), gamma=1e-300)
+    ens = run_ensemble(cfg, cli._initial(cli.ENSEMBLE), 4, 100_000, 2e-4, 7)
+    assert np.all(np.isfinite(ens.mean)) and np.all(np.isfinite(ens.cov))
 
 
 def test_compare_channels_headline():
@@ -364,17 +397,25 @@ def test_feedback_mean_is_the_unitary_mean(axis):
 def test_compare_channels_runs_one_ensemble(monkeypatch):
     # the separation axis needs only the noise-free mean path: one ensemble,
     # on the transverse axis, whose states are returned as they are, and the
-    # same means a separation run would give
-    cfg, calls = _cfg(), []
+    # same means a separation run would give; one grid per axis, the
+    # transverse one shared by both channels
+    cfg, calls, grids = _cfg(), [], []
+    feedback_covs = semiclassical._feedback_covs
 
     def counted(fb, *args, **kwargs):
         calls.append(fb.axis)
-        return run_ensemble(fb, *args, **kwargs)
+        return feedback_covs(fb, *args, **kwargs)
 
-    monkeypatch.setattr(semiclassical, "run_ensemble", counted)
+    def counted_grid(*args, **kwargs):
+        grids.append(args[1])
+        return evolve_gaussian_grid(*args, **kwargs)
+
+    monkeypatch.setattr(semiclassical, "_feedback_covs", counted)
+    monkeypatch.setattr(semiclassical, "evolve_gaussian_grid", counted_grid)
     _, feedback, sep = compare_channels(cfg, _initial(), horizon=2.0,
                                         n_steps=200, n_traj=8, master_seed=5)
     assert calls == ["transverse"]
+    assert len(grids) == 2
     ens = run_ensemble(cfg, _initial(), 8, 200, 0.01, master_seed=5)
     assert np.array_equal(sep, ens.mean)
     ens_t = run_ensemble(_cfg(axis="transverse"), _initial(), 8, 200, 0.01,
