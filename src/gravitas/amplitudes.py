@@ -2,7 +2,11 @@
 
 Every amplitude is a Lorentz-invariant function of external momenta built
 from propagator factors 1/(x - i eps), and is returned as a plain complex
-number, or a complex array for a batch of configurations. Overall phases
+number, or a complex array for a batch of configurations. The tree and
+emission kernels take the Lorentz invariants, the real denominators; the
+``KinematicConfig`` routes compute those from four-vectors and import numpy
+and ``gravitas.kinematics`` only when called, so the optical-tree check,
+which has the invariants in closed form, loads neither. Overall phases
 follow the convention in which the bootstrapped elastic amplitude is
 
     M_newton(t) = -16 pi G m^4 / (-t + mu^2),
@@ -15,12 +19,15 @@ in ``tests/oracles.py``, where the tests hold them to the paper.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ConfigShapeError, SpectatorMismatchError
-from .kinematics import KinematicConfig, minkowski_dot
 from .params import ModelParams
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .kinematics import KinematicConfig
 
 SPECTATOR_TOL = 1e-9  # relative, on equal spectator momenta in emission
 
@@ -55,6 +62,10 @@ def tree_denominators(cfg: KinematicConfig, params: ModelParams) -> tuple:
     with ktil = p1' - (p1 + k): Python floats for one configuration, arrays
     over the batch axes of a batched one.
     """
+    import numpy as np
+
+    from .kinematics import minkowski_dot
+
     _check_legs(cfg, (0.0, params.m, params.m, 0.0, params.m, params.m))
     inc, out = cfg.incoming, cfg.outgoing
     k, p1 = inc[..., 0, :], inc[..., 1, :]
@@ -66,13 +77,12 @@ def tree_denominators(cfg: KinematicConfig, params: ModelParams) -> tuple:
     return a2 + params.m**2, ktil2 + params.mu**2, b2 + params.m**2
 
 
-def m_3to3_tree(cfg: KinematicConfig, params: ModelParams) -> complex | np.ndarray:
-    """Probe-Newton-probe tree amplitude, one value per configuration of a batch.
+def tree_amplitude(d1, d2, d3, params: ModelParams):
+    """Probe-Newton-probe tree amplitude from its three real denominators,
+    Python floats or arrays of one shape:
 
-    M = [lam/((p1+k)^2+m^2-i eps)] [G m^4/(ktil^2+mu^2-i eps)]
-        [lam/((p2'+k')^2+m^2-i eps)].
+    M = [lam/(d1 - i eps)] [G m^4/(d2 - i eps)] [lam/(d3 - i eps)].
     """
-    d1, d2, d3 = tree_denominators(cfg, params)
     eps = params.eps_abs
     lam = params.lambda_probe
     return (lam * feynman_propagator(d1, eps)
@@ -80,19 +90,35 @@ def m_3to3_tree(cfg: KinematicConfig, params: ModelParams) -> complex | np.ndarr
             * lam * feynman_propagator(d3, eps))
 
 
+def m_3to3_tree(cfg: KinematicConfig, params: ModelParams) -> complex | np.ndarray:
+    """:func:`tree_amplitude` of a configuration, one value per configuration
+    of a batch: d1 = (p1+k)^2 + m^2, d2 = ktil^2 + mu^2, d3 = (p2'+k')^2 + m^2."""
+    return tree_amplitude(*tree_denominators(cfg, params), params)
+
+
 # ---------------------------------------------------------------------------
 # graviton emission
 # ---------------------------------------------------------------------------
 
+def emission_amplitude(d1: float, params: ModelParams) -> complex:
+    """Connected factor sqrt(G) m^2 lam / (d1 - i eps) of the emission of a
+    mediator quantum off the probe-struck mass, d1 = (p1+k)^2 + m^2."""
+    return (math.sqrt(params.g_newton) * params.m**2 * params.lambda_probe
+            * feynman_propagator(d1, params.eps_abs))
+
+
 def m_graviton_emission(cfg: KinematicConfig, params: ModelParams) -> complex:
-    """Emission of a mediator quantum off the probe-struck mass.
+    """:func:`emission_amplitude` of a configuration.
 
     Legs (k, p1, p2) -> (kg, p1', p2') of one configuration, not a batch, kg
-    the radiated quantum of mass mu. Returns the connected factor
-    sqrt(G) m^2 lam / ((p1+k)^2 + m^2 - i eps). The spectator's factor
+    the radiated quantum of mass mu. The spectator's factor
     delta^3(p2' - p2) 2 E (2 pi)^3 stays symbolic; when p2' differs from p2
     it has no support and ``SpectatorMismatchError`` is raised.
     """
+    import numpy as np
+
+    from .kinematics import minkowski_dot
+
     if cfg.incoming.ndim != 2:
         raise ConfigShapeError("emission takes one configuration, got a batch "
                                f"of shape {cfg.incoming.shape[:-2]}")
@@ -104,6 +130,4 @@ def m_graviton_emission(cfg: KinematicConfig, params: ModelParams) -> complex:
         raise SpectatorMismatchError(
             "spectator momenta differ: disconnected delta vanishes")
     a = p1 + k
-    d1 = minkowski_dot(a, a) + m**2
-    return (math.sqrt(params.g_newton) * m**2 * params.lambda_probe
-            * feynman_propagator(d1, params.eps_abs))
+    return emission_amplitude(minkowski_dot(a, a) + m**2, params)

@@ -27,12 +27,15 @@ value, config file or seed), before any file is written. The
 ``ArithmeticError`` is a ``NumericalCheckError``, raised too for a nan or
 inf in the run's data, or a floating-point failure. A command that computes
 with numpy runs under ``np.errstate``, which raises numpy's overflow,
-division by zero and invalid operation. ``deflection`` computes with Python
-floats alone: it relies on Python's own ``OverflowError`` and
-``ZeroDivisionError`` and on the check of its data for an inf.
+division by zero and invalid operation. ``deflection`` and ``optical-tree``
+compute with Python floats and the ``math`` module alone: they rely on
+Python's own ``OverflowError`` and ``ZeroDivisionError`` and on the check
+of their data for a nan or inf.
 
 Each run imports the library modules it calls when it starts, so neither
-``import gravitas.cli`` nor a ``deflection`` run loads numpy or ``dataclasses``.
+``import gravitas.cli`` nor a ``deflection`` or ``optical-tree`` run loads
+numpy, and neither ``import gravitas.cli`` nor a ``deflection`` run loads
+``dataclasses``.
 """
 
 from __future__ import annotations
@@ -250,7 +253,7 @@ def _numpy_errors_raise(run: Callable[[dict], tuple]) -> Callable[[dict], tuple]
 
 
 def _check_optical_tree(cfg: dict) -> None:
-    from .unitarity import TreePoleFamily, max_smallest_eps
+    from .optical import TreePoleFamily, max_smallest_eps
 
     if cfg["lambda_probe"] == 0.0:
         raise ConfigError("--lambda must be nonzero: both sides of the optical "
@@ -281,18 +284,15 @@ def _check_two_samples(cfg: dict) -> None:
         raise ConfigError(f"--n-samples must be >= 2 for an error bar, got {cfg['n_samples']}")
 
 
-@_numpy_errors_raise
 def _optical_tree(cfg: dict):
-    from dataclasses import asdict
-
-    from .unitarity import TreePoleFamily, optical_tree_check
+    from .optical import TreePoleFamily, optical_tree_check
 
     params = _params(cfg)
     report = optical_tree_check(TreePoleFamily(params), None, params,
                                 eps_ladder=cfg["eps_ladder"])
     ok = abs(report.ratio_restored - 1.0) <= cfg["tolerance"]
     where = "within" if ok else "outside (tolerance unachievable at these settings?)"
-    return (asdict(report), {"ratio_restored_within_tolerance": ok},
+    return (report._asdict(), {"ratio_restored_within_tolerance": ok},
             f"ratio_restored = {report.ratio_restored:.6f}, {where} "
             f"1 +/- {cfg['tolerance']}")
 
@@ -527,9 +527,9 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 def _nonfinite(value) -> tuple[tuple, object] | None:
     """(key path, value) of the first nan or +/-inf float in a run's data, or
     None. A numpy command runs under ``np.errstate``, but that does not reach
-    worker threads, and ``deflection`` runs on Python floats alone, whose
-    multiplication and division overflow to inf without raising; so the data
-    is checked."""
+    worker threads, and ``deflection`` and ``optical-tree`` run on Python
+    floats alone, whose multiplication and division overflow to inf without
+    raising; so the data is checked."""
     if isinstance(value, float):
         return None if math.isfinite(value) else ((), value)
     if not isinstance(value, (dict, list, tuple)):

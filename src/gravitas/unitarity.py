@@ -1,20 +1,12 @@
-"""Numerical optical-theorem checks.
+"""The particle-antiparticle box cut at forward kinematics.
 
-Two regimes:
-
-* the 6-point tree pole: Im M of the probe-Newton-probe amplitude,
-  integrated against a smooth weight over a kinematic path crossing
-  ktil^2 = -mu^2 by nested Clenshaw-Curtis quadrature in one array pass, against
-  the collapsed graviton-emission final state at the closed-form pole;
-
-* the particle-antiparticle box cut: the Cutkosky imaginary part of the
-  crossed box at forward kinematics, stratified in its importance variable,
-  against the two-mediator annihilation sum, stratified in cos(theta), with
-  the elastic-only cross-section as the mismatched alternative. Neither
-  forward integrand depends on the azimuth: each side draws one variable.
-
-LHS and RHS of every check are computed by code paths that share no
-integrand evaluation and carry provenance tags saying so.
+The Cutkosky imaginary part of the crossed box, stratified in its
+importance variable, against the two-mediator annihilation sum, stratified
+in cos(theta), with the elastic-only cross-section as the mismatched
+alternative. Neither forward integrand depends on the azimuth: each side
+draws one variable. The two sides are computed by code paths that share
+no integrand evaluation. The tree-level check at the mediator pole is in
+``gravitas.optical``.
 """
 
 from __future__ import annotations
@@ -25,245 +17,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .amplitudes import m_3to3_tree, m_graviton_emission
 from .errors import BelowThresholdError
-from .kinematics import (FourVector, KinematicConfig, cm_momentum,
-                         minkowski_dot, on_shell)
+from .kinematics import cm_momentum
+# the benchmark's layer probes import these two names from here; the
+# re-export goes when ROADMAP item 1a drops the probe's CountingFamily
+from .optical import TreePoleFamily, optical_tree_check  # noqa: F401
 from .params import N_STRATA, ModelParams
-
-LHS_TAG = "lhs:im-m3to3-tree/quadrature"
-RHS_TAG = "rhs:graviton-emission-product/closed-form-pole"
-
-
-# ---------------------------------------------------------------------------
-# canonical kinematic path for the tree-level check
-# ---------------------------------------------------------------------------
-
-# TreePoleFamily geometry, in units of m: the p_z of the outgoing p1' and of p2
-Q_OUT = 0.4
-SPECTATOR_PZ = 0.6
-
-
-@dataclass(frozen=True)
-class TreePoleFamily:
-    """One-parameter family of 3->3 configurations crossing the mediator pole.
-
-    The path parameter omega is the incoming photon energy. Mass 1 sits at
-    rest and absorbs the photon (along +z); its outgoing momentum is fixed
-    at Q_OUT * m along +z, so ktil^2 = (p1' - p1 - k)^2 is exactly linear in
-    omega and sweeps through -mu^2. The spectator p2 moves along +z with
-    SPECTATOR_PZ * m. The second photon and outgoing spectator are built by
-    a deterministic two-body split of the remaining total t2 = k + p1 + p2 - p1',
-    so every member conserves momentum and is fully on shell. The geometry
-    scales with m, so a dimensionless result depends on mu / m, not on the
-    mass scale.
-
-    Every omega > 0 is physical, and ``config`` needs nothing more:
-    t2_e - t2_z = c = m (0.8 + sqrt(1.36) - sqrt(1.16)) ~ 0.889 m does not
-    depend on omega, t2_e = omega + m (1 + sqrt(1.36) - sqrt(1.16)) > 0, and
-    with 2 t2_z = 2 omega + 2 (SPECTATOR_PZ - Q_OUT) m = 2 omega + 0.4 m,
-    s2 = c (2 omega + c + 0.4 m) > c (c + 0.4 m) ~ 1.146 m^2 > m^2.
-    """
-
-    params: ModelParams
-
-    def config(self, omega: float | np.ndarray) -> KinematicConfig:
-        """The member at photon energy ``omega``; an array of energies gives
-        a batched configuration with the same leading axes."""
-        m = self.params.m
-        w = np.asarray(omega, dtype=float)
-        zhat = np.array([1.0, 0.0, 0.0, 1.0])
-        p1 = FourVector(m, 0.0, 0.0, 0.0)
-        p2 = on_shell(m, (0.0, 0.0, SPECTATOR_PZ * m))
-        k = w[..., None] * zhat
-        p1p = on_shell(m, (0.0, 0.0, Q_OUT * m))
-        t2 = k + p1 + p2 - p1p
-        s2 = -minkowski_dot(t2, t2)
-        # deterministic split t2 -> photon (massless, +z in the t2 frame) + mass m;
-        # t2 points along z, so the boost to the lab scales the photon by
-        # gamma (1 + beta) = (E + pz) / sqrt(s2)
-        kmag = cm_momentum(s2, 0.0, m)
-        kp = (kmag * (t2[..., 0] + t2[..., 3]) / np.sqrt(s2))[..., None] * zhat
-        legs = np.empty(w.shape + (6, 4))
-        for i, p in enumerate((k, p1, p2, kp, p1p, t2 - kp)):
-            legs[..., i, :] = p
-        return KinematicConfig(legs[..., :3, :], legs[..., 3:, :],
-                               (0.0, m, m, 0.0, m, m))
-
-    def pole(self) -> tuple[float, float]:
-        """(omega*, |d(ktil^2)/d omega|), both exact: ktil^2 + mu^2 is linear
-        in omega, with slope 2 m (sqrt(1 + Q_OUT^2) - Q_OUT - 1) < 0."""
-        m, mu = self.params.m, self.params.mu
-        q = Q_OUT * m
-        ep = math.hypot(m, q)
-        slope = 2.0 * (ep - q - m)       # d(ktil^2)/d omega
-        return (2.0 * m * (ep - m) + mu * mu) / (-slope), -slope
-
-    def omega_window(self) -> tuple[float, float]:
-        """Bracket [lo, hi] known to contain the pole crossing."""
-        omega_star, _ = self.pole()
-        return 0.2 * omega_star, 3.0 * omega_star
-
-
-def bump_weight(center: float, width: float) -> Callable:
-    """Smooth compactly supported bump on (center - width, center + width),
-    elementwise on arrays; a float argument gives a float."""
-    def w(x):
-        u = (np.asarray(x, dtype=float) - center) / width
-        inside = np.abs(u) < 1.0
-        out = np.where(inside, np.exp(-1.0 / np.where(inside, 1.0 - u * u, 1.0)), 0.0)
-        return float(out) if out.ndim == 0 else out
-    return w
-
-
-# ---------------------------------------------------------------------------
-# tree-level optical theorem
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OpticalReport:
-    lhs: float
-    rhs_with_gravitons: float
-    eps_ladder: tuple[tuple[float, float], ...]
-    lhs_quadrature_error: tuple[float, ...]   # |I_513 - I_257|, nested Clenshaw-Curtis
-    extrapolated_lhs: float
-    ratio_restored: float
-    lhs_provenance: str = LHS_TAG
-    rhs_provenance: str = RHS_TAG
-
-
-# half-width of the default bump and of the pole cell, omega* +/- Delta, in
-# units of sqrt(eps) m^2 / |slope|: 1/sqrt(eps) Lorentzian half-widths eps m^2 / |slope|
-POLE_CELL_WIDTHS = 10.0
-# nested Clenshaw-Curtis: N_NODES + 1 nodes per panel, the coarse rule on every other
-N_NODES = 512
-
-
-def clenshaw_curtis_weights(n: int) -> np.ndarray:
-    """Weights of the (n + 1)-point Clenshaw-Curtis rule on [-1, 1], nodes
-    cos(pi k / n) for k = 0..n and n even: the cosine sum over 1 / (1 - 4 j^2)
-    of Trefethen, SIAM Rev. 50 (2008), evaluated by one real FFT."""
-    j = np.arange(n)
-    d = 1.0 / (1.0 - 4.0 * np.minimum(j, n - j) ** 2)
-    d[0] = 0.0
-    w = 2.0 / n * (1.0 + np.fft.rfft(d).real)
-    w = np.concatenate([w, w[-2::-1]])
-    w[[0, -1]] *= 0.5
-    return w
-
-
-def max_smallest_eps(family: TreePoleFamily, params: ModelParams) -> float:
-    """Bound (exclusive) on the smallest ladder epsilon of the default bump:
-    at and above it the pole cell reaches omega <= 0, where no photon is."""
-    omega_star, slope = family.pole()
-    return (omega_star * slope / (POLE_CELL_WIDTHS * params.m**2)) ** 2
-
-
-def optical_tree_check(
-    family: TreePoleFamily,
-    weight_fn: Callable | None,
-    params: ModelParams,
-    eps_ladder: Sequence[float] = (1e-2, 1e-3, 1e-4),
-) -> OpticalReport:
-    """Integrated Im M against the collapsed emission-state sum.
-
-    LHS: integral of weight * Im[m_3to3_tree] along the path, once per
-    epsilon in the ladder (relative epsilons, scaled by m^2),
-    extrapolated linearly from the two smallest. The integral runs over the
-    support of the default bump, or over the whole window [lo, hi] for a
-    user ``weight_fn``. On the pole cell, omega* +/- Delta (Delta the
-    half-width of the default bump) clipped to that support, the nodes are
-    uniform in theta, omega = omega* + (eps/slope) tan(theta), which
-    flattens the Lorentzian; the support outside the cell gets plain panels.
-    Every panel takes the ``N_NODES`` + 1 nested Clenshaw-Curtis nodes, ends
-    included, for every epsilon in one batched ``family.config`` call: I_513
-    uses them all, I_257 every other one. |I_513 - I_257| is a conservative
-    estimate of I_513's quadrature error: it exceeds the distance to an
-    adaptive reference at every ladder entry of
-    ``test_optical_tree_quadrature_error_bounds_the_true_error``. The ladder
-    needs at least two entries, all distinct, and with the default bump a
-    smallest entry below :func:`max_smallest_eps`; nothing here checks either.
-
-    RHS: pi * (emission amplitude) * (emission amplitude)* * weight at the
-    pole / |d(ktil^2)/d omega|, with the pole and the slope in closed form
-    from :meth:`TreePoleFamily.pole`. The disconnected spectator factors
-    2E (2 pi)^3 cancel against the final-state phase-space normalization
-    exactly once and never appear numerically.
-
-    No sign test re-checks the pole: ktil^2 + mu^2 is linear in omega with
-    a negative slope and its root at omega*, and the radiated quantum
-    k + p1 - p1' has energy ((E - m)(E - q) + mu^2/2) / (q + m - E) > 0
-    there, with q = Q_OUT * m and E = sqrt(m^2 + q^2).
-
-    Every length in omega (the pole, the cell half-width
-    POLE_CELL_WIDTHS sqrt(eps) m^2 / |slope|, the window) is m times a
-    number, so ``ratio_restored`` depends on mu / m and the ladder only,
-    not on the mass scale.
-
-    ``weight_fn`` maps omega (a float or an array, elementwise) to weights.
-    """
-    epss = sorted(eps_ladder, reverse=True)
-    omega_star, slope = family.pole()
-    scale = params.m**2
-    # below max_smallest_eps, half < omega* in floating point too: the ends are nodes
-    half = omega_star * math.sqrt(min(epss) / max_smallest_eps(family, params))
-    if weight_fn is None:
-        weight_fn = bump_weight(omega_star, half)
-        support = (omega_star - half, omega_star + half)
-    else:
-        support = family.omega_window()
-    cell = (max(support[0], omega_star - half), min(support[1], omega_star + half))
-    panels = [(a, b) for a, b in ((support[0], cell[0]), (cell[1], support[1])) if b > a]
-
-    # one row of (omega, d omega / dx) per ladder entry: the pole cell, then
-    # each panel, on the nodes x; the rows of w are the fine and coarse weights
-    x = np.cos(np.pi * np.arange(N_NODES + 1) / N_NODES)
-    w = np.zeros((2, N_NODES + 1))
-    w[0], w[1, ::2] = clenshaw_curtis_weights(N_NODES), clenshaw_curtis_weights(N_NODES // 2)
-    rows = []
-    for eps_rel in epss:
-        c = eps_rel * scale / slope
-        th_a, th_b = (math.atan((end - omega_star) / c) for end in cell)
-        t = np.tan(0.5 * (th_a + th_b) + 0.5 * (th_b - th_a) * x)
-        parts = [(omega_star + c * t, 0.5 * (th_b - th_a) * c * (1.0 + t * t))]
-        parts += [(0.5 * (a + b) + 0.5 * (b - a) * x, np.full_like(x, 0.5 * (b - a)))
-                  for a, b in panels]
-        rows.append([np.concatenate(z) for z in zip(*parts)])
-    omega, jac = (np.array(z) for z in zip(*rows))
-    omega = np.clip(omega, *support)  # the ends are nodes: no rounding past them
-    cfg = family.config(omega)
-    f = jac * weight_fn(omega)
-    ladder, quad_err = [], []
-    for i, eps_rel in enumerate(epss):
-        amp = m_3to3_tree(KinematicConfig(cfg.incoming[i], cfg.outgoing[i], cfg.masses),
-                          params._replace(eps_rel=eps_rel))
-        fine, coarse = w @ (f[i] * amp.imag).reshape(-1, N_NODES + 1).sum(axis=0)
-        ladder.append((eps_rel, float(fine)))
-        quad_err.append(abs(float(fine - coarse)))
-
-    (e1, l1), (e2, l2) = ladder[-2], ladder[-1]
-    extrapolated = l2 + (l2 - l1) * e2 / (e1 - e2)
-
-    # RHS through the emission amplitudes (independent code path)
-    cfg_pole = family.config(omega_star)
-    k, p1, p2 = cfg_pole.incoming
-    kp, p1p, p2p = cfg_pole.outgoing
-    ktil_out = k + p1 - p1p  # radiated quantum
-    masses = (0.0, params.m, params.m, params.mu, params.m, params.m)
-    a1 = m_graviton_emission(
-        KinematicConfig((k, p1, p2), (ktil_out, p1p, p2), masses), params)
-    a2 = m_graviton_emission(
-        KinematicConfig((kp, p2p, p1p), (ktil_out, p2, p1p), masses), params)
-    rhs = float(math.pi * (a1 * np.conj(a2)).real * weight_fn(omega_star) / slope)
-
-    return OpticalReport(
-        lhs=ladder[-1][1],
-        rhs_with_gravitons=rhs,
-        eps_ladder=tuple(ladder),
-        lhs_quadrature_error=tuple(quad_err),
-        extrapolated_lhs=extrapolated,
-        ratio_restored=extrapolated / rhs if rhs != 0.0 else math.inf,
-    )
 
 
 # ---------------------------------------------------------------------------

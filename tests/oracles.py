@@ -1,6 +1,7 @@
 """The paper's 2->2 derivation, which no runtime path reads, its kinematics,
-the numerical reference for the closed-form tree-level pole, and the
-quadratized Hamiltonian of a measurement-feedback configuration.
+the numerical references for the closed-form tree-level pole, its emission
+amplitudes and its quadrature weights, and the quadratized Hamiltonian of a
+measurement-feedback configuration.
 
 The bootstrapped elastic amplitude M_newton(t) = -16 pi G m^4 / (-t + mu^2)
 fixes the phase convention of ``gravitas.amplitudes``; the spin-2 and spin-0
@@ -191,6 +192,35 @@ def ktil2_plus_mu2(family, omega):
     the brentq and finite-difference reference for ``family.pole()``."""
     _, d2, _ = tree_denominators(family.config(omega), family.params)
     return d2
+
+
+def emission_configs(family):
+    """The two emission configurations of the optical check's right-hand
+    side, from the configuration built at the pole: (k, p1, p2) ->
+    (ktil, p1', p2), whose connected factor carries d1, and (k', p2', p1')
+    -> (ktil, p2, p1'), whose factor carries d3, ktil = k + p1 - p1' the
+    radiated quantum, on shell at mass mu there."""
+    cfg = family.config(family.pole()[0])
+    k, p1, p2 = cfg.incoming
+    kp, p1p, p2p = cfg.outgoing
+    ktil = k + p1 - p1p
+    m, mu = family.params.m, family.params.mu
+    masses = (0.0, m, m, mu, m, m)
+    return (KinematicConfig((k, p1, p2), (ktil, p1p, p2), masses),
+            KinematicConfig((kp, p2p, p1p), (ktil, p2, p1p), masses))
+
+
+def clenshaw_curtis_weights(n):
+    """Weights of the (n + 1)-point Clenshaw-Curtis rule on [-1, 1], nodes
+    cos(pi k / n) for k = 0..n and n even: the cosine sum over 1 / (1 - 4 j^2)
+    of Trefethen, SIAM Rev. 50 (2008), evaluated by numpy's real FFT."""
+    j = np.arange(n)
+    d = 1.0 / (1.0 - 4.0 * np.minimum(j, n - j) ** 2)
+    d[0] = 0.0
+    w = 2.0 / n * (1.0 + np.fft.rfft(d).real)
+    w = np.concatenate([w, w[-2::-1]])
+    w[[0, -1]] *= 0.5
+    return w
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ from gravitas.amplitudes import (feynman_propagator, m_3to3_tree,
 from gravitas.errors import ConfigShapeError, SpectatorMismatchError
 from gravitas.kinematics import (FourVector, KinematicConfig, boost,
                                  cm_momentum, minkowski_dot, on_shell)
+from gravitas.optical import TreePoleFamily
 from gravitas.params import ModelParams
-from gravitas.unitarity import TreePoleFamily
 from oracles import (METRIC, boosted, elastic_cm_config,
                      graviton_propagator_tensor, ktil2_plus_mu2,
                      m_2to2_newton, m_2to2_spin0,

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import gravitas
-from gravitas import entanglement, unitarity
+from gravitas import entanglement, optical, unitarity
 from gravitas.cli import COMMANDS, FLAGS, build_parser, main
 from gravitas.params import ModelParams
 
@@ -100,8 +100,8 @@ def test_optical_tree_cell_ends_at_the_largest_accepted_eps(tmp_path, m, mu):
     # the pole cell's ends are quadrature nodes; at the largest smallest-eps
     # the check accepts, the low end lies just above zero photon energy
     params = ModelParams(g_newton=1.0, m=m, mu=mu)
-    eps = math.nextafter(unitarity.max_smallest_eps(unitarity.TreePoleFamily(params),
-                                                    params), 0.0)
+    eps = math.nextafter(optical.max_smallest_eps(optical.TreePoleFamily(params),
+                                                  params), 0.0)
     out = tmp_path / "ot.json"
     assert main(["optical-tree", "--m", repr(m), "--mu", repr(mu), "--eps-ladder",
                  "1e-2", repr(eps), "--out", str(out)]) == 0
@@ -513,9 +513,9 @@ def test_box_cut_gate_fails_when_no_point_is_gated(tmp_path, capsys, flag):
 def test_optical_tree_bad_ladder_exits_2_naming_the_flag(tmp_path, capsys,
                                                          monkeypatch, ladder, says):
     def never(self, omega):
-        raise AssertionError("built a configuration before checking the ladder")
+        raise AssertionError("evaluated a node before checking the ladder")
 
-    monkeypatch.setattr(unitarity.TreePoleFamily, "config", never)
+    monkeypatch.setattr(optical.TreePoleFamily, "denominators", never)
     out = tmp_path / "ot.json"
     assert main(["optical-tree", "--eps-ladder", *ladder, "--out", str(out)]) == 2
     assert list(tmp_path.iterdir()) == []
@@ -595,12 +595,14 @@ def test_arithmetic_failure_exits_1_without_traceback(tmp_path, capsys, case):
 # modules that a fresh interpreter must not have loaded after each step: the
 # command-line module imports neither numpy nor dataclasses (nor inspect,
 # which dataclasses imports), the arithmetic-only deflection estimate runs
-# without them and writes no CSV, and a numpy command loads only the library
-# modules it runs
+# without them and writes no CSV, the optical-tree check runs on the math
+# module without numpy or four-vectors, and a numpy command loads only the
+# library modules it runs
 COLD_START = {
     "import": (None, ["numpy", "scipy", "dataclasses", "inspect"]),
     "deflection": (["deflection"], ["numpy", "dataclasses", "inspect", "csv"]),
-    "optical-tree": (["optical-tree"], ["gravitas.entanglement",
+    "optical-tree": (["optical-tree"], ["numpy", "gravitas.kinematics", "csv",
+                                        "gravitas.entanglement",
                                         "gravitas.semiclassical",
                                         "gravitas.estimators"]),
     "entangle": (["entangle", "--n-grid", "4"], ["gravitas.unitarity",

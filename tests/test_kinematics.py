@@ -14,8 +14,8 @@ from gravitas.kinematics import (FourVector, KinematicConfig,
                                  check_invariant_measure_identity,
                                  cm_momentum, minkowski_dot, on_shell, stream,
                                  two_body_batch)
+from gravitas.optical import Q_OUT, TreePoleFamily
 from gravitas.params import ModelParams
-from gravitas.unitarity import Q_OUT, TreePoleFamily
 from oracles import boosted, elastic_cm_config, mandelstam
 
 momenta3 = st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3)

@@ -28,6 +28,8 @@ REASONS = {
 ALLOWED = {
     ("kinematics", "two_body_batch"): "bench-probe",
     ("entanglement", "evolve_gaussian"): "bench-probe",
+    ("amplitudes", "m_3to3_tree"): "bench-probe",
+    ("amplitudes", "m_graviton_emission"): "bench-probe",
 }
 
 

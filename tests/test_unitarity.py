@@ -5,17 +5,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from gravitas.amplitudes import (emission_amplitude, m_3to3_tree,
+                                 m_graviton_emission, tree_denominators)
 from gravitas.errors import BelowThresholdError, ConfigShapeError
 from gravitas.kinematics import cm_momentum, minkowski_dot, stream
+from gravitas.optical import (LHS_TAG, N_NODES, POLE_CELL_WIDTHS, Q_OUT, RHS_TAG,
+                              SPECTATOR_PZ, TreePoleFamily, bump_weight,
+                              clenshaw_curtis_weights, max_smallest_eps,
+                              optical_tree_check)
 from gravitas.params import N_STRATA, ModelParams
-from gravitas.amplitudes import m_3to3_tree
-from gravitas.unitarity import (LHS_TAG, N_NODES, POLE_CELL_WIDTHS, Q_OUT, RHS_TAG,
-                                SPECTATOR_PZ, TreePoleFamily, annihilation_rhs,
-                                box_cut_im_forward, bump_weight,
-                                clenshaw_curtis_weights, elastic_only_rhs,
-                                max_smallest_eps, optical_tree_check,
-                                unitarity_violation_scan)
-from oracles import ktil2_plus_mu2
+from gravitas.unitarity import (annihilation_rhs, box_cut_im_forward,
+                                elastic_only_rhs, unitarity_violation_scan)
+from oracles import clenshaw_curtis_weights as numpy_fft_weights
+from oracles import emission_configs, ktil2_plus_mu2
 
 
 # ---------------------------------------------------------------------------
@@ -138,32 +140,66 @@ def test_tree_family_is_physical_for_every_positive_omega():
         np.testing.assert_allclose(s2, c * (2.0 * omega + c + b), rtol=1e-9)
 
 
-def _record_configs(monkeypatch):
-    """The omega arguments of every ``TreePoleFamily.config`` call from now on."""
-    seen, build = [], TreePoleFamily.config
+# (m, mu) of the default run and of the --m 100, --m 100 --mu 5 and
+# --m 1e-6 --mu 5e-8 runs
+RUN_MASSES = [(1.0, 0.05), (100.0, 0.05), (100.0, 5.0), (1e-6, 5e-8)]
+
+
+@pytest.mark.parametrize("m, mu", RUN_MASSES)
+def test_closed_form_denominators_match_the_four_vector_build(m, mu):
+    # both sides of the optical check take their denominators from the
+    # closed form, so an error in d1 or d3 moves them alike and no ratio
+    # gate sees it (a doubled c in d3 leaves the ratio within 1.5e-6): the
+    # closed form is held here to the four-vector build, on omega*, both
+    # ends of the default pole cell and a grid over the window. d2 vanishes
+    # at omega*, so it is held to the size of its terms, m^2. The build
+    # itself is off by up to 7e-15 in d3 at the window's low end
+    params = ModelParams(g_newton=1.0, m=m, mu=mu)
+    fam = TreePoleFamily(params)
+    omega_star, slope = fam.pole()
+    half = POLE_CELL_WIDTHS * math.sqrt(1e-4) * m**2 / slope
+    grid = [omega_star, omega_star - half, omega_star + half,
+            *np.linspace(*fam.omega_window(), 21)]
+    for omega in grid:
+        d1, d2, d3 = fam.denominators(omega)
+        r1, r2, r3 = tree_denominators(fam.config(omega), params)
+        assert d1 == pytest.approx(r1, rel=1e-14, abs=0.0)
+        assert d2 == pytest.approx(r2, rel=0.0, abs=1e-14 * m * m)
+        assert d3 == pytest.approx(r3, rel=1e-14, abs=0.0)
+    d1, _, d3 = fam.denominators(omega_star)
+    for d, cfg in zip((d1, d3), emission_configs(fam)):
+        assert emission_amplitude(d, params) == pytest.approx(
+            m_graviton_emission(cfg, params), rel=1e-14, abs=0.0)
+
+
+def _record_nodes(monkeypatch):
+    """The omega arguments of every ``TreePoleFamily.denominators`` call from now on."""
+    seen, closed_form = [], TreePoleFamily.denominators
 
     def recording(self, omega):
-        seen.append(np.asarray(omega))
-        return build(self, omega)
+        seen.append(omega)
+        return closed_form(self, omega)
 
-    monkeypatch.setattr(TreePoleFamily, "config", recording)
+    monkeypatch.setattr(TreePoleFamily, "denominators", recording)
     return seen
 
 
 def test_user_weight_over_the_whole_window_builds_every_node(monkeypatch):
     # a user weight integrates over all of omega_window(), whose low end
     # is 0.2 omega*; every node there is a physical configuration
-    seen = _record_configs(monkeypatch)
+    seen = _record_nodes(monkeypatch)
     for m, mu_over_m in SCALES:
         fam, params = _family(m, mu_over_m)
         lo, hi = fam.omega_window()
         seen.clear()
         rep = optical_tree_check(fam, lambda w: 1.0 / (1.0 + (w / m) ** 2), params)
-        nodes = seen[0]
-        assert nodes.min() >= lo and nodes.max() <= hi
+        nodes, pole = seen[:-1], seen[-1]
+        assert min(nodes) >= lo and max(nodes) <= hi
         # N_NODES + 1 nested Clenshaw-Curtis nodes on the pole cell and on
-        # each panel, shared by the fine and the coarse rule
-        assert nodes.shape == (3, 3 * (N_NODES + 1))
+        # each panel, shared by the fine and the coarse rule, per ladder entry
+        assert len(nodes) == 3 * 3 * (N_NODES + 1)
+        assert pole == fam.pole()[0]
+        fam.config(np.array(nodes))  # on shell and conserving at every node
         assert rep.ratio_restored == pytest.approx(1.0, abs=1e-4)
 
 
@@ -186,16 +222,15 @@ def test_optical_tree_default_bump_builds_only_its_cell(params, monkeypatch):
     fam = TreePoleFamily(params)
     omega_star, slope = fam.pole()
     half = POLE_CELL_WIDTHS * math.sqrt(1e-4) * params.m**2 / slope
-    seen = _record_configs(monkeypatch)
+    seen = _record_nodes(monkeypatch)
     rep = optical_tree_check(fam, None, params)
-    nodes = seen[0]
-    assert nodes.shape == (3, N_NODES + 1)
+    nodes = np.reshape(seen[:-1], (3, N_NODES + 1))
     # the closed cell: both ends are nodes, where the bump is 0
     lo, hi = omega_star - half, omega_star + half
     assert nodes.min() >= lo * (1 - 1e-15) and nodes.max() <= hi * (1 + 1e-15)
     np.testing.assert_allclose(nodes[:, [-1, 0]], [[lo, hi]] * 3, rtol=1e-15)
-    assert not bump_weight(omega_star, half)(nodes[:, [0, -1]]).any()
-    assert [float(x) for x in seen[1:]] == [omega_star]
+    assert not any(map(bump_weight(omega_star, half), nodes[:, [0, -1]].ravel()))
+    assert seen[-1:] == [omega_star]
     assert rep.ratio_restored == pytest.approx(1.0, abs=0.01)
 
 
@@ -237,7 +272,7 @@ def test_optical_tree_user_weight_coarse_ladder_matches_quad(params):
 def test_nested_clenshaw_curtis_rules_integrate_polynomials_exactly():
     # the fine rule on the nodes x, the coarse one on its even-indexed nodes
     x = np.cos(np.pi * np.arange(N_NODES + 1) / N_NODES)
-    fine = clenshaw_curtis_weights(N_NODES)
+    fine = np.array(clenshaw_curtis_weights(N_NODES))
     coarse = np.zeros_like(fine)
     coarse[::2] = clenshaw_curtis_weights(N_NODES // 2)
     for rule, degree in ((fine, N_NODES), (coarse, N_NODES // 2)):
@@ -263,6 +298,12 @@ def test_clenshaw_curtis_fft_weights_equal_the_cosine_sum(n):
     explicit = c / n * (1.0 - (b * np.cos(2.0 * np.pi * j * k / n) / (4.0 * j * j - 1.0))
                         .sum(axis=1))
     np.testing.assert_allclose(clenshaw_curtis_weights(n), explicit, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [2, 16, N_NODES // 2, N_NODES])
+def test_clenshaw_curtis_weights_match_numpy_fft(n):
+    np.testing.assert_allclose(clenshaw_curtis_weights(n), numpy_fft_weights(n),
+                               rtol=0.0, atol=1e-16)
 
 
 @pytest.mark.parametrize("weight", ["default-bump", "user"])
@@ -291,15 +332,20 @@ def test_optical_tree_quadrature_error_bounds_the_true_error(params, weight):
         assert abs(value - ref) <= err + 1e-13 * abs(ref), eps_rel
 
 
-def test_max_smallest_eps_is_where_the_pole_cell_reaches_zero(params):
+def test_max_smallest_eps_is_where_the_pole_cell_reaches_zero(params, monkeypatch):
     fam = TreePoleFamily(params)
     eps_max = max_smallest_eps(fam, params)
+    seen = _record_nodes(monkeypatch)
     rep = optical_tree_check(fam, None, params, eps_ladder=(1e-2, 0.99 * eps_max))
     assert rep.ratio_restored == pytest.approx(1.0, abs=0.01)
+    assert min(seen) > 0.0
     # past the bound a node sits at omega <= 0, where the photon leg has no
-    # positive energy
+    # positive energy and no configuration exists
+    seen.clear()
+    optical_tree_check(fam, None, params, eps_ladder=(1e-2, 1.01 * eps_max))
+    assert min(seen) <= 0.0
     with pytest.raises(ConfigShapeError, match="leg 0"):
-        optical_tree_check(fam, None, params, eps_ladder=(1e-2, 1.01 * eps_max))
+        fam.config(min(seen))
 
 
 def test_optical_tree_lambda_rescaling_invariance(params):
