@@ -4,8 +4,10 @@ Each subcommand is one ``Command`` row of the ``COMMANDS`` table: name,
 help, default configuration and ``run(cfg) -> (data, checks, message)``,
 which calls the library directly. A row's default keys are exactly the
 settings it reads; each key has one ``FLAGS`` entry (flag, type, help with
-units, bound or choices), and one loop builds the parser from the table, so
-a subcommand accepts only the flags it reads. One harness, ``_execute``,
+units, bound or choices), and ``build_parser`` builds the parser from the
+table, so a subcommand accepts only the flags it reads. ``main`` builds the
+flags of the invoked subcommand alone; for any other first argument, such
+as ``--help``, it builds every subcommand's. One harness, ``_execute``,
 resolves every setting as flag over the config file's subcommand section
 over its top level over default (the seed over GRAVITAS_SEED below the
 file), checks the bounds, runs, and writes the data file (JSON for a dict,
@@ -581,7 +583,10 @@ def _execute(cmd: Command, args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(name: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand. Given a subcommand ``name``, only that
+    subcommand gets its flags, which is all its command line needs; every
+    subcommand is still listed, so help and error text stay the same."""
     ap = argparse.ArgumentParser(
         prog="gravitas",
         description="Numerical unitarity and entanglement checks for "
@@ -589,6 +594,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
         p = sub.add_parser(cmd.name, help=cmd.help, description=cmd.help)
+        p.set_defaults(cmd=cmd)
+        if name not in (None, cmd.name):
+            continue
         p.add_argument("--config", help="JSON config file (values at top level, "
                        "overridden by those under the subcommand key)")
         for key in cmd.defaults:
@@ -596,12 +604,13 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f.flag or "--" + key.replace("_", "-"), dest=key,
                            type=f.type, nargs=f.nargs, choices=f.choices,
                            help=f.help)
-        p.set_defaults(cmd=cmd)
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    invoked = argv[0] if argv and argv[0] in {c.name for c in COMMANDS} else None
+    args = build_parser(invoked).parse_args(argv)
     try:
         return _execute(args.cmd, args)
     except ArithmeticError as exc:

@@ -19,15 +19,17 @@ the two channels isolates the channel structure:
 The ensemble is one filter state (mean, Sigma, delta): the noise-free mean
 path, the conditional covariance Sigma that every trajectory shares, and
 the deviation delta_j of each opposite-sign trajectory pair j. The filter
-advances one record interval of R = ``RECORD_EVERY`` steps per iteration,
-through the step powers Theta^i and (S^T)^i, i <= R. Over an interval the
-Kalman kicks add to delta_j a Gaussian increment of covariance B^T B, B
-the interval's (2R, 4) kick stack; it is drawn as z_j F, z one (n_traj/2,
-4) standard-normal draw per interval from stream (master_seed, 0), taken
-interval by interval, and F the 4x4 R factor of B's QR decomposition, so
-F^T F = B^T B. The seed drives only the deviations. The drift and the
-Riccati step are exact over dt; only the Kalman kick, at the left point of
-each step, is first order in dt.
+steps record intervals of R = ``RECORD_EVERY`` steps, through the step
+powers Theta^i and (S^T)^i, i <= R. Over an interval the Kalman kicks add
+to delta_j a Gaussian increment of covariance B^T B, B the interval's (2R,
+4) kick stack; it is drawn as z_j F, z one (n_traj/2, 4) standard-normal
+draw per interval from stream (master_seed, 0), taken interval by
+interval, and F the 4x4 R factor of B's QR decomposition, so F^T F = B^T
+B. Sigma, B and F do not depend on the noise, so they are computed for a
+chunk of ``CHUNK`` intervals at once; only the draw and delta's update go
+interval by interval. The seed drives only the deviations. The drift and
+the Riccati step are exact over dt; only the Kalman kick, at the left point
+of each step, is first order in dt.
 
 Both channels return :class:`~gravitas.entanglement.GaussianState` time
 series, from which the caller reads witnesses, times and separations.
@@ -107,15 +109,22 @@ def _guard_steps(cfg: FeedbackConfig, dt: float) -> None:
 # ensembles
 # ---------------------------------------------------------------------------
 
+# Record intervals per stacked call of the filter's noise-free work. One
+# chunk's stacks are most of the filter's working memory, which
+# test_ensemble_memory_does_not_grow_with_steps bounds; 32 exceeds it.
+CHUNK = 16
+
+
 def _feedback_covs(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
                    n_steps: int, dt: float, master_seed: int
-                   ) -> tuple[QuadraticHamiltonian, list[np.ndarray]]:
-    """``run_ensemble``'s quadratized Hamiltonian and its unconditional
-    covariances, one per record; the mean is the caller's to build."""
+                   ) -> tuple[QuadraticHamiltonian, np.ndarray]:
+    """``run_ensemble``'s quadratized Hamiltonian and its (n_records, 4, 4)
+    unconditional covariances; the mean is the caller's to build."""
     _guard_steps(cfg, dt)
     r, pairs = RECORD_EVERY, n_traj // 2
     if n_steps % r:
         raise ValueError(f"n_steps = {n_steps} is not a multiple of {r}")
+    n = n_steps // r
     gain = math.sqrt(8.0 * cfg.k_meas * dt)
     h = quadratize_newton(cfg.d, cfg.params, cfg.masses, axis=cfg.axis)
     blocks = np.kron(np.eye(2), np.ones((2, 2)))   # the two per-mass blocks
@@ -123,15 +132,20 @@ def _feedback_covs(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
     st_pows = _powers(symplectic_propagator(h, dt)[0].T, r)
     rng = stream(master_seed)
 
-    sigma, dev = initial.cov * blocks, np.zeros((pairs, 4))
-    covs = [sigma]
-    for _ in range(n_steps // r):
-        sigmas = _riccati_apply(thetas, sigma)
-        kicks = (gain * sigmas[:-1, [0, 2]]) @ st_pows[:0:-1]
-        f = np.linalg.qr(kicks.reshape(2 * r, 4), mode="r")
-        dev = dev @ st_pows[-1] + rng.standard_normal((pairs, 4)) @ f
-        sigma = sigmas[-1]
-        covs.append(sigma + (2.0 / n_traj) * (dev.T @ dev))
+    sigmas = np.empty((n + 1, 4, 4))   # the conditional covariance per record
+    sigmas[0] = initial.cov * blocks
+    for i in range(n):
+        sigmas[i + 1] = _riccati_apply(thetas[-1], sigmas[i])
+    covs, spread, dev = sigmas.copy(), np.empty((CHUNK, 4, 4)), np.zeros((pairs, 4))
+    for lo in range(0, n, CHUNK):
+        starts = sigmas[lo:min(lo + CHUNK, n)]   # the chunk's interval starts
+        c = len(starts)
+        subs = _riccati_apply(thetas[:-1], starts[:, None])   # (c, R, 4, 4)
+        kicks = (gain * subs[:, :, [0, 2]]) @ st_pows[:0:-1]
+        for k, f in enumerate(np.linalg.qr(kicks.reshape(c, 2 * r, 4), mode="r")):
+            dev = dev @ st_pows[-1] + rng.standard_normal((pairs, 4)) @ f
+            spread[k] = dev.T @ dev
+        covs[lo + 1:lo + 1 + c] += (2.0 / n_traj) * spread[:c]
     return h, covs
 
 
@@ -148,18 +162,26 @@ def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
     covariance shared by all trajectories, keeps the two per-mass 2x2 blocks
     and takes one Riccati (Moebius) step Theta per dt; delta_j takes the
     Kalman kick dW_j @ (gain Sigma[[0, 2]]), dW_j = sqrt(dt) z_j, and then
-    the unitary flow's S. Each iteration takes one interval:
-    Sigma_i = Theta^i(Sigma_0), i <= R, in one call, and B, the (2R, 4)
-    stack of gain sqrt(dt) Sigma_i[[0, 2]] (S^T)^(R-i), i < R, which maps
-    the interval's 2R innovations to delta's increment. That increment is
-    Gaussian with covariance B^T B, so it is drawn as z F: z one
-    (n_traj/2, 4) standard-normal draw from stream (master_seed, 0), taken
-    interval by interval, and F the R factor of ``np.linalg.qr(B)``, with
-    F^T F = B^T B; QR, unlike a Cholesky factor of B^T B, holds at any
-    measurement rate. So delta <- delta (S^T)^R + z F, and memory does not
-    grow with n_steps. The unconditional covariance, which the witnesses
-    read, is Sigma + (2/n_traj) delta^T delta: the conditional one plus a
-    classically correlated, PSD spread of the conditional means.
+    the unitary flow's S. Over one interval, Sigma_i = Theta^i(Sigma_0),
+    i <= R, and B, the (2R, 4) stack of gain sqrt(dt) Sigma_i[[0, 2]]
+    (S^T)^(R-i), i < R, maps the interval's 2R innovations to delta's
+    increment. That increment is Gaussian with covariance B^T B, so it is
+    drawn as z F: z one (n_traj/2, 4) standard-normal draw from stream
+    (master_seed, 0), taken interval by interval, and F the R factor of
+    ``np.linalg.qr(B)``, with F^T F = B^T B; QR, unlike a Cholesky factor of
+    B^T B, holds at any measurement rate. So delta <- delta (S^T)^R + z F.
+    The unconditional covariance, which the witnesses read, is Sigma +
+    (2/n_traj) delta^T delta: the conditional one plus a classically
+    correlated, PSD spread of the conditional means.
+
+    None of Sigma, B or F depends on the noise. So the chain of interval
+    starts, one Theta^R step each, runs first, and each chunk of ``CHUNK``
+    intervals then takes one stacked call for its Riccati sub-steps, one
+    for its kick stacks and one for their QR factors; the loop over the
+    chunk's intervals makes only the draw and the updates of delta and its
+    spread. The law, the draws' order and every output bit are those of one
+    interval at a time. Beside the (n_traj/2, 4) deviations, memory grows
+    with one chunk's noise-free stack and the O(n_steps/R) output.
     """
     h, covs = _feedback_covs(cfg, initial, n_traj, n_steps, dt, master_seed)
     return GaussianState(evolve_gaussian_grid(initial, h, RECORD_EVERY * dt,

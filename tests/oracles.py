@@ -1,7 +1,7 @@
 """The paper's 2->2 derivation, which no runtime path reads, its kinematics,
 the numerical references for the closed-form tree-level pole, its emission
-amplitudes and its quadrature weights, and the quadratized Hamiltonian of a
-measurement-feedback configuration.
+amplitudes and its quadrature weights, and the quadratized Hamiltonian and
+interval-by-interval filter of a measurement-feedback configuration.
 
 The bootstrapped elastic amplitude M_newton(t) = -16 pi G m^4 / (-t + mu^2)
 fixes the phase convention of ``gravitas.amplitudes``; the spin-2 and spin-0
@@ -16,8 +16,12 @@ import math
 import numpy as np
 
 from gravitas.amplitudes import feynman_propagator, tree_denominators
-from gravitas.entanglement import quadratize_newton
-from gravitas.kinematics import KinematicConfig, boost, minkowski_dot
+from gravitas.entanglement import (OMEGA, GaussianState, _powers,
+                                   evolve_gaussian_grid, quadratize_newton,
+                                   symplectic_propagator)
+from gravitas.kinematics import KinematicConfig, boost, minkowski_dot, stream
+from gravitas.params import RECORD_EVERY
+from gravitas.semiclassical import _riccati_apply, _riccati_step_matrix
 
 METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -230,3 +234,28 @@ def clenshaw_curtis_weights(n):
 def feedback_hamiltonian(cfg):
     """The quadratized Hamiltonian of a ``FeedbackConfig``'s axis."""
     return quadratize_newton(cfg.d, cfg.params, cfg.masses, axis=cfg.axis)
+
+
+def run_ensemble_by_interval(cfg, initial, n_traj, n_steps, dt, master_seed):
+    """``semiclassical.run_ensemble`` taken one record interval at a time:
+    the (R + 1)-step Riccati stack from the interval's start, its (2R, 4)
+    kick stack B, B's R factor F from its own QR, then the draw z F."""
+    r, pairs = RECORD_EVERY, n_traj // 2
+    gain = math.sqrt(8.0 * cfg.k_meas * dt)
+    h = feedback_hamiltonian(cfg)
+    blocks = np.kron(np.eye(2), np.ones((2, 2)))
+    thetas = _powers(_riccati_step_matrix(OMEGA @ h.hmat * blocks, cfg.k_meas, dt), r)
+    st_pows = _powers(symplectic_propagator(h, dt)[0].T, r)
+    rng = stream(master_seed)
+
+    sigma, dev = initial.cov * blocks, np.zeros((pairs, 4))
+    covs = [sigma]
+    for _ in range(n_steps // r):
+        sigmas = _riccati_apply(thetas, sigma)
+        kicks = (gain * sigmas[:-1, [0, 2]]) @ st_pows[:0:-1]
+        f = np.linalg.qr(kicks.reshape(2 * r, 4), mode="r")
+        dev = dev @ st_pows[-1] + rng.standard_normal((pairs, 4)) @ f
+        sigma = sigmas[-1]
+        covs.append(sigma + (2.0 / n_traj) * (dev.T @ dev))
+    mean = evolve_gaussian_grid(initial, h, r * dt, n_steps // r).mean
+    return GaussianState(mean, covs)

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -664,3 +665,43 @@ def test_every_option_has_help():
         for action in parser._actions:
             if action.option_strings != ["-h", "--help"]:
                 assert action.help, (name, action.option_strings)
+
+
+def test_top_level_help_lists_every_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(cmd.name in out for cmd in COMMANDS) and len(COMMANDS) == 7
+
+
+@pytest.mark.parametrize("name", SETTABLE)
+def test_subcommand_help_shows_its_settable_values(capsys, name):
+    # main builds only the invoked subcommand's flags: its help shows them all
+    with pytest.raises(SystemExit) as exc:
+        main([name, "--help"])
+    assert exc.value.code == 0
+    shown = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    assert shown - {"--help"} == set(SETTABLE[name].split())
+
+
+@pytest.mark.parametrize("argv", [["bogus"], ["entangle", "--bogus", "1"],
+                                  ["--bogus", "entangle"]])
+def test_unknown_subcommand_or_flag_exits_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "x.out")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_builds_only_the_invoked_subcommands_flags(tmp_path, monkeypatch):
+    built = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counted(self, *args, **kwargs):
+        built.extend(a for a in args if a.startswith("--") and a != "--help")
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counted)
+    assert main(["entangle", "--n-grid", "3", "--out", str(tmp_path / "e.csv")]) == 0
+    assert sorted(built) == sorted(SETTABLE["entangle"].split())

@@ -17,7 +17,7 @@ from gravitas.params import ModelParams
 from gravitas.semiclassical import (RECORD_EVERY, FeedbackConfig,
                                     _riccati_apply, _riccati_step_matrix,
                                     compare_channels, run_ensemble)
-from oracles import feedback_hamiltonian
+from oracles import feedback_hamiltonian, run_ensemble_by_interval
 
 
 def _cfg(gamma=1.0, axis="separation", g_newton=10.0, d=10.0, meas_length=3.0):
@@ -310,6 +310,30 @@ def test_ensemble_matches_stepped_filter(monkeypatch, axis, n_steps, horizon, bo
     means, sigmas, cs = _lyapunov_moments(fb, initial, n_steps, dt)
     for g, w in ((got.mean, means), (got.cov, sigmas + cs)):
         assert np.max(np.abs(g - w)) <= bound * np.max(np.abs(w))
+
+
+C = semiclassical.CHUNK
+
+
+@pytest.mark.parametrize("axis", ["separation", "transverse"])
+@pytest.mark.parametrize("n_intervals, n_traj, gamma, dt", [
+    (C // 2 + 1, 8, 1.0, 0.01),       # fewer intervals than one chunk
+    (C, 8, 1.0, 0.01),                # exactly one chunk
+    (2 * C + 1, 8, 1.0, 0.01),        # a ragged last chunk of one interval
+    (1, 8, 1.0, 0.01),                # a single interval
+    (C + 3, 2, 1.0, 0.01),            # one trajectory pair
+    (3 * C + 5, 4, 1e-300, 2e-4),     # a vanishing measurement rate
+])
+def test_chunked_ensemble_is_the_interval_loop(axis, n_intervals, n_traj, gamma, dt):
+    # stacking a chunk's noise-free Riccati, kick and QR work changes no
+    # operation of any interval, and the draws keep their interval order
+    cfg = replace(cli._feedback(dict(cli.ENSEMBLE), axis), gamma=gamma)
+    initial = cli._initial(cli.ENSEMBLE)
+    args = (cfg, initial, n_traj, n_intervals * RECORD_EVERY, dt, 7)
+    got, want = run_ensemble(*args), run_ensemble_by_interval(*args)
+    assert got.cov.shape == (n_intervals + 1, 4, 4)
+    assert np.array_equal(got.cov, want.cov)
+    assert np.array_equal(got.mean, want.mean)
 
 
 def test_ensemble_bit_identical_reruns():
