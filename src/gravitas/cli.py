@@ -7,32 +7,23 @@ settings it reads; each key has one ``FLAGS`` entry (flag, type, help with
 units, bound or choices), and ``build_parser`` builds the parser from the
 table, so a subcommand accepts only the flags it reads. ``main`` builds the
 flags of the invoked subcommand alone; for any other first argument, such
-as ``--help``, it builds every subcommand's. One harness, ``_execute``,
-resolves every setting as flag over the config file's subcommand section
-over its top level over default (the seed over GRAVITAS_SEED below the
-file), checks the bounds, runs, and writes the data file (JSON for a dict,
-CSV for a header and rows) and a manifest next to it with the resolved
-configuration, the checks and the wall time.
+as ``--help``, it builds every subcommand's.
 
-Every configuration rule is checked once, here, before any file is written:
-a ``FLAGS`` bound or choice, or a command's ``check`` for a rule that joins
-several values or excludes one point (``optical-tree``'s lambda = 0). The
-library assumes validated input. It rejects only what no rule here covers:
-mu >= m (``ModelParams``), a length that a valid setting underflows to zero
-(``BendingConfig``), and a time step dt <= 0 or dt * gamma > 0.1
-(``semiclassical._guard_steps``).
-
-Exit codes: 0 when every check passes; 1 when a check fails (data and
-manifest are still written) or an ``ArithmeticError`` stops the computation
-(one line on stderr, nothing written); 2 on a configuration error (bad flag,
-value, config file or seed), before any file is written. The
-``ArithmeticError`` is a ``NumericalCheckError``, raised too for a nan or
-inf in the run's data, or a floating-point failure. A command that computes
-with numpy runs under ``np.errstate``, which raises numpy's overflow,
-division by zero and invalid operation. ``deflection`` and ``optical-tree``
-compute with Python floats and the ``math`` module alone: they rely on
-Python's own ``OverflowError`` and ``ZeroDivisionError`` and on the check
-of their data for a nan or inf.
+A run has two phases, and the phase alone decides the exit code. Phase 1,
+``_resolve``, takes each setting as flag over the config file's section for
+the subcommand over its top level over default (the seed over GRAVITAS_SEED
+below the file), and meets every rule before numpy loads: the ``FLAGS``
+bounds and choices, mu < m through ``ModelParams``, each command's
+``check``, the seed and the output path. Anything it raises, and a usage
+error of the parser, exits 2, "config error". Phase 2, ``cmd.run`` and the
+check of its data for a nan or inf, exits 1, "numerical failure", on an
+``ArithmeticError``, ``ValueError`` (numpy's ``LinAlgError`` too) or
+``GravitasError``. Neither failure writes a file. A completed run writes
+the data (JSON for a dict, CSV for a header and rows) and a manifest with
+the resolved configuration, the checks and the wall time, and exits 0 if
+every check passes, else 1. Numpy commands run under ``np.errstate``, so
+numpy's overflow, division by zero and invalid operation raise;
+``deflection`` and ``optical-tree`` rely on Python's own float errors.
 
 Each run imports the library modules it calls when it starts, so neither
 ``import gravitas.cli`` nor a ``deflection`` or ``optical-tree`` run loads
@@ -52,14 +43,16 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .errors import GravitasError, NumericalCheckError
-from .params import FIG1_DEFAULTS, N_STRATA, RECORD_EVERY, ModelParams
+from .errors import GravitasError, NumericalCheckError, StepSizeError
+from .params import FIG1_DEFAULTS, N_STRATA, RECORD_EVERY, ModelParams, guard_steps
 
 SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
+# what either phase raises: a configuration error, then a numerical failure
+FAILURES = (ArithmeticError, ValueError, GravitasError)
 
 # Family-wise false-failure rate of each statistical gate on a correct run.
 GATE_ALPHA = 1e-3
@@ -71,6 +64,11 @@ SEPARABLE_DUAN = 1.0 - 1e-9
 
 class ConfigError(GravitasError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error is a configuration error
+        self.exit(EXIT_CONFIG, f"config error: {message}\n")
 
 
 class Flag(NamedTuple):
@@ -193,10 +191,9 @@ def _convert(key: str, value, source: str):
 
 
 def _resolve(cmd: Command, args: argparse.Namespace) -> dict:
-    """flag > config-file section > config-file top level > GRAVITAS_SEED
-    (the seed only) > default; a flag, file or environment value is set when
-    not None. Every value, whatever its source, then meets its flag's bound
-    or choices, and the command's ``check`` meets the resolved set."""
+    """Phase 1: the settings by the module docstring's precedence, a value set
+    when not None; each meets its flag's bound or choices, and the set meets
+    ``ModelParams`` and the command's ``check`` and names a seed and a file."""
     file_cfg = _load_config_file(args.config, cmd)
     cfg = dict(cmd.defaults)
     for key in cfg:
@@ -219,8 +216,23 @@ def _resolve(cmd: Command, args: argparse.Namespace) -> dict:
             raise ConfigError(f"{key} must be > {f.gt}, got {value}")
         if f.ge is not None and any(v < f.ge for v in values):
             raise ConfigError(f"{key} must be >= {f.ge}, got {value}")
+    if {"m", "mu"} <= cfg.keys():
+        try:
+            _params(cfg)
+        except ValueError as exc:
+            raise ConfigError(f"--mu must be below --m, got --mu {cfg['mu']} and "
+                              f"--m {cfg['m']} ({exc})") from exc
     if cmd.check is not None:
         cmd.check(cfg)
+    if "seed" in cfg and cfg["seed"] is None:
+        raise ConfigError("a seed is required (flag --seed, config file, or GRAVITAS_SEED)")
+    if "n_traj" in cfg:
+        cfg["n_traj"] += cfg["n_traj"] % 2
+    out = Path(cfg["out"])
+    if out.is_dir():  # "" resolves to "." too
+        raise ConfigError(f"output path {str(out)!r} is a directory, not a file")
+    if not out.parent.is_dir():
+        raise ConfigError(f"output directory {out.parent} does not exist")
     return cfg
 
 
@@ -356,13 +368,16 @@ def _check_n_steps(cfg: dict) -> None:
     if cfg["n_steps"] % RECORD_EVERY:
         raise ConfigError(f"--n-steps must be a multiple of the snapshot stride "
                           f"{RECORD_EVERY}, got {cfg['n_steps']}")
+    try:
+        guard_steps(cfg["gamma"], cfg["horizon"] / cfg["n_steps"])
+    except StepSizeError as exc:
+        raise ConfigError(f"--horizon/--n-steps must lie in (0, 0.1/--gamma]: {exc}") from exc
 
 
 def _feedback(cfg: dict, axis: str = "separation"):
-    """Feedback model of both ensemble subcommands; rounds n_traj up to even."""
+    """Feedback model of both ensemble subcommands."""
     from .semiclassical import FeedbackConfig
 
-    cfg["n_traj"] += cfg["n_traj"] % 2
     return FeedbackConfig(cfg["gamma"], cfg["d"], (cfg["m"], cfg["m"]),
                           _params(cfg), axis=axis,
                           meas_length=math.sqrt(cfg["var_x"]))
@@ -429,17 +444,29 @@ def _compare(cfg: dict):
             "semiclassical does not={semiclassical_does_not}".format(**checks))
 
 
-def _deflection(cfg: dict):
-    from .estimators import BendingConfig, estimate_record, schwarzschild_radius
+# deflection's settings with the BendingConfig field and SI factor of each
+SI_FIELDS = {"mass_g": ("mass_kg", 1e-3), "impact_um": ("impact_parameter_m", 1e-6),
+             "separation_um": ("superposition_separation_m", 1e-6),
+             "wavelength_nm": ("wavelength_m", 1e-9), "cavity_m": ("cavity_length_m", 1.0)}
 
-    bc = BendingConfig(
-        mass_kg=cfg["mass_g"] * 1e-3,
-        impact_parameter_m=cfg["impact_um"] * 1e-6,
-        superposition_separation_m=cfg["separation_um"] * 1e-6,
-        wavelength_m=cfg["wavelength_nm"] * 1e-9,
-        cavity_length_m=cfg["cavity_m"],
-        t_integration_s=cfg["t_integration_s"],
-    )
+
+def _bending(cfg: dict):
+    """``deflection``'s BendingConfig, and its check: a setting must not underflow to 0."""
+    from .estimators import BendingConfig
+
+    try:
+        return BendingConfig(t_integration_s=cfg["t_integration_s"],
+                             **{fd: cfg[k] * f for k, (fd, f) in SI_FIELDS.items()})
+    except ValueError as exc:
+        key = next(k for k, (_, f) in SI_FIELDS.items() if not cfg[k] * f > 0)
+        raise ConfigError(f"--{key.replace('_', '-')} underflows to 0 in SI units, "
+                          f"got {cfg[key]}") from exc
+
+
+def _deflection(cfg: dict):
+    from .estimators import estimate_record, schwarzschild_radius
+
+    bc = _bending(cfg)
     record = estimate_record(bc, target_time=cfg["target_time_s"])
     r_s_over_b = schwarzschild_radius(bc) / bc.impact_parameter_m
     return (record, {"weak_field": r_s_over_b < 1.0},
@@ -501,7 +528,8 @@ COMMANDS = (
     Command("deflection", "SI light-bending design estimates",
             dict(mass_g=1.0, impact_um=100.0, separation_um=10.0,
                  wavelength_nm=1000.0, cavity_m=0.1, target_time_s=1.0,
-                 t_integration_s=None, out="deflection.json"), _deflection),
+                 t_integration_s=None, out="deflection.json"),
+            _deflection, _bending),
     Command("phase-space-check", "Lorentz-invariant measure identity check",
             dict(mu=1.0, n_samples=200000, kmax=6.0, out="phase_space.json",
                  seed=None), _phase_space_check, _check_two_samples),
@@ -528,10 +556,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _nonfinite(value) -> tuple[tuple, object] | None:
     """(key path, value) of the first nan or +/-inf float in a run's data, or
-    None. A numpy command runs under ``np.errstate``, but that does not reach
-    worker threads, and ``deflection`` and ``optical-tree`` run on Python
-    floats alone, whose multiplication and division overflow to inf without
-    raising; so the data is checked."""
+    None: ``np.errstate`` does not reach worker threads, and a Python float
+    overflows to inf without raising."""
     if isinstance(value, float):
         return None if math.isfinite(value) else ((), value)
     if not isinstance(value, (dict, list, tuple)):
@@ -543,51 +569,11 @@ def _nonfinite(value) -> tuple[tuple, object] | None:
     return None
 
 
-def _execute(cmd: Command, args: argparse.Namespace) -> int:
-    cfg = _resolve(cmd, args)
-    if "seed" in cfg and cfg["seed"] is None:
-        raise ConfigError("a seed is required (flag --seed, config file, or GRAVITAS_SEED)")
-    out = Path(cfg["out"])
-    if out.is_dir():  # "" resolves to "." too
-        raise ConfigError(f"output path {str(out)!r} is a directory, not a file")
-    if not out.parent.is_dir():
-        raise ConfigError(f"output directory {out.parent} does not exist")
-    t0 = time.perf_counter()
-    data, checks, message = cmd.run(cfg)
-    bad = _nonfinite(data if isinstance(data, dict) else data[1])
-    if bad is not None:
-        path, value = bad
-        if not isinstance(data, dict):
-            path = (f"row {path[0]}", data[0][path[1]])
-        raise NumericalCheckError(f"non-finite output value {'/'.join(map(str, path))}"
-                                  f" = {value}; nothing written")
-    provenance = {}
-    if isinstance(data, dict):
-        _write_json(out, {"schema_version": SCHEMA_VERSION, **data})
-        provenance = {k.removesuffix("_provenance"): v for k, v in data.items()
-                      if k.endswith("_provenance")}
-    else:
-        _write_csv(out, *data)
-    _write_json(out.with_suffix(out.suffix + ".manifest.json"), {
-        "schema_version": SCHEMA_VERSION,
-        "toolkit_version": __version__,
-        "command": cmd.name,
-        "resolved_config": cfg,
-        "wall_time_s": time.perf_counter() - t0,
-        "outputs": [out.name],
-        "checks": checks,
-        "provenance": provenance,
-    })
-    ok = all(checks.values())
-    print(f"{cmd.name}: {message} -> {out}", file=sys.stdout if ok else sys.stderr)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
-
-
 def build_parser(name: str | None = None) -> argparse.ArgumentParser:
     """The parser of every subcommand. Given a subcommand ``name``, only that
     subcommand gets its flags, which is all its command line needs; every
     subcommand is still listed, so help and error text stay the same."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="gravitas",
         description="Numerical unitarity and entanglement checks for "
                     "Lorentz-invariant Newtonian scattering models")
@@ -611,15 +597,44 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     invoked = argv[0] if argv and argv[0] in {c.name for c in COMMANDS} else None
     args = build_parser(invoked).parse_args(argv)
+    cmd = args.cmd
     try:
-        return _execute(args.cmd, args)
-    except ArithmeticError as exc:
-        print(f"{args.cmd.name}: numerical failure: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return EXIT_CHECK_FAILED
-    except (GravitasError, ValueError) as exc:
+        cfg = _resolve(cmd, args)
+    except FAILURES as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    out, t0 = Path(cfg["out"]), time.perf_counter()
+    try:
+        data, checks, message = cmd.run(cfg)
+        bad = _nonfinite(data if isinstance(data, dict)
+                         else [dict(zip(data[0], row)) for row in data[1]])
+        if bad is not None:
+            raise NumericalCheckError(f"non-finite output value {'/'.join(map(str, bad[0]))}"
+                                      f" = {bad[1]}; nothing written")
+    except FAILURES as exc:
+        print(f"{cmd.name}: numerical failure: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    provenance = {}
+    if isinstance(data, dict):
+        _write_json(out, {"schema_version": SCHEMA_VERSION, **data})
+        provenance = {k.removesuffix("_provenance"): v for k, v in data.items()
+                      if k.endswith("_provenance")}
+    else:
+        _write_csv(out, *data)
+    _write_json(out.with_suffix(out.suffix + ".manifest.json"), {
+        "schema_version": SCHEMA_VERSION,
+        "toolkit_version": __version__,
+        "command": cmd.name,
+        "resolved_config": cfg,
+        "wall_time_s": time.perf_counter() - t0,
+        "outputs": [out.name],
+        "checks": checks,
+        "provenance": provenance,
+    })
+    ok = all(checks.values())
+    print(f"{cmd.name}: {message} -> {out}", file=sys.stdout if ok else sys.stderr)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

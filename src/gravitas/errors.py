@@ -25,5 +25,5 @@ class StepSizeError(GravitasError):
     """Stochastic integration step violates the accuracy guard."""
 
 
-class NumericalCheckError(GravitasError, ArithmeticError):
+class NumericalCheckError(GravitasError):
     """A numerical self-check failed during a computation (not a bad input)."""

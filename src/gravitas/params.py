@@ -1,5 +1,5 @@
 """Coupling and mass ledger shared by every amplitude, and the constants
-that the command-line parser reads when it is built.
+and the time-step guard that the command-line parser reads.
 
 Natural units hbar = c = 1 throughout; SI conversions live in
 ``gravitas.estimators`` only. This module imports neither numpy nor
@@ -10,6 +10,8 @@ loads them.
 from __future__ import annotations
 
 from typing import NamedTuple
+
+from .errors import StepSizeError
 
 
 class _ModelParams(NamedTuple):
@@ -54,6 +56,15 @@ class ModelParams(_ModelParams):
 # prepared at position variance var_x, with a coupling strong enough that the
 # relative-mode period is O(50) natural time units
 FIG1_DEFAULTS = dict(g_newton=10.0, m=1.0, mu=1e-6, d=10.0, var_x=9.0)
+
+def guard_steps(gamma: float, dt: float) -> None:
+    """StepSizeError for dt <= 0 or dt * gamma > 0.1, the accuracy guard of
+    the feedback filter's one inexact step, its left-point Kalman kick."""
+    if dt <= 0:
+        raise StepSizeError("dt must be positive")
+    if dt * gamma > 0.1:
+        raise StepSizeError(f"dt*gamma = {dt * gamma} exceeds the 0.1 accuracy guard")
+
 
 # ensemble snapshot stride, in steps, of run_ensemble and compare_channels
 RECORD_EVERY = 10

@@ -50,9 +50,8 @@ import numpy as np
 from .entanglement import (OMEGA, GaussianState, QuadraticHamiltonian, _powers,
                            evolve_gaussian_grid, expm, quadratize_newton,
                            symplectic_propagator)
-from .errors import StepSizeError
 from .kinematics import stream
-from .params import RECORD_EVERY, ModelParams
+from .params import RECORD_EVERY, ModelParams, guard_steps
 
 
 @dataclass(frozen=True)
@@ -95,16 +94,6 @@ def _riccati_apply(theta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return 0.5 * (out + np.swapaxes(out, -1, -2))   # out is (num den^-1)^T
 
 
-def _guard_steps(cfg: FeedbackConfig, dt: float) -> None:
-    """StepSizeError for a step outside the accuracy guard of the left-point
-    Kalman kick, the one inexact step: dt <= 0, which a positive horizon
-    over many steps can underflow to, or dt * gamma > 0.1."""
-    if dt <= 0:
-        raise StepSizeError("dt must be positive")
-    if dt * cfg.gamma > 0.1:
-        raise StepSizeError(f"dt*gamma = {dt * cfg.gamma} exceeds the 0.1 accuracy guard")
-
-
 # ---------------------------------------------------------------------------
 # ensembles
 # ---------------------------------------------------------------------------
@@ -120,7 +109,7 @@ def _feedback_covs(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
                    ) -> tuple[QuadraticHamiltonian, np.ndarray]:
     """``run_ensemble``'s quadratized Hamiltonian and its (n_records, 4, 4)
     unconditional covariances; the mean is the caller's to build."""
-    _guard_steps(cfg, dt)
+    guard_steps(cfg.gamma, dt)
     r, pairs = RECORD_EVERY, n_traj // 2
     if n_steps % r:
         raise ValueError(f"n_steps = {n_steps} is not a multiple of {r}")

@@ -104,6 +104,8 @@ def test_tree_amplitude_shape_error(params):
     cfg = elastic_cm_config(params.m, 0.3, 0.5)
     with pytest.raises(ConfigShapeError):
         m_3to3_tree(cfg, params)
+    with pytest.raises(ConfigShapeError, match="leg masses"):  # legs of mass m, not 2m
+        m_3to3_tree(TreePoleFamily(params).config(0.1), params._replace(m=2.0 * params.m))
 
 
 def _im_near_pole(cfg, params, delta_width):

@@ -1,18 +1,25 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from types import MappingProxyType
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gravitas
 from gravitas import entanglement, optical, unitarity
-from gravitas.cli import COMMANDS, FLAGS, build_parser, main
+from gravitas.cli import COMMANDS, FLAGS, _resolve, build_parser, main
 from gravitas.params import ModelParams
 
 SEED = ["--seed", "20260810"]
@@ -294,6 +301,9 @@ BAD_VALUES = {
                                                    "--horizon", "2", *SEED],
     "compare-steps-below-stride": ["compare", "--n-steps", "5",
                                    "--horizon", "0.5", *SEED],
+    # dt = horizon / n_steps underflows to 0
+    "semiclassical-step-underflows": ["semiclassical", "--horizon", "5e-324",
+                                      "--n-steps", "10", *SEED],
 }
 
 
@@ -412,6 +422,7 @@ def test_config_file_top_level_beside_section(tmp_path):
 
 
 @pytest.mark.parametrize("doc, named", [
+    pytest.param("{", "not valid JSON", id="not-json"),  # written as it is
     pytest.param([1, 2], "cfg.json", id="not-an-object"),
     pytest.param({"entangle": 5}, "entangle", id="section-not-an-object"),
     pytest.param({"n_gird": 5}, "n_gird", id="top-level-key-no-subcommand-reads"),
@@ -419,7 +430,7 @@ def test_config_file_top_level_beside_section(tmp_path):
 ])
 def test_malformed_config_file_exits_2(tmp_path, capsys, doc, named):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps(doc), encoding="utf-8")
+    cfgfile.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     assert main(["entangle", "--config", str(cfgfile),
                  "--out", str(tmp_path / "en.csv")]) == 2
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
@@ -593,6 +604,144 @@ def test_arithmetic_failure_exits_1_without_traceback(tmp_path, capsys, case):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("target, error", [
+    pytest.param("numpy.linalg.solve", np.linalg.LinAlgError("Singular matrix"),
+                 id="singular-solve"),
+    pytest.param("gravitas.entanglement.TOL_SYMMETRY", -1.0, id="asymmetric-state"),
+])
+def test_failure_inside_the_run_exits_1_without_output(tmp_path, capsys, monkeypatch,
+                                                       target, error):
+    # a ValueError from cmd.run is a numerical failure, whatever its class
+    def raises(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(target, raises if isinstance(error, Exception) else error)
+    assert main(["entangle", "--n-grid", "4", "--out", str(tmp_path / "e.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("entangle: numerical failure: ")
+    assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def _fresh_interpreter(code):
+    """stdout and stderr of ``code`` run in a new interpreter on this source tree."""
+    src = str(Path(gravitas.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    return proc.stdout, proc.stderr
+
+
+# rules that the library alone checked, inside the run: each now exits 2
+# before numpy loads, and its message names the flags
+UP_FRONT = {
+    **{f"{name}-mu-above-m": ([name, "--mu", "2"], "--mu must be below --m")
+       for name in ("box-cut", "entangle", "semiclassical", "compare")},
+    **{f"{name}-step-beyond-guard": ([name, "--n-steps", "100"],
+                                     "--horizon/--n-steps must lie in (0, 0.1/--gamma]")
+       for name in ("semiclassical", "compare")},
+    "deflection-impact-underflows": (["deflection", "--impact-um", "1e-320"],
+                                     "--impact-um underflows to 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UP_FRONT))
+def test_rule_exits_2_before_numpy_loads(tmp_path, case):
+    argv, says = UP_FRONT[case]
+    out, err = _fresh_interpreter(
+        "import sys, gravitas.cli\n"
+        f"code = gravitas.cli.main({[*argv, '--out', str(tmp_path / 'x.out')]!r})\n"
+        "print(code, 'numpy' in sys.modules)")
+    assert out.split() == ["2", "False"]
+    assert err.startswith("config error: ") and says in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _as_argv(key, value):
+    flag = FLAGS[key].flag or "--" + key.replace("_", "-")
+    return [flag, *map(str, value)] if isinstance(value, list) else [f"{flag}={value}"]
+
+
+# a small, valid run of each subcommand
+SMALL = {
+    "optical-tree": {},
+    "box-cut": dict(n_samples=256, s_grid=[4.1], seed=1),
+    "entangle": dict(n_grid=4),
+    "semiclassical": dict(n_steps=20, horizon=2.0, n_traj=3, seed=1),
+    "compare": dict(n_steps=20, horizon=2.0, n_traj=3, seed=1),
+    "deflection": {},
+    "phase-space-check": dict(n_samples=100, seed=1),
+}
+
+
+@pytest.mark.parametrize("cmd", COMMANDS, ids=lambda cmd: cmd.name)
+def test_run_reads_its_resolved_config_only(tmp_path, cmd):
+    # phase 1 settles every value, the even n_traj too; cmd.run changes none
+    argv = [cmd.name, "--out", str(tmp_path / "x.out"),
+            *[a for key, value in SMALL[cmd.name].items() for a in _as_argv(key, value)]]
+    cfg = _resolve(cmd, build_parser(cmd.name).parse_args(argv))
+    data, checks, message = cmd.run(MappingProxyType(cfg))
+    assert checks and all(checks.values()) and message
+    assert cfg.get("n_traj", 4) == 4
+
+
+# the contract, drawn: values around each flag's bound, sizes capped small
+SIZE_CAPS = {"n_samples": 2000, "n_steps": 200, "n_traj": 8, "n_grid": 20, "threads": 4}
+EDGE_FLOATS = [0.0, -1.0, 5e-324, 1e-300, 1e300, 0.5, 1.5, math.nan, math.inf, -math.inf]
+
+
+def _edge_values(key):
+    f = FLAGS[key]
+    if f.type is str:
+        one = st.sampled_from([*f.choices, "diagonal"])
+    elif f.type is int:
+        cap = SIZE_CAPS.get(key, 2**64)
+        one = st.integers(-10**30, cap) | st.sampled_from([0, 1, 2, cap, 2.5, math.nan])
+    else:
+        one = st.sampled_from(EDGE_FLOATS) | st.floats()
+    return st.lists(one, max_size=3) if f.nargs else one
+
+
+def _drawn_config(cmd):
+    """SMALL's run of ``cmd`` with up to three of its settings drawn."""
+    keys = sorted(set(cmd.defaults) - {"out"})
+    return st.lists(st.sampled_from(keys), unique=True, max_size=3).flatmap(
+        lambda picked: st.fixed_dictionaries({k: _edge_values(k) for k in picked})).map(
+        lambda drawn: {**SMALL[cmd.name], **drawn})
+
+
+@pytest.mark.parametrize("cmd", COMMANDS, ids=lambda cmd: cmd.name)
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_exit_code_contract_holds_for_drawn_values(cmd, data):
+    cfg, in_file = data.draw(_drawn_config(cmd)), data.draw(st.booleans())
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "x.out"
+        argv = [cmd.name, "--out", str(out)]
+        if in_file:
+            (Path(tmp) / "cfg.json").write_text(json.dumps({cmd.name: cfg}), encoding="utf-8")
+            argv += ["--config", str(Path(tmp) / "cfg.json")]
+        else:
+            argv += [a for key, value in cfg.items() for a in _as_argv(key, value)]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # the parser's usage errors
+                code = exc.code
+        err = stderr.getvalue()
+        written = sorted(p.name for p in Path(tmp).iterdir() if p.name != "cfg.json")
+        assert code in (0, 1, 2) and "Traceback" not in err, (argv, err)
+        if written:
+            assert written == ["x.out", "x.out.manifest.json"], (argv, err)
+            assert code == (0 if all(_read_manifest(out)["checks"].values()) else 1)
+        else:
+            assert err.startswith("config error: " if code == 2 else
+                                  f"{cmd.name}: numerical failure: "), (argv, err)
+            assert len(err.strip().splitlines()) == 1, (argv, err)
+
+
 # modules that a fresh interpreter must not have loaded after each step: the
 # command-line module imports neither numpy nor dataclasses (nor inspect,
 # which dataclasses imports), the arithmetic-only deflection estimate runs
@@ -614,17 +763,12 @@ COLD_START = {
 @pytest.mark.parametrize("step", sorted(COLD_START))
 def test_cold_start_loads_only_what_it_runs(tmp_path, step):
     argv, absent = COLD_START[step]
-    src = str(Path(gravitas.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, gravitas.cli\n"
     if argv is not None:
         argv = [*argv, "--out", str(tmp_path / "x.out")]
         code += f"assert gravitas.cli.main({argv!r}) == 0\n"
     code += f"print(sorted(set(sys.modules) & set({absent!r})))"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.stdout.strip().splitlines()[-1] == "[]"
+    assert _fresh_interpreter(code)[0].strip().splitlines()[-1] == "[]"
 
 
 # every settable value of each subcommand, --config included: adding or

@@ -341,6 +341,8 @@ def test_log_negativity_of_product_state_is_positive_zero():
 def test_state_rejects_disagreeing_leading_shapes():
     with pytest.raises(ValueError, match="leading axes"):
         GaussianState(np.zeros((3, 4)), np.zeros((2, 4, 4)))
+    with pytest.raises(ValueError, match=r"hmat must be \(4, 4\)"):
+        QuadraticHamiltonian(np.eye(2), np.zeros(4))
 
 
 def test_symmetry_is_checked_against_each_state_scale():
@@ -350,3 +352,5 @@ def test_symmetry_is_checked_against_each_state_scale():
     small[0, 1] += 1e-9
     with pytest.raises(ValueError, match="symmetric"):
         GaussianState(np.zeros((2, 4)), np.stack([1e6 * np.eye(4), small]))
+    with pytest.raises(ValueError, match="hmat must be symmetric"):
+        QuadraticHamiltonian(small - np.eye(4), np.zeros(4))

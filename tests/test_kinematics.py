@@ -182,6 +182,8 @@ def test_kinematic_config_rejects_three_component_leg():
         KinematicConfig((a, a[1:]), (a, a), (1.0, 1.0, 1.0, 1.0))
     with pytest.raises(ConfigShapeError):
         KinematicConfig(a, (a,), (1.0, 1.0))
+    with pytest.raises(ConfigShapeError, match="2 legs but 1 declared masses"):
+        KinematicConfig((a,), (a,), (1.0,))
 
 
 def test_kinematic_config_holds_arrays_of_rows():

@@ -9,8 +9,9 @@ class does not reach them, and one is reached when its name appears as an
 attribute, ``x.method``, in a reached body. Dunder methods, which Python
 calls itself, count as part of their class. Code that only tests read, such
 as the paper's 2->2 derivation and the numerical reference for the tree pole,
-lives in ``tests/oracles.py``; the only reason left is a benchmark probe,
-and an entry stays allowed only while ``perfbench/`` still names it.
+lives in ``tests/oracles.py``. The reasons left are a benchmark probe, an
+entry allowed only while ``perfbench/`` still names it, and a method that
+``argparse`` calls.
 """
 
 import ast
@@ -24,12 +25,14 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 ENTRY = ("cli", "main")
 REASONS = {
     "bench-probe": "the benchmark's layer probes call it",
+    "argparse": "argparse calls it on a usage error",
 }
 ALLOWED = {
     ("kinematics", "two_body_batch"): "bench-probe",
     ("entanglement", "evolve_gaussian"): "bench-probe",
     ("amplitudes", "m_3to3_tree"): "bench-probe",
     ("amplitudes", "m_graviton_emission"): "bench-probe",
+    ("cli", "_Parser.error"): "argparse",
 }
 
 

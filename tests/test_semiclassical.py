@@ -41,6 +41,8 @@ def test_step_size_guard():
     with pytest.raises(StepSizeError):
         run_ensemble(_cfg(gamma=5.0), _initial(), n_traj=2, n_steps=1, dt=0.1,
                      master_seed=0)
+    with pytest.raises(StepSizeError, match="dt must be positive"):
+        run_ensemble(_cfg(), _initial(), n_traj=2, n_steps=10, dt=0.0, master_seed=0)
 
 
 def test_single_step_feedback_momentum_kick():

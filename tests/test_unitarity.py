@@ -489,6 +489,11 @@ def test_box_cut_stratification_cuts_variance(box_params):
 def test_box_cut_below_threshold(box_params, rng):
     with pytest.raises(BelowThresholdError):
         box_cut_im_forward(3.9, box_params, 100, rng)
+    with pytest.raises(BelowThresholdError, match="elastic threshold"):
+        elastic_only_rhs(3.9, box_params)
+    # within the 1e-12 slack of 4 m^2, a mu this close to m leaves no two-mediator cut
+    with pytest.raises(BelowThresholdError, match="two-mediator"):
+        box_cut_im_forward(4.0 - 1e-12, box_params._replace(mu=1.0 - 1e-13), 100, rng)
 
 
 def test_box_cut_propagator_stays_off_its_pole():
