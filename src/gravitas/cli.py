@@ -6,8 +6,8 @@ which calls the library directly. A row's default keys are exactly the
 settings it reads; each key has one ``FLAGS`` entry (flag, type, help with
 units, bound or choices), and ``build_parser`` builds the parser from the
 table, so a subcommand accepts only the flags it reads. ``main`` builds the
-flags of the invoked subcommand alone; for any other first argument, such
-as ``--help``, it builds every subcommand's.
+invoked subcommand's parser alone; for any other first argument, such as
+``--help``, it builds every subcommand's.
 
 A run has two phases, and the phase alone decides the exit code. Phase 1,
 ``_resolve``, takes each setting as flag over the config file's section for
@@ -21,8 +21,9 @@ check of its data for a nan or inf, exits 1, "numerical failure", on an
 ``GravitasError``. Neither failure writes a file. A completed run writes
 the data (JSON for a dict, CSV for a header and rows) and a manifest with
 the resolved configuration, the checks and the wall time, and exits 0 if
-every check passes, else 1. Numpy commands run under ``np.errstate``, so
-numpy's overflow, division by zero and invalid operation raise;
+every check passes, else 1; a write's ``OSError`` exits 1, "write failed",
+and removes a written data file. Numpy commands run under ``np.errstate``,
+so numpy's overflow, division by zero and invalid operation raise;
 ``deflection`` and ``optical-tree`` rely on Python's own float errors.
 
 Each run imports the library modules it calls when it starts, so neither
@@ -405,11 +406,10 @@ def _semiclassical(cfg: dict):
     fb = _feedback(cfg, cfg["axis"])
     states = run_ensemble(fb, _initial(cfg), cfg["n_traj"], cfg["n_steps"],
                           cfg["horizon"] / cfg["n_steps"], cfg["seed"])
-    times = _snapshot_times(cfg)
     log_neg, duan = log_negativity(states), duan_witness(states)
     var_p_mean = 0.5 * (states.cov[:, 1, 1] + states.cov[:, 3, 3])
-    n_traj = np.full(times.shape, cfg["n_traj"], dtype=object)  # stays an int
-    rows = np.column_stack((times, log_neg, duan, var_p_mean, n_traj)).tolist()
+    columns = (_snapshot_times(cfg), log_neg, duan, var_p_mean)
+    rows = [[*row, cfg["n_traj"]] for row in np.column_stack(columns).tolist()]
     checks = dict(zip(("no_entanglement", "duan_never_below_1"),
                       _separable(log_neg, duan)))
     return ((["t", "E_N_unconditional", "duan", "var_p_mean", "n_traj"], rows),
@@ -554,35 +554,35 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         w.writerows(rows)
 
 
-def _nonfinite(value) -> tuple[tuple, object] | None:
-    """(key path, value) of the first nan or +/-inf float in a run's data, or
-    None: ``np.errstate`` does not reach worker threads, and a Python float
-    overflows to inf without raising."""
+def _nonfinite(value, path: str = "") -> str | None:
+    """``key/path = value`` of the first nan or +/-inf float in a run's
+    data, or None: ``np.errstate`` does not reach worker threads, and a
+    Python float overflows to inf without raising."""
     if isinstance(value, float):
-        return None if math.isfinite(value) else ((), value)
+        return None if math.isfinite(value) else f"{path[1:]} = {value}"
     if not isinstance(value, (dict, list, tuple)):
         return None
     for key, item in value.items() if isinstance(value, dict) else enumerate(value):
-        bad = _nonfinite(item)
+        bad = _nonfinite(item, f"{path}/{key}")
         if bad is not None:
-            return (key, *bad[0]), bad[1]
+            return bad
     return None
 
 
 def build_parser(name: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand. Given a subcommand ``name``, only that
-    subcommand gets its flags, which is all its command line needs; every
-    subcommand is still listed, so help and error text stay the same."""
+    """The parser of every subcommand, or of subcommand ``name`` alone: the
+    others appear only in top-level help and usage, which ``_Parser.error`` and
+    the subparser's ``--help`` never print."""
     ap = _Parser(
         prog="gravitas",
         description="Numerical unitarity and entanglement checks for "
                     "Lorentz-invariant Newtonian scattering models")
     sub = ap.add_subparsers(dest="command", required=True)
     for cmd in COMMANDS:
-        p = sub.add_parser(cmd.name, help=cmd.help, description=cmd.help)
-        p.set_defaults(cmd=cmd)
         if name not in (None, cmd.name):
             continue
+        p = sub.add_parser(cmd.name, help=cmd.help, description=cmd.help)
+        p.set_defaults(cmd=cmd)
         p.add_argument("--config", help="JSON config file (values at top level, "
                        "overridden by those under the subcommand key)")
         for key in cmd.defaults:
@@ -606,32 +606,40 @@ def main(argv: list[str] | None = None) -> int:
     out, t0 = Path(cfg["out"]), time.perf_counter()
     try:
         data, checks, message = cmd.run(cfg)
-        bad = _nonfinite(data if isinstance(data, dict)
-                         else [dict(zip(data[0], row)) for row in data[1]])
-        if bad is not None:
-            raise NumericalCheckError(f"non-finite output value {'/'.join(map(str, bad[0]))}"
-                                      f" = {bad[1]}; nothing written")
+        table = not isinstance(data, dict)
+        # a table's floats in one flat pass; the walk runs only to name a bad value
+        if not (table and all(math.isfinite(v) for row in data[1] for v in row
+                              if isinstance(v, float))):
+            bad = _nonfinite([dict(zip(data[0], r)) for r in data[1]] if table else data)
+            if bad is not None:
+                raise NumericalCheckError(f"non-finite output value {bad}; nothing written")
     except FAILURES as exc:
         print(f"{cmd.name}: numerical failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_CHECK_FAILED
-    provenance = {}
-    if isinstance(data, dict):
-        _write_json(out, {"schema_version": SCHEMA_VERSION, **data})
-        provenance = {k.removesuffix("_provenance"): v for k, v in data.items()
-                      if k.endswith("_provenance")}
-    else:
-        _write_csv(out, *data)
-    _write_json(out.with_suffix(out.suffix + ".manifest.json"), {
-        "schema_version": SCHEMA_VERSION,
-        "toolkit_version": __version__,
-        "command": cmd.name,
-        "resolved_config": cfg,
-        "wall_time_s": time.perf_counter() - t0,
-        "outputs": [out.name],
-        "checks": checks,
-        "provenance": provenance,
-    })
+    written = False
+    try:
+        if table:
+            _write_csv(out, *data)
+        else:
+            _write_json(out, {"schema_version": SCHEMA_VERSION, **data})
+        written = True
+        _write_json(out.with_suffix(out.suffix + ".manifest.json"), {
+            "schema_version": SCHEMA_VERSION,
+            "toolkit_version": __version__,
+            "command": cmd.name,
+            "resolved_config": cfg,
+            "wall_time_s": time.perf_counter() - t0,
+            "outputs": [out.name],
+            "checks": checks,
+            "provenance": {} if table else {k.removesuffix("_provenance"): v for k, v
+                                            in data.items() if k.endswith("_provenance")},
+        })
+    except OSError as exc:  # no complete data file stays without its manifest
+        if written:
+            out.unlink()
+        print(f"{cmd.name}: write failed: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     ok = all(checks.values())
     print(f"{cmd.name}: {message} -> {out}", file=sys.stdout if ok else sys.stderr)
     return EXIT_OK if ok else EXIT_CHECK_FAILED

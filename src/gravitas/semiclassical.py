@@ -20,16 +20,15 @@ The ensemble is one filter state (mean, Sigma, delta): the noise-free mean
 path, the conditional covariance Sigma that every trajectory shares, and
 the deviation delta_j of each opposite-sign trajectory pair j. The filter
 steps record intervals of R = ``RECORD_EVERY`` steps, through the step
-powers Theta^i and (S^T)^i, i <= R. Over an interval the Kalman kicks add
-to delta_j a Gaussian increment of covariance B^T B, B the interval's (2R,
-4) kick stack; it is drawn as z_j F, z one (n_traj/2, 4) standard-normal
-draw per interval from stream (master_seed, 0), taken interval by
-interval, and F the 4x4 R factor of B's QR decomposition, so F^T F = B^T
-B. Sigma, B and F do not depend on the noise, so they are computed for a
-chunk of ``CHUNK`` intervals at once; only the draw and delta's update go
-interval by interval. The seed drives only the deviations. The drift and
-the Riccati step are exact over dt; only the Kalman kick, at the left point
-of each step, is first order in dt.
+powers Theta^i and (S^T)^i, i <= R; a Riccati (Moebius) step is one
+product, numerator and denominator stacked, and one solve. Over an interval
+the Kalman kicks add to delta_j the draw z_j F, F^T F = B^T B with B the
+interval's (2R, 4) kick stack (see :func:`run_ensemble`). Sigma, B and F do
+not depend on the noise, so they are computed for a chunk of ``CHUNK``
+intervals at once; only the draw and delta's update go interval by
+interval. The seed drives only the deviations. The drift and the Riccati
+step are exact over dt; only the Kalman kick, at the left point of each
+step, is first order in dt.
 
 Both channels return :class:`~gravitas.entanglement.GaussianState` time
 series, from which the caller reads witnesses, times and separations.
@@ -88,10 +87,9 @@ def _riccati_step_matrix(a: np.ndarray, k: float, dt: float) -> np.ndarray:
 def _riccati_apply(theta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """The symmetrized Moebius map of each step matrix of ``theta`` on ``sigma``."""
     n = sigma.shape[-1]
-    num = theta[..., :n, :n] @ sigma + theta[..., :n, n:]
-    den = theta[..., n:, :n] @ sigma + theta[..., n:, n:]
-    out = np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2))
-    return 0.5 * (out + np.swapaxes(out, -1, -2))   # out is (num den^-1)^T
+    both = theta[..., :n] @ sigma + theta[..., n:]   # [num; den]
+    out = np.linalg.solve(both[..., n:, :].mT, both[..., :n, :].mT)
+    return 0.5 * (out + out.mT)   # out is (num den^-1)^T
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +125,14 @@ def _feedback_covs(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
         sigmas[i + 1] = _riccati_apply(thetas[-1], sigmas[i])
     covs, spread, dev = sigmas.copy(), np.empty((CHUNK, 4, 4)), np.zeros((pairs, 4))
     for lo in range(0, n, CHUNK):
-        starts = sigmas[lo:min(lo + CHUNK, n)]   # the chunk's interval starts
+        starts = sigmas[lo:min(lo + CHUNK, n), None]   # the chunk's interval starts
         c = len(starts)
-        subs = _riccati_apply(thetas[:-1], starts[:, None])   # (c, R, 4, 4)
+        subs = np.concatenate((starts, _riccati_apply(thetas[1:-1], starts)), axis=1)
         kicks = (gain * subs[:, :, [0, 2]]) @ st_pows[:0:-1]
         for k, f in enumerate(np.linalg.qr(kicks.reshape(c, 2 * r, 4), mode="r")):
-            dev = dev @ st_pows[-1] + rng.standard_normal((pairs, 4)) @ f
-            spread[k] = dev.T @ dev
+            dev = dev @ st_pows[-1]
+            dev += rng.standard_normal((pairs, 4)) @ f
+            np.matmul(dev.T, dev, out=spread[k])
         covs[lo + 1:lo + 1 + c] += (2.0 / n_traj) * spread[:c]
     return h, covs
 
@@ -149,28 +148,31 @@ def run_ensemble(cfg: FeedbackConfig, initial: GaussianState, n_traj: int,
     opposite-sign innovations, so the noise-free mean path is their exact
     mean and pair j sits at mean +/- delta_j. Sigma, the 4x4 conditional
     covariance shared by all trajectories, keeps the two per-mass 2x2 blocks
-    and takes one Riccati (Moebius) step Theta per dt; delta_j takes the
-    Kalman kick dW_j @ (gain Sigma[[0, 2]]), dW_j = sqrt(dt) z_j, and then
-    the unitary flow's S. Over one interval, Sigma_i = Theta^i(Sigma_0),
-    i <= R, and B, the (2R, 4) stack of gain sqrt(dt) Sigma_i[[0, 2]]
-    (S^T)^(R-i), i < R, maps the interval's 2R innovations to delta's
-    increment. That increment is Gaussian with covariance B^T B, so it is
-    drawn as z F: z one (n_traj/2, 4) standard-normal draw from stream
-    (master_seed, 0), taken interval by interval, and F the R factor of
-    ``np.linalg.qr(B)``, with F^T F = B^T B; QR, unlike a Cholesky factor of
-    B^T B, holds at any measurement rate. So delta <- delta (S^T)^R + z F.
-    The unconditional covariance, which the witnesses read, is Sigma +
-    (2/n_traj) delta^T delta: the conditional one plus a classically
-    correlated, PSD spread of the conditional means.
+    and takes one Riccati (Moebius) step Theta per dt: numerator and
+    denominator are the halves of one product Theta[:, :4] Sigma +
+    Theta[:, 4:]. delta_j takes the Kalman kick dW_j @ (gain Sigma[[0, 2]]),
+    dW_j = sqrt(dt) z_j, and then the unitary flow's S. Over one interval,
+    Sigma_i = Theta^i(Sigma_0), i <= R, and B, the (2R, 4) stack of gain
+    sqrt(dt) Sigma_i[[0, 2]] (S^T)^(R-i), i < R, maps the interval's 2R
+    innovations to delta's increment. That increment is Gaussian with
+    covariance B^T B, so it is drawn as z F: z one (n_traj/2, 4)
+    standard-normal draw from stream (master_seed, 0), taken interval by
+    interval, and F the R factor of ``np.linalg.qr(B)``, with F^T F = B^T B;
+    QR, unlike a Cholesky factor of B^T B, holds at any measurement rate. So
+    delta <- delta (S^T)^R + z F. The unconditional covariance, which the
+    witnesses read, is Sigma + (2/n_traj) delta^T delta: the conditional one
+    plus a classically correlated, PSD spread of the conditional means.
 
     None of Sigma, B or F depends on the noise. So the chain of interval
     starts, one Theta^R step each, runs first, and each chunk of ``CHUNK``
-    intervals then takes one stacked call for its Riccati sub-steps, one
-    for its kick stacks and one for their QR factors; the loop over the
-    chunk's intervals makes only the draw and the updates of delta and its
-    spread. The law, the draws' order and every output bit are those of one
-    interval at a time. Beside the (n_traj/2, 4) deviations, memory grows
-    with one chunk's noise-free stack and the O(n_steps/R) output.
+    intervals then takes one stacked call for its Riccati sub-steps Theta^1
+    .. Theta^(R-1), one for its kick stacks and one for their QR factors;
+    sub-step 0 is the interval start, which Theta^0 = I maps to itself. The
+    loop over the chunk's intervals makes only the draw and the updates of
+    delta and its spread. The law, the draws' order and every output bit are
+    those of one interval at a time. Beside the (n_traj/2, 4) deviations,
+    memory grows with one chunk's noise-free stack and the O(n_steps/R)
+    output.
     """
     h, covs = _feedback_covs(cfg, initial, n_traj, n_steps, dt, master_seed)
     return GaussianState(evolve_gaussian_grid(initial, h, RECORD_EVERY * dt,

@@ -1,7 +1,8 @@
 """The paper's 2->2 derivation, which no runtime path reads, its kinematics,
 the numerical references for the closed-form tree-level pole, its emission
-amplitudes and its quadrature weights, and the quadratized Hamiltonian and
-interval-by-interval filter of a measurement-feedback configuration.
+amplitudes and its quadrature weights, and the quadratized Hamiltonian,
+two-product Riccati step and interval-by-interval filter of a
+measurement-feedback configuration.
 
 The bootstrapped elastic amplitude M_newton(t) = -16 pi G m^4 / (-t + mu^2)
 fixes the phase convention of ``gravitas.amplitudes``; the spin-2 and spin-0
@@ -21,7 +22,7 @@ from gravitas.entanglement import (OMEGA, GaussianState, _powers,
                                    symplectic_propagator)
 from gravitas.kinematics import KinematicConfig, boost, minkowski_dot, stream
 from gravitas.params import RECORD_EVERY
-from gravitas.semiclassical import _riccati_apply, _riccati_step_matrix
+from gravitas.semiclassical import _riccati_step_matrix
 
 METRIC = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -236,10 +237,21 @@ def feedback_hamiltonian(cfg):
     return quadratize_newton(cfg.d, cfg.params, cfg.masses, axis=cfg.axis)
 
 
+def riccati_apply(theta, sigma):
+    """``semiclassical._riccati_apply`` with numerator and denominator as two
+    products: the symmetrized Moebius map of each step matrix of ``theta``."""
+    n = sigma.shape[-1]
+    num = theta[..., :n, :n] @ sigma + theta[..., :n, n:]
+    den = theta[..., n:, :n] @ sigma + theta[..., n:, n:]
+    out = np.linalg.solve(np.swapaxes(den, -1, -2), np.swapaxes(num, -1, -2))
+    return 0.5 * (out + np.swapaxes(out, -1, -2))   # out is (num den^-1)^T
+
+
 def run_ensemble_by_interval(cfg, initial, n_traj, n_steps, dt, master_seed):
     """``semiclassical.run_ensemble`` taken one record interval at a time:
-    the (R + 1)-step Riccati stack from the interval's start, its (2R, 4)
-    kick stack B, B's R factor F from its own QR, then the draw z F."""
+    the (R + 1)-step two-product Riccati stack from the interval's start,
+    its (2R, 4) kick stack B, B's R factor F from its own QR, then the draw
+    z F."""
     r, pairs = RECORD_EVERY, n_traj // 2
     gain = math.sqrt(8.0 * cfg.k_meas * dt)
     h = feedback_hamiltonian(cfg)
@@ -251,7 +263,7 @@ def run_ensemble_by_interval(cfg, initial, n_traj, n_steps, dt, master_seed):
     sigma, dev = initial.cov * blocks, np.zeros((pairs, 4))
     covs = [sigma]
     for _ in range(n_steps // r):
-        sigmas = _riccati_apply(thetas, sigma)
+        sigmas = riccati_apply(thetas, sigma)
         kicks = (gain * sigmas[:-1, [0, 2]]) @ st_pows[:0:-1]
         f = np.linalg.qr(kicks.reshape(2 * r, 4), mode="r")
         dev = dev @ st_pows[-1] + rng.standard_normal((pairs, 4)) @ f

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gravitas
-from gravitas import entanglement, optical, unitarity
+from gravitas import cli, entanglement, optical, unitarity
 from gravitas.cli import COMMANDS, FLAGS, _resolve, build_parser, main
 from gravitas.params import ModelParams
 
@@ -604,6 +604,52 @@ def test_arithmetic_failure_exits_1_without_traceback(tmp_path, capsys, case):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_non_finite_box_cut_value_is_named(tmp_path, capsys, threads):
+    assert main([*BOX_CUT_INF, "--threads", threads, "--out", str(tmp_path / "b.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "box-cut: numerical failure: NumericalCheckError: non-finite output value "
+        "0/rhs_elastic = -inf; nothing written\n")
+
+
+@pytest.mark.parametrize("value", [np.float64("nan"), np.float64("-inf"), math.inf])
+def test_non_finite_table_float_is_named(tmp_path, capsys, monkeypatch, value):
+    # the flat pass over a table sees numpy floats too; the walk names the cell
+    def run(cfg):
+        return (["t", "x"], [[0.0, 1.0], [1.0, value]]), {"ok": True}, ""
+
+    monkeypatch.setattr(cli, "COMMANDS", tuple(
+        c._replace(run=run) if c.name == "entangle" else c for c in COMMANDS))
+    assert main(["entangle", "--out", str(tmp_path / "e.csv")]) == 1
+    assert capsys.readouterr().err == (
+        "entangle: numerical failure: NumericalCheckError: non-finite output value "
+        f"1/x = {value}; nothing written\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, out", [(["deflection"], "link"),
+                                       (["entangle", "--n-grid", "2"], "link.csv")],
+                         ids=["json", "csv"])
+def test_write_into_a_dangling_link_fails_in_one_line(tmp_path, capsys, argv, out):
+    link = tmp_path / out
+    link.symlink_to(tmp_path / "missing" / "x")
+    assert main([*argv, "--out", str(link)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"{argv[0]}: write failed: ") and str(link) in err
+    assert len(err.strip().splitlines()) == 1
+    assert list(tmp_path.iterdir()) == [link]
+
+
+def test_unwritable_manifest_leaves_no_data_file(tmp_path, capsys):
+    out = tmp_path / "e.csv"
+    (tmp_path / "e.csv.manifest.json").mkdir()
+    assert main(["entangle", "--n-grid", "2", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("entangle: write failed: ") and "manifest" in err
+    assert len(err.strip().splitlines()) == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["e.csv.manifest.json"]
+
+
 @pytest.mark.parametrize("target, error", [
     pytest.param("numpy.linalg.solve", np.linalg.LinAlgError("Singular matrix"),
                  id="singular-solve"),
@@ -835,6 +881,36 @@ def test_unknown_subcommand_or_flag_exits_2(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--out", str(tmp_path / "x.out")])
     assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def _bad_value_argv(cmd):
+    key = next(k for k in cmd.defaults if FLAGS[k].type is not str)
+    return [cmd.name, *_as_argv(key, "x")]
+
+
+def _main_output(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, *capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    *([cmd.name, "--help"] for cmd in COMMANDS),
+    *([cmd.name, "--bogus", "1"] for cmd in COMMANDS),
+    *(_bad_value_argv(cmd) for cmd in COMMANDS),
+    ["entangle", "--axis", "diagonal"],
+], ids=" ".join)
+def test_one_subparser_prints_what_every_subparser_prints(tmp_path, capsys,
+                                                          monkeypatch, argv):
+    argv = [*argv, "--out", str(tmp_path / "x.out")]
+    got = _main_output(capsys, argv)
+    every = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda name=None: every())
+    assert got == _main_output(capsys, argv)
+    assert got[0] in (0, 2) and got[1] + got[2]
     assert list(tmp_path.iterdir()) == []
 
 

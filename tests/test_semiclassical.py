@@ -17,7 +17,7 @@ from gravitas.params import ModelParams
 from gravitas.semiclassical import (RECORD_EVERY, FeedbackConfig,
                                     _riccati_apply, _riccati_step_matrix,
                                     compare_channels, run_ensemble)
-from oracles import feedback_hamiltonian, run_ensemble_by_interval
+from oracles import feedback_hamiltonian, riccati_apply, run_ensemble_by_interval
 
 
 def _cfg(gamma=1.0, axis="separation", g_newton=10.0, d=10.0, meas_length=3.0):
@@ -275,6 +275,28 @@ def test_riccati_apply_stack_matches_repeated_steps():
     for got in _riccati_apply(_powers(theta, RECORD_EVERY), sigma):
         assert np.max(np.abs(got - sigma)) <= 1e-13 * np.max(np.abs(sigma))
         sigma = _riccati_apply(theta, sigma)
+
+
+@pytest.mark.parametrize("axis", ["separation", "transverse"])
+@pytest.mark.parametrize("gamma", [1.0, 1e-300])
+def test_riccati_apply_is_the_two_product_step(axis, gamma):
+    # one [num; den] product changes no bit of the two-product Moebius map,
+    # in the chunk's stacked call and the chain's single Theta^R call; and
+    # Theta^0 = I maps each interval start to itself, so the chunk skips it
+    cfg = replace(cli._feedback(dict(cli.ENSEMBLE), axis), gamma=gamma)
+    blocks = np.kron(np.eye(2), np.ones((2, 2)))
+    a = OMEGA @ feedback_hamiltonian(cfg).hmat * blocks
+    thetas = _powers(_riccati_step_matrix(a, cfg.k_meas, 0.01), RECORD_EVERY)
+    starts = [cli._initial(cli.ENSEMBLE).cov * blocks]
+    for _ in range(2 * semiclassical.CHUNK):
+        chained = _riccati_apply(thetas[-1], starts[-1])
+        assert np.array_equal(chained, riccati_apply(thetas[-1], starts[-1]))
+        starts.append(chained)
+    starts = np.array(starts)
+    got = _riccati_apply(thetas, starts[:, None])
+    assert got.shape == (len(starts), RECORD_EVERY + 1, 4, 4)
+    assert np.array_equal(got, riccati_apply(thetas, starts[:, None]))
+    assert np.array_equal(got[:, 0], starts)
 
 
 class _BlockOrthogonalDraws:
