@@ -115,7 +115,8 @@ FLAGS = {
     "n_steps": Flag(f"time steps, a multiple of the snapshot stride {RECORD_EVERY}",
                     type=int, gt=0),
     "n_traj": Flag("trajectories, rounded up to an even count (pairs with "
-                   "opposite-sign noise)", type=int, gt=0),
+                   "opposite-sign noise); cost and memory do not grow with it",
+                   type=int, gt=0),
     "mass_g": Flag("source mass (grams)", gt=0),
     "impact_um": Flag("impact parameter (micrometers)", gt=0),
     "separation_um": Flag("superposition separation (micrometers)", gt=0),

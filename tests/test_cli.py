@@ -732,8 +732,10 @@ def test_run_reads_its_resolved_config_only(tmp_path, cmd):
     assert cfg.get("n_traj", 4) == 4
 
 
-# the contract, drawn: values around each flag's bound, sizes capped small
-SIZE_CAPS = {"n_samples": 2000, "n_steps": 200, "n_traj": 8, "n_grid": 20, "threads": 4}
+# the contract, drawn: values around each flag's bound, sizes capped small;
+# a run's cost does not grow with n_traj, so its cap is large enough for
+# the drawn runs to reach the feedback filter's branch with more than 4 pairs
+SIZE_CAPS = {"n_samples": 2000, "n_steps": 200, "n_traj": 10**6, "n_grid": 20, "threads": 4}
 EDGE_FLOATS = [0.0, -1.0, 5e-324, 1e-300, 1e300, 0.5, 1.5, math.nan, math.inf, -math.inf]
 
 

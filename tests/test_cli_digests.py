@@ -36,10 +36,10 @@ RUNS = {
         "e4edaa22b248f35ea9c7c1ce8ec2ff4bc792574069f664ac413e1826f075e37c"),
     "semiclassical": (
         ["semiclassical", *STOCHASTIC_ENSEMBLE],
-        "2ce8ee116f98749eaf88697aeb3cac56ea9fd429ea98e7c947bc189c00f11ce8"),
+        "81459ba517d32781ed8017db5ef6cb15a0974be15c519cb4d201042e805efac3"),
     "compare": (
         ["compare", *STOCHASTIC_ENSEMBLE],
-        "722b18b88a72bec52a6e21045d39aedb6192fdc32a48d28f36f74309bbdd95be"),
+        "34fd644abcab7683d2d162e3dc1b852063ff898ff0086f47f6c248df227fe2de"),
     "phase-space-check": (
         ["phase-space-check", "--seed", "7", "--n-samples", "20000"],
         "c7ae98c198efed15ca5999c3cbe5cf7640a68198141b9e38cee60bd15230552c"),

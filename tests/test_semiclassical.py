@@ -13,6 +13,7 @@ from gravitas.entanglement import (OMEGA, GaussianState, _powers,
                                    product_state, quadratize_newton,
                                    symplectic_propagator, yukawa_derivatives)
 from gravitas.errors import StepSizeError
+from gravitas.kinematics import stream
 from gravitas.params import ModelParams
 from gravitas.semiclassical import (RECORD_EVERY, FeedbackConfig,
                                     _riccati_apply, _riccati_step_matrix,
@@ -205,6 +206,59 @@ def test_ensemble_moments_match_lyapunov_recursion():
         assert np.all(dev <= z * rel_sigma * np.diag(c) + 1e-12 * np.diag(sigma))
 
 
+LAW_PAIRS, LAW_SEEDS, LAW_RECORDS = (5, 6, 9), 2000, 3
+
+
+@pytest.mark.parametrize("axis", ["separation", "transverse"])
+def test_spread_root_keeps_the_wishart_law(monkeypatch, axis):
+    # the P = n_traj/2 pair deviations are P iid rows N(0, C_k), C_k the
+    # per-pair Lyapunov covariance, so each record's spread W = delta^T delta
+    # is Wishart_4(P, C_k): W/P has mean C_k and Var(ij) = (C_ij^2 + C_ii
+    # C_jj)/P; and a row steps x <- x M + noise, M = (S^T)^R per interval, so
+    # across records k < l, Cov(W_k/P, W_l/P)_ij = (X_ii X_jj + X_ij X_ji)/P,
+    # X = C_k M^(l - k). The root X is held to all three, over LAW_SEEDS
+    # streams of the spread chain with run_ensemble's own kick factors. P = 5,
+    # 6 and 9 take the Bartlett step with 1, 2 and 4 rows of E. Each statistic
+    # is a mean over the streams, within z standard errors (the mean's from
+    # the Wishart variance, the others' from the sample); z is the normal
+    # Bonferroni bound over an axis's 270 statistics for a family-wise
+    # false-failure rate of 1e-3. It rejects E drawn with P in place of P - 4
+    # degrees of freedom, the stack without the cross term, [X S^R; G F; E F],
+    # and a fresh Wishart_4(P, C_k) per record.
+    fb, initial = cli._feedback(dict(cli.ENSEMBLE), axis), cli._initial(cli.ENSEMBLE)
+    n_steps, dt = LAW_RECORDS * RECORD_EVERY, 0.01
+    spreads, chains = semiclassical._spreads, []
+
+    def recorded(*args):
+        chains.append(args)
+        return spreads(*args)
+
+    monkeypatch.setattr(semiclassical, "_spreads", recorded)
+    run_ensemble(fb, initial, 2 * LAW_PAIRS[0], n_steps, dt, 0)
+    _, _, a, fs = chains[0]
+    c = _lyapunov_moments(fb, initial, n_steps, dt)[2][1:]
+    upper = np.triu_indices(4)
+    z = NormalDist().inv_cdf(1.0 - 1e-3 / (2 * 270))
+
+    def held(got, want, se):
+        return np.all(np.abs(got - want) <= z * se)
+
+    for pairs in LAW_PAIRS:
+        w = np.array([spreads(stream(seed), pairs, a, fs)
+                      for seed in range(LAW_SEEDS)])[:, :, upper[0], upper[1]] / pairs
+        var = (c**2 + np.einsum("kii,kjj->kij", c, c))[:, upper[0], upper[1]] / pairs
+        mean = w.mean(axis=0)
+        assert held(mean, c[:, upper[0], upper[1]], np.sqrt(var / LAW_SEEDS))
+        dev = w - mean   # (stream, record, entry)
+        for k in range(LAW_RECORDS):
+            for lag in range(LAW_RECORDS - k):
+                x = c[k] @ np.linalg.matrix_power(a, lag)
+                want = (np.einsum("ii,jj->ij", x, x) + x * x.T)[upper] / pairs
+                prod = dev[:, k] * dev[:, k + lag]
+                assert held(prod.mean(axis=0), want,
+                            prod.std(axis=0) / math.sqrt(LAW_SEEDS))
+
+
 @pytest.mark.parametrize("axis", ["separation", "transverse"])
 def test_moment_recursion_is_first_order_in_dt_with_an_exact_mean(axis):
     # the drift is the exact flow over dt, so the mean agrees with a dt/16
@@ -299,19 +353,12 @@ def test_riccati_apply_is_the_two_product_step(axis, gamma):
     assert np.array_equal(got[:, 0], starts)
 
 
-class _BlockOrthogonalDraws:
-    """A stand-in for ``stream``'s generator: its k-th (P, 4) draw is
-    sqrt(P) I_4 in rows 4k..4k+3 and zero elsewhere, so z_k^T z_l = P I_4
-    when k = l and 0 otherwise, the expectation of Gaussian draws."""
-
-    def __init__(self, master_seed):
-        self.k = 0
-
-    def standard_normal(self, shape):
-        z = np.zeros(shape)
-        z[4 * self.k:4 * self.k + 4] = math.sqrt(shape[0]) * np.eye(4)
-        self.k += 1
-        return z
+def _exact_moment_draws(rng, pairs):
+    """A stand-in for ``semiclassical._spread_draws`` whose draws hold their
+    expected second moments exactly: G = 0 and E = sqrt(P) I_4, so that
+    G^T G + E^T E = P I_4, and the cross term (X S^R)^T G F vanishes."""
+    return np.broadcast_to(np.concatenate((np.zeros((4, 4)), math.sqrt(pairs) * np.eye(4))),
+                           (semiclassical.CHUNK, 8, 4))
 
 
 @pytest.mark.parametrize("axis, n_steps, horizon, bound", [
@@ -324,10 +371,11 @@ class _BlockOrthogonalDraws:
 def test_ensemble_matches_stepped_filter(monkeypatch, axis, n_steps, horizon, bound):
     # each interval's kick z F has covariance F^T F = B^T B, the sum of the
     # per-step Kalman kicks carried to the interval's end; with draws whose
-    # second moments are exact (P = 4 pairs per interval) the sampled spread
-    # (2/n_traj) delta^T delta is its expectation, so the whole state is the
-    # per-step Lyapunov recursion Sigma_t + C_t to rounding
-    monkeypatch.setattr(semiclassical, "stream", _BlockOrthogonalDraws)
+    # second moments are exact the spread's root X steps as X^T X <-
+    # (S^R)^T X^T X S^R + P F^T F, so the sampled spread (2/n_traj) X^T X is
+    # its expectation and the whole state is the per-step Lyapunov recursion
+    # Sigma_t + C_t to rounding
+    monkeypatch.setattr(semiclassical, "_spread_draws", _exact_moment_draws)
     n_traj, dt = 8 * (n_steps // RECORD_EVERY), horizon / n_steps
     fb, initial = cli._feedback(dict(cli.ENSEMBLE), axis), cli._initial(cli.ENSEMBLE)
     got = run_ensemble(fb, initial, n_traj, n_steps, dt, 7)
@@ -385,22 +433,38 @@ def test_ensemble_run_is_prefix_of_longer_run():
     assert np.array_equal(short.cov, long.cov[:n // RECORD_EVERY + 1])
 
 
+def _traced_peak(*args):
+    tracemalloc.start()
+    try:
+        run_ensemble(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_ensemble_memory_does_not_grow_with_steps():
-    # the traced peak stays within two (2R, n_traj/2) blocks at any n_steps:
-    # each interval draws only (n_traj/2, 4) normals, a fifth of a block, and
-    # drawing all 2R innovations of an interval would exceed the bound; the
-    # whole draw at 2,000 steps would be 100 blocks
+    # the traced peak stays within two (2R, n_traj/2) blocks, 320 kB, at any
+    # n_steps: the working memory is one chunk's noise-free stacks and draws
+    # plus the (n_steps/R, 4, 4) kick factors, spreads and records, 205 kB at
+    # 2,000 steps; chunks of 32 intervals would exceed the bound, and so would
+    # the whole (2R, n_traj/2) draw at 2,000 steps, 100 blocks
     cfg, n_traj = _cfg(), 2000
     block = 2 * RECORD_EVERY * (n_traj // 2) * 8
     run_ensemble(cfg, _initial(), n_traj, RECORD_EVERY, 0.01, 3)   # warm-up
     for n_steps in (200, 2000):
-        tracemalloc.start()
-        try:
-            run_ensemble(cfg, _initial(), n_traj, n_steps, 0.01, 3)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * block
+        assert _traced_peak(cfg, _initial(), n_traj, n_steps, 0.01, 3) <= 2 * block
+
+
+def test_ensemble_memory_does_not_grow_with_trajectories():
+    # the filter keeps a root of the spread with at most 4 rows, never the
+    # (n_traj/2, 4) deviations, and draws at most 4 rows of G and of E per
+    # interval; so at 200 steps one bound, the 320 kB of the test above,
+    # holds the traced peak at 2,000 and at 2,000,000 trajectories, where
+    # one (n_traj/2, 4) array of deviations alone is 32 MB
+    cfg, bound = _cfg(), 2 * (2 * RECORD_EVERY * 1000 * 8)
+    run_ensemble(cfg, _initial(), 2000, RECORD_EVERY, 0.01, 3)   # warm-up
+    for n_traj in (2000, 2_000_000):
+        assert _traced_peak(cfg, _initial(), n_traj, 200, 0.01, 3) <= bound
 
 
 def test_ensemble_survives_a_vanishing_measurement_rate():
